@@ -46,14 +46,14 @@ def _load_config(path: str | None) -> PipelineConfig:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
+    if args.image and not args.out_mosaic:
+        return _fail(1, "--image requires --out-mosaic")
     cfg = _load_config(args.config)
     per_image = io.load_detections(args.detections)
     dets = [d for img in sorted(per_image, key=str) for d in per_image[img]]
     _, layout = build_layout(dets, args.image_size, cfg)
     io.save_layout(layout, args.out_layout)
     if args.image:
-        if not args.out_mosaic:
-            return _fail(1, "--image requires --out-mosaic")
         io.compose_mosaic(layout, io.read_ppm(args.image), args.out_mosaic)
     print(f"packed {len(layout.placements)} regions into "
           f"{layout.mosaic_width:g}x{layout.mosaic_height:g}")
@@ -97,8 +97,10 @@ def _cmd_train_sim(args: argparse.Namespace) -> int:
     report = train_sim(cfg)
     io.save_jsonl(report.records, args.out)
     last = report.records[-1]
+    calls = len(report.transport) * cfg.n_classes if cfg.use_ot else 0
     print(f"ran {cfg.steps} steps; final min proxy distance "
-          f"{last['min_proxy_distance']:.4f}")
+          f"{last['min_proxy_distance']:.4f}; {report.unconverged_calls} of {calls} "
+          f"Sinkhorn calls did not converge")
     return 0
 
 

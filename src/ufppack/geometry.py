@@ -1,6 +1,7 @@
 """Axis-aligned box arithmetic shared by every pipeline stage."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -14,7 +15,8 @@ class BBox:
     y2: float
 
     def __post_init__(self) -> None:
-        if self.x2 < self.x1 or self.y2 < self.y1:
+        # Written so that a NaN coordinate fails the test too.
+        if not (self.x1 <= self.x2 and self.y1 <= self.y2):
             raise ValueError(f"degenerate box: ({self.x1},{self.y1},{self.x2},{self.y2})")
 
     @property
@@ -47,8 +49,9 @@ class ImageExtent:
     height: float
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"extent must be positive, got {self.width}x{self.height}")
+        if not (math.isfinite(self.width) and math.isfinite(self.height)
+                and self.width > 0 and self.height > 0):
+            raise ValueError(f"extent must be positive and finite, got {self.width}x{self.height}")
 
 
 def area(box: BBox) -> float:

@@ -6,6 +6,7 @@ leaves a partial output behind.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -69,6 +70,9 @@ def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[Any, list
     for i, rec in enumerate(records):
         try:
             x, y, w, h = rec["bbox"]
+            if not (math.isfinite(x) and math.isfinite(y)
+                    and math.isfinite(w) and math.isfinite(h)):
+                raise ValueError("non-finite coordinate")
             if w < 0 or h < 0:
                 raise ValueError("negative extent")
             det = Detection(

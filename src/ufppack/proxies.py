@@ -15,11 +15,10 @@ import numpy as np
 from .clustering import dbscan
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return e / (1.0 + e)
+def _sigmoid(z: float | np.ndarray) -> float | np.ndarray:
+    """Logistic function, elementwise on arrays, without overflow for large |z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(np.asarray(z) >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -70,32 +69,40 @@ def multi_proxy_prob(bank: ProxyBank, class_id: int, x: np.ndarray) -> float:
 
 def multi_proxy_logit(
     bank: ProxyBank, class_id: int, x: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pre-sigmoid logit z = gamma * aggregate and its gradients.
 
-    Returns (z, dz_dx of shape C, dz_dw of shape K x C). Working at the
-    logit level keeps cross-entropy gradients finite when the sigmoid
-    saturates.
+    For one feature x of shape C, returns (z, dz_dx of shape C, dz_dw of
+    shape K x C). For a batch x of shape N x C, returns (z of shape N,
+    dz_dx of shape N x C, dz_dw of shape N x K x C), row n being the result
+    for x[n]. Working at the logit level keeps cross-entropy gradients
+    finite when the sigmoid saturates.
     """
     W = bank.weights[class_id]
     x = np.asarray(x, dtype=float)
-    xn = np.linalg.norm(x)
-    if xn == 0:
+    X = x.reshape(1, -1) if x.ndim == 1 else x
+    xn = np.linalg.norm(X, axis=1)
+    if np.any(xn == 0):
         raise ValueError("zero feature vector")
     wn = np.linalg.norm(W, axis=1)
-    s = (W @ x) / (wn * xn)
-    alpha = np.exp(s - np.max(s))
-    alpha /= alpha.sum()
-    agg = float(alpha @ s)
+    s = (X @ W.T) / (xn[:, None] * wn[None, :])  # N x K
+    alpha = np.exp(s - np.max(s, axis=1, keepdims=True))
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    agg = np.sum(alpha * s, axis=1)
     # d(agg)/d(s_k) = alpha_k * (1 + s_k - agg)
-    dagg_ds = alpha * (1.0 + s - agg)
+    dagg_ds = alpha * (1.0 + s - agg[:, None])
+    x_hat = X / xn[:, None]
+    w_hat = W / wn[:, None]
     # d(s_k)/dx = (w_k/|w_k| - s_k x/|x|) / |x|
-    ds_dx = (W / wn[:, None] - s[:, None] * (x / xn)[None, :]) / xn
+    dz_dx = bank.gamma * (
+        dagg_ds @ w_hat - np.sum(dagg_ds * s, axis=1)[:, None] * x_hat
+    ) / xn[:, None]
     # d(s_k)/dw_k = (x/|x| - s_k w_k/|w_k|) / |w_k|
-    ds_dw = ((x / xn)[None, :] - s[:, None] * (W / wn[:, None])) / wn[:, None]
+    ds_dw = (x_hat[:, None, :] - s[:, :, None] * w_hat[None, :, :]) / wn[None, :, None]
+    dz_dw = bank.gamma * dagg_ds[:, :, None] * ds_dw
     z = bank.gamma * agg
-    dz_dx = bank.gamma * (dagg_ds @ ds_dx)
-    dz_dw = bank.gamma * dagg_ds[:, None] * ds_dw
+    if x.ndim == 1:
+        return float(z[0]), dz_dx[0], dz_dw[0]
     return z, dz_dx, dz_dw
 
 
@@ -110,12 +117,6 @@ def multi_proxy_grad(
     sig = _sigmoid(z)
     dp_dz = sig * (1.0 - sig)
     return dp_dz * dz_dx, dp_dz * dz_dw
-
-
-def aggregate_bounds(bank: ProxyBank, class_id: int, x: np.ndarray) -> tuple[float, float]:
-    """Probability bounds implied by the similarity range."""
-    s = similarity_profile(bank.weights[class_id], x)
-    return _sigmoid(bank.gamma * float(np.min(s))), _sigmoid(bank.gamma * float(np.max(s)))
 
 
 def adaptive_k(

@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from .clustering import kmeans
-from .proxies import ProxyBank, multi_proxy_logit
+from .proxies import ProxyBank, _sigmoid, multi_proxy_logit
 from .transport import cost_matrix, sinkhorn, transport_cost
 from .vocab import VocabQueue, contrastive_loss, estimate_marginals
 
@@ -65,11 +65,25 @@ class TrainConfig:
         return cls(**d)
 
 
+@dataclass(frozen=True)
+class TransportStats:
+    """Outcome of one step's Sinkhorn calls, one call per class."""
+
+    max_iterations: int = 0
+    max_violation: float = 0.0
+    unconverged: int = 0  # calls that stopped at max_iters above tolerance
+
+
 @dataclass
 class TrainReport:
     config: TrainConfig
     records: list[dict[str, float]] = field(default_factory=list)
     final_weights: dict[int, np.ndarray] = field(default_factory=dict)
+    transport: list[TransportStats] = field(default_factory=list)  # one per record
+
+    @property
+    def unconverged_calls(self) -> int:
+        return sum(t.unconverged for t in self.transport)
 
     @property
     def final_min_proxy_distance(self) -> float:
@@ -136,12 +150,8 @@ def _ot_grad(
     wn = np.linalg.norm(w, axis=1)
     u = w / wn[:, None]
     cos = fn @ u.T  # N x K
-    grad = np.zeros_like(w)
-    for k in range(w.shape[0]):
-        # dC(j,k)/dw_k = -(f_hat_j - cos_jk * u_k) / (2 |w_k|)
-        d = -(fn - cos[:, k : k + 1] * u[k][None, :]) / (2.0 * wn[k])
-        grad[k] = plan[:, k] @ d
-    return grad
+    # dC(j,k)/dw_k = -(f_hat_j - cos_jk * u_k) / (2 |w_k|), summed over j with weight P_jk
+    return -(plan.T @ fn - np.sum(plan * cos, axis=0)[:, None] * u) / (2.0 * wn[:, None])
 
 
 def train_sim(cfg: TrainConfig) -> TrainReport:
@@ -155,13 +165,16 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
         for cid in range(cfg.n_classes)
     }
     report = TrainReport(config=cfg)
+    # Each step scores every sample of every class against every class.
+    labels = np.repeat(np.arange(cfg.n_classes), cfg.batch_size)
+    n_terms = labels.size * cfg.n_classes
 
     for step in range(cfg.steps + 1):
         batches = {
             cid: model.sample(cid, cfg.batch_size, rng) for cid in range(cfg.n_classes)
         }
         for cid in range(cfg.n_classes):
-            vocabs[cid].update(list(batches[cid]), cfg.vocab_insert, rng)
+            vocabs[cid].update(batches[cid], cfg.vocab_insert, rng)
         if step > 0 and step % cfg.marginal_cadence == 0:
             for cid in range(cfg.n_classes):
                 if len(vocabs[cid]) >= cfg.proxies_per_class:
@@ -170,25 +183,24 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
                     )
                     marginals[cid] = est.p
 
-        grads = {cid: np.zeros_like(bank.weights[cid]) for cid in range(cfg.n_classes)}
+        feats_all = np.concatenate(list(batches.values()))
+        grads = {}
         loss_det = 0.0
-        n_terms = 0
-        for cid, feats in batches.items():
-            for x in feats:
-                for target_cid in range(cfg.n_classes):
-                    z, _, dz_dw = multi_proxy_logit(bank, target_cid, x)
-                    y = 1.0 if target_cid == cid else 0.0
-                    p = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1 + np.exp(z))
-                    loss_det += -(y * np.log(max(p, 1e-12))
-                                  + (1 - y) * np.log(max(1 - p, 1e-12)))
-                    grads[target_cid] += (p - y) * dz_dw
-                    n_terms += 1
+        for target_cid in range(cfg.n_classes):
+            z, _, dz_dw = multi_proxy_logit(bank, target_cid, feats_all)
+            y = (labels == target_cid).astype(float)
+            p = _sigmoid(z)
+            loss_det -= float(np.sum(y * np.log(np.maximum(p, 1e-12))
+                                     + (1 - y) * np.log(np.maximum(1 - p, 1e-12))))
+            grads[target_cid] = np.tensordot(p - y, dz_dw, axes=1)
         loss_det /= n_terms
         for cid in grads:
             grads[cid] /= n_terms
 
         loss_ot = 0.0
+        stats = TransportStats()
         if cfg.use_ot:
+            results = []
             for cid, feats in batches.items():
                 cost = cost_matrix(feats, bank.weights[cid])
                 q = np.full(len(feats), 1.0 / len(feats))
@@ -200,9 +212,16 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
                     max_iters=cfg.sinkhorn_max_iters,
                     tol=cfg.sinkhorn_tol,
                 )
+                results.append(res)
                 loss_ot += transport_cost(cost, res.plan)
                 grads[cid] += _ot_grad(feats, bank.weights[cid], res.plan.entries) / cfg.n_classes
             loss_ot /= cfg.n_classes
+            stats = TransportStats(
+                max_iterations=max(r.iterations for r in results),
+                max_violation=max(r.marginal_violation for r in results),
+                unconverged=sum(not r.converged for r in results),
+            )
+        report.transport.append(stats)
 
         instances = [(x, cid) for cid, feats in batches.items() for x in feats]
         loss_cl = contrastive_loss(instances, vocabs)

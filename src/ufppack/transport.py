@@ -1,19 +1,23 @@
-"""Cosine cost matrices, Sinkhorn-Knopp transport plans, and an exact oracle.
+"""Cosine cost matrices and Sinkhorn-Knopp transport plans.
 
-Sinkhorn scaling runs in the log domain (log-sum-exp updates) so small
-regularization strengths do not underflow. Zero entries in either marginal
-are legal; the corresponding plan rows/columns are identically zero.
+Sinkhorn scaling runs in the kernel domain (Cuturi 2013) when exp(-C/epsilon)
+is safely representable, and in the log domain (log-sum-exp updates) when a
+small regularization strength would underflow the kernel. Zero entries in
+either marginal are legal; the corresponding plan rows/columns are
+identically zero.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
-_EXACT_CAP = 4
+# Largest max|C|/epsilon scaled in the kernel domain: exp(-200) ~ 1e-87 leaves
+# the scalings ample float64 range before they could overflow.
+_KERNEL_MAX_EXPONENT = 200.0
+# Iterations between marginal-violation checks.
+_CHECK_EVERY = 10
 
 
 def cost_matrix(features: np.ndarray, proxies: np.ndarray) -> np.ndarray:
@@ -58,7 +62,13 @@ def sinkhorn(
     max_iters: int = 1000,
     tol: float = 1e-6,
 ) -> SinkhornResult:
-    """Entropic-regularized plan with column marginal p and row marginal q."""
+    """Entropic-regularized plan with column marginal p and row marginal q.
+
+    Scales the kernel exp(-C/epsilon) directly while max|C|/epsilon stays
+    under _KERNEL_MAX_EXPONENT; beyond that, or if a scaling stops being
+    finite, restarts in the log domain. The marginal violation is checked
+    every _CHECK_EVERY iterations and at max_iters.
+    """
     cost = np.asarray(cost, dtype=float)
     n, k = cost.shape
     p = _check_marginal(p, "p")
@@ -68,44 +78,98 @@ def sinkhorn(
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
-    with np.errstate(divide="ignore"):
-        logp = np.log(p)
-        logq = np.log(q)
-    log_kernel = -cost / epsilon
-    u = np.zeros(n)
-    v = np.zeros(k)
-    zero_rows = q == 0
-    zero_cols = p == 0
-
-    def plan_of(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        logP = u[:, None] + log_kernel + v[None, :]
-        logP[zero_rows, :] = -np.inf
-        logP[:, zero_cols] = -np.inf
-        return np.exp(logP)
-
-    def violation(P: np.ndarray) -> float:
-        return max(
-            float(np.max(np.abs(P.sum(axis=1) - q))),
-            float(np.max(np.abs(P.sum(axis=0) - p))),
-        )
-
-    iters = 0
-    viol = violation(plan_of(u, v))
-    while viol >= tol and iters < max_iters:
-        with np.errstate(invalid="ignore"):
-            u = logq - _logsumexp(log_kernel + v[None, :], axis=1)
-            u[zero_rows] = -np.inf
-            v = logp - _logsumexp(log_kernel + u[:, None], axis=0)
-            v[zero_cols] = -np.inf
-        iters += 1
-        viol = violation(plan_of(u, v))
-    P = plan_of(u, v)
+    viol = np.nan
+    if np.max(np.abs(cost)) <= _KERNEL_MAX_EXPONENT * epsilon:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            P, iters, viol = _iterate(*_kernel_scaling(cost, p, q, epsilon), p, q, max_iters, tol)
+    if not np.isfinite(viol):
+        P, iters, viol = _iterate(*_log_scaling(cost, p, q, epsilon), p, q, max_iters, tol)
     return SinkhornResult(
         plan=TransportPlan(P, q, p),
         iterations=iters,
         marginal_violation=viol,
         converged=viol < tol,
     )
+
+
+def _iterate(
+    sweep: Callable[[int], None],
+    plan: Callable[[], np.ndarray],
+    p: np.ndarray,
+    q: np.ndarray,
+    max_iters: int,
+    tol: float,
+) -> tuple[np.ndarray, int, float]:
+    """Sweep in blocks of _CHECK_EVERY until the plan meets tol or max_iters is hit."""
+    iters = 0
+    P = plan()
+    viol = _violation(P, p, q)
+    while viol >= tol and iters < max_iters:
+        block = min(_CHECK_EVERY, max_iters - iters)
+        sweep(block)
+        iters += block
+        P = plan()
+        viol = _violation(P, p, q)
+    return P, iters, viol
+
+
+def _violation(P: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+    # One reduction, so a NaN anywhere in the plan propagates to the result.
+    return float(np.max(np.abs(np.concatenate((P.sum(axis=1) - q, P.sum(axis=0) - p)))))
+
+
+def _kernel_scaling(
+    cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float
+) -> tuple[Callable[[int], None], Callable[[], np.ndarray]]:
+    """Cuturi's u = q / (K v), v = p / (K^T u); zero marginals keep zero scalings."""
+    K = np.exp(-cost / epsilon)
+    Kt = K.T.copy()
+    u = (q > 0).astype(float)
+    v = (p > 0).astype(float)
+
+    def sweep(count: int) -> None:
+        nonlocal u, v
+        for _ in range(count):
+            u = q / (K @ v)
+            v = p / (Kt @ u)
+
+    def plan() -> np.ndarray:
+        return u[:, None] * K * v
+
+    return sweep, plan
+
+
+def _log_scaling(
+    cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float
+) -> tuple[Callable[[int], None], Callable[[], np.ndarray]]:
+    """The same updates on log-scalings (log-sum-exp), safe for any epsilon."""
+    with np.errstate(divide="ignore"):
+        logp = np.log(p)
+        logq = np.log(q)
+    log_kernel = -cost / epsilon
+    zero_rows = q == 0
+    zero_cols = p == 0
+    # A zero-mass row or column has scaling 0, i.e. log-scaling -inf, from the
+    # start, as in the kernel domain.
+    u = np.where(zero_rows, -np.inf, 0.0)
+    v = np.where(zero_cols, -np.inf, 0.0)
+
+    def sweep(count: int) -> None:
+        nonlocal u, v
+        with np.errstate(invalid="ignore"):
+            for _ in range(count):
+                u = logq - _logsumexp(log_kernel + v[None, :], axis=1)
+                u[zero_rows] = -np.inf
+                v = logp - _logsumexp(log_kernel + u[:, None], axis=0)
+                v[zero_cols] = -np.inf
+
+    def plan() -> np.ndarray:
+        logP = u[:, None] + log_kernel + v[None, :]
+        logP[zero_rows, :] = -np.inf
+        logP[:, zero_cols] = -np.inf
+        return np.exp(logP)
+
+    return sweep, plan
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -118,63 +182,3 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 def transport_cost(cost: np.ndarray, plan: TransportPlan) -> float:
     """tr(C^T P)."""
     return float(np.sum(np.asarray(cost) * plan.entries))
-
-
-def ot_loss(class_costs: Sequence[np.ndarray], class_plans: Sequence[TransportPlan]) -> float:
-    """Mean of tr(C^T P) over classes."""
-    if len(class_costs) != len(class_plans) or not class_costs:
-        raise ValueError("need one plan per class, at least one class")
-    total = 0.0
-    for c, plan in zip(class_costs, class_plans):
-        c = np.asarray(c)
-        if c.shape != plan.entries.shape:
-            raise ValueError(f"cost shape {c.shape} != plan shape {plan.entries.shape}")
-        total += float(np.sum(c * plan.entries))
-    return total / len(class_costs)
-
-
-@lru_cache(maxsize=32)
-def _basis_data(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # Equality constraints: n row sums then k column sums, flattened row-major.
-    A = np.zeros((n + k, n * k))
-    for j in range(n):
-        A[j, j * k : (j + 1) * k] = 1.0
-    for c in range(k):
-        A[n + c, c::k] = 1.0
-    # One constraint is redundant (both sides sum to 1); drop the last.
-    A = A[:-1]
-    m = n + k - 1
-    combos = np.array(list(itertools.combinations(range(n * k), m)))
-    return A, combos
-
-
-def exact_ot(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact minimizer of tr(C^T P) by enumerating basic feasible solutions.
-
-    Deliberately capped at 4x4: this is the small-instance oracle the
-    iterative solver is checked against.
-    """
-    cost = np.asarray(cost, dtype=float)
-    n, k = cost.shape
-    if n > _EXACT_CAP or k > _EXACT_CAP:
-        raise ValueError(f"exact oracle limited to {_EXACT_CAP}x{_EXACT_CAP}, got {n}x{k}")
-    p = _check_marginal(p, "p")
-    q = _check_marginal(q, "q")
-    A, combos = _basis_data(n, k)
-    b = np.concatenate([q, p])[:-1]
-    # Batched basis solves: B[i] = A[:, combos[i]]
-    B = A.T[combos].transpose(0, 2, 1)
-    dets = np.linalg.det(B)
-    ok = np.abs(dets) > 1e-9
-    rhs = np.broadcast_to(b[:, None], (int(ok.sum()), b.size, 1))
-    x = np.linalg.solve(B[ok], rhs)[:, :, 0]
-    feasible = np.all(x >= -1e-9, axis=1)
-    if not np.any(feasible):
-        raise ValueError("no basic feasible solution found (inconsistent marginals)")
-    c_flat = cost.ravel()
-    costs = np.einsum("ij,ij->i", c_flat[combos[ok]], x)
-    costs[~feasible] = np.inf
-    best = int(np.argmin(costs))
-    plan = np.zeros(n * k)
-    plan[combos[ok][best]] = np.clip(x[best], 0.0, None)
-    return plan.reshape(n, k), float(costs[best])

@@ -7,7 +7,6 @@ probable cluster.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,17 +20,19 @@ class InsufficientVocabularyError(ValueError):
 
 
 class VocabQueue:
-    """Fixed-capacity FIFO of feature vectors for one class."""
+    """Fixed-capacity FIFO of feature vectors for one class, as a ring buffer."""
 
     def __init__(self, capacity: int, class_id: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.class_id = class_id
-        self._entries: deque[np.ndarray] = deque(maxlen=capacity)
+        self._rows: np.ndarray | None = None  # capacity x C, sized by the first insert
+        self._count = 0
+        self._next = 0  # slot the next insert writes; the oldest entry once full
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._count
 
     def update(
         self, batch_positives: Sequence[np.ndarray], m: int, rng: np.random.Generator
@@ -39,20 +40,27 @@ class VocabQueue:
         """Insert m batch vectors chosen uniformly at random, evicting oldest."""
         if m < 0:
             raise ValueError(f"m must be nonnegative, got {m}")
-        if not batch_positives or m == 0:
+        if len(batch_positives) == 0 or m == 0:
             return self
         if m > len(batch_positives):
             raise ValueError(f"m={m} exceeds batch size {len(batch_positives)}")
         chosen = rng.choice(len(batch_positives), size=m, replace=False)
-        for i in sorted(int(j) for j in chosen):
-            self._entries.append(np.asarray(batch_positives[i], dtype=float).copy())
+        new = np.array([batch_positives[i] for i in np.sort(chosen)], dtype=float)
+        new = new[-self.capacity :]
+        if self._rows is None:
+            self._rows = np.empty((self.capacity, new.shape[1]))
+        self._rows[(self._next + np.arange(len(new))) % self.capacity] = new
+        self._next = (self._next + len(new)) % self.capacity
+        self._count = min(self._count + len(new), self.capacity)
         return self
 
     def snapshot(self) -> np.ndarray:
         """Entries as an array, oldest first."""
-        if not self._entries:
+        if self._rows is None:
             return np.empty((0, 0))
-        return np.stack(list(self._entries))
+        if self._count < self.capacity:
+            return self._rows[: self._count].copy()
+        return np.concatenate((self._rows[self._next :], self._rows[: self._next]))
 
 
 @dataclass
@@ -75,10 +83,9 @@ def estimate_marginals(queue: VocabQueue, k: int, seed: int) -> MarginalEstimate
     return MarginalEstimate(p=sizes / sizes.sum(), cluster_sizes=sizes)
 
 
-def _class_logsumexp(words: np.ndarray, x: np.ndarray) -> float:
-    s = words @ x
-    m = float(np.max(s))
-    return m + float(np.log(np.sum(np.exp(s - m))))
+def _logsumexp_rows(s: np.ndarray) -> np.ndarray:
+    m = np.max(s, axis=1)
+    return m + np.log(np.sum(np.exp(s - m[:, None]), axis=1))
 
 
 def contrastive_loss(
@@ -87,14 +94,22 @@ def contrastive_loss(
     """Mean negative log-ratio of own-class to all-class vocabulary affinity."""
     if not instances:
         raise ValueError("no instances")
-    all_words = _stack_vocab(vocab)
-    total = 0.0
-    for x, class_id in instances:
-        x = np.asarray(x, dtype=float)
-        own = vocab[class_id].snapshot()
-        if own.size == 0:
+    labels = np.array([class_id for _, class_id in instances])
+    for class_id in dict.fromkeys(labels.tolist()):
+        if len(vocab[class_id]) == 0:
             raise ValueError(f"class {class_id} has an empty vocabulary")
-        total += _class_logsumexp(all_words, x) - _class_logsumexp(own, x)
+    words = {cid: q.snapshot() for cid, q in vocab.items() if len(q) > 0}
+    # One affinity matrix against every word; each class's own words are a
+    # column block of it.
+    x = np.array([np.asarray(v, dtype=float) for v, _ in instances])
+    s = x @ np.concatenate(list(words.values())).T
+    total = float(np.sum(_logsumexp_rows(s)))
+    start = 0
+    for class_id, own in words.items():
+        rows = labels == class_id
+        if np.any(rows):
+            total -= float(np.sum(_logsumexp_rows(s[rows, start : start + len(own)])))
+        start += len(own)
     return total / len(instances)
 
 

@@ -2,11 +2,15 @@
 
 These deliberately avoid the library's own code paths: the merge oracle is a
 direct index-juggling transcription of the greedy pseudocode, the union-area
-oracle is Monte Carlo, the bilinear oracle is a scalar loop, and gradients
-are checked by central finite differences.
+oracle is Monte Carlo, the bilinear oracle is a scalar loop, gradients
+are checked by central finite differences, exact transport comes from basis
+enumeration and the reference Sinkhorn is a scalar log-domain loop.
 """
 from __future__ import annotations
 
+import itertools
+import math
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,3 +110,95 @@ def random_boxes(rng: np.random.Generator, n: int, extent: tuple[float, float]) 
         y = rng.uniform(0, extent[1] - h)
         out.append((x, y, x + w, y + h))
     return out
+
+
+def sinkhorn_reference(
+    cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float, iters: int
+) -> np.ndarray:
+    """Plan after exactly `iters` log-domain Sinkhorn sweeps from zero potentials.
+
+    Each sweep sets the row potentials f, then the column potentials g, by a
+    scalar log-sum-exp. Zero marginal entries have potential -inf throughout,
+    so their plan rows and columns are zero.
+    """
+    n, k = cost.shape
+
+    def lse(vals: list[float]) -> float:
+        m = max(vals)
+        return m + math.log(sum(math.exp(v - m) for v in vals))
+
+    f = [0.0 if q[i] > 0 else -math.inf for i in range(n)]
+    g = [0.0 if p[j] > 0 else -math.inf for j in range(k)]
+    for _ in range(iters):
+        f = [math.log(q[i]) - lse([g[j] - cost[i, j] / epsilon for j in range(k)])
+             if q[i] > 0 else -math.inf for i in range(n)]
+        g = [math.log(p[j]) - lse([f[i] - cost[i, j] / epsilon for i in range(n)])
+             if p[j] > 0 else -math.inf for j in range(k)]
+    return np.array([[math.exp(f[i] + g[j] - cost[i, j] / epsilon) for j in range(k)]
+                     for i in range(n)])
+
+
+_EXACT_CAP = 4
+
+
+@lru_cache(maxsize=32)
+def _basis_data(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # Equality constraints: n row sums then k column sums, flattened row-major.
+    A = np.zeros((n + k, n * k))
+    for j in range(n):
+        A[j, j * k : (j + 1) * k] = 1.0
+    for c in range(k):
+        A[n + c, c::k] = 1.0
+    # One constraint is redundant (both sides sum to 1); drop the last.
+    A = A[:-1]
+    m = n + k - 1
+    combos = np.array(list(itertools.combinations(range(n * k), m)))
+    return A, combos
+
+
+def exact_ot(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exact minimizer of tr(C^T P) by enumerating basic feasible solutions.
+
+    Deliberately capped at 4x4: this is the small-instance oracle the
+    iterative solver is checked against.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n, k = cost.shape
+    if n > _EXACT_CAP or k > _EXACT_CAP:
+        raise ValueError(f"exact oracle limited to {_EXACT_CAP}x{_EXACT_CAP}, got {n}x{k}")
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    for name, v in (("p", p), ("q", q)):
+        if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-9:
+            raise ValueError(f"{name} must be a probability vector, got sum {v.sum()}")
+    A, combos = _basis_data(n, k)
+    b = np.concatenate([q, p])[:-1]
+    # Batched basis solves: B[i] = A[:, combos[i]]
+    B = A.T[combos].transpose(0, 2, 1)
+    dets = np.linalg.det(B)
+    ok = np.abs(dets) > 1e-9
+    rhs = np.broadcast_to(b[:, None], (int(ok.sum()), b.size, 1))
+    x = np.linalg.solve(B[ok], rhs)[:, :, 0]
+    feasible = np.all(x >= -1e-9, axis=1)
+    if not np.any(feasible):
+        raise ValueError("no basic feasible solution found (inconsistent marginals)")
+    c_flat = cost.ravel()
+    costs = np.einsum("ij,ij->i", c_flat[combos[ok]], x)
+    costs[~feasible] = np.inf
+    best = int(np.argmin(costs))
+    plan = np.zeros(n * k)
+    plan[combos[ok][best]] = np.clip(x[best], 0.0, None)
+    return plan.reshape(n, k), float(costs[best])
+
+
+def ot_loss(class_costs: Sequence[np.ndarray], class_plans: Sequence) -> float:
+    """Mean of tr(C^T P) over classes, for plans with an ``entries`` matrix."""
+    if len(class_costs) != len(class_plans) or not class_costs:
+        raise ValueError("need one plan per class, at least one class")
+    total = 0.0
+    for c, plan in zip(class_costs, class_plans):
+        c = np.asarray(c)
+        if c.shape != plan.entries.shape:
+            raise ValueError(f"cost shape {c.shape} != plan shape {plan.entries.shape}")
+        total += float(np.sum(c * plan.entries))
+    return total / len(class_costs)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import central_diff, merge_oracle, random_boxes
+from oracles import central_diff, exact_ot, merge_oracle, random_boxes
 from test_mosaic import check_layout_sound
 from ufppack import io
 from ufppack.cli import main as cli_main
@@ -24,7 +24,7 @@ from ufppack.proxies import ProxyBank, multi_proxy_grad, multi_proxy_prob
 from ufppack.regions import merge
 from ufppack.remap import Detection, to_mosaic, to_source
 from ufppack.trainsim import TrainConfig, train_sim
-from ufppack.transport import exact_ot, sinkhorn, transport_cost
+from ufppack.transport import sinkhorn, transport_cost
 from ufppack.vocab import (
     VocabQueue,
     contrastive_grad,

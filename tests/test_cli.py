@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from ufppack import io
@@ -60,6 +61,27 @@ class TestPackCommand:
         ])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_nan_record_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text('[{"image_id": 0, "bbox": [NaN, 0, 10, 10], "score": 0.9}]')
+        out = tmp_path / "layout.json"
+        rc = main([
+            "pack", "--detections", str(bad), "--image-size", "100x100",
+            "--out-layout", str(out),
+        ])
+        assert rc == 1 and not out.exists()
+        assert "error" in capsys.readouterr().err
+
+    def test_image_without_out_mosaic_writes_nothing(self, tmp_path, three_box_file):
+        image = tmp_path / "in.ppm"
+        io.write_ppm(np.zeros((200, 200, 3), dtype=np.uint8), image)
+        out = tmp_path / "layout.json"
+        rc = main([
+            "pack", "--detections", three_box_file, "--image-size", "200x200",
+            "--out-layout", str(out), "--image", str(image),
+        ])
+        assert rc == 1 and not out.exists()
 
     def test_no_output_on_parse_error(self, tmp_path):
         broken = tmp_path / "broken.json"
@@ -125,6 +147,13 @@ class TestSynthCommand:
         (w, h), gt, coarse = io.load_scene(out)
         assert len(gt) == 40 and len(coarse) > 0
 
+    def test_infinite_extent_exit_1(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"seed": 1, "n_objects": 10, "extent": [Infinity, 100]}')
+        out = tmp_path / "scene.json"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"seed": 1, "n_objects": 30, "target_fr": 0.05}))
@@ -147,6 +176,13 @@ class TestTrainSimCommand:
         records = io.load_jsonl(out)
         assert len(records) == 4
         assert records[-1]["step"] == 3
+
+    def test_reports_unconverged_calls(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 3, "seed": 0, "sinkhorn_max_iters": 2}))
+        out = tmp_path / "report.jsonl"
+        assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "8 of 8 Sinkhorn calls did not converge" in capsys.readouterr().out
 
 
 class TestDeterminism:

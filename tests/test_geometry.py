@@ -22,6 +22,23 @@ class TestBBox:
     def test_zero_size_allowed(self):
         assert area(BBox(3, 3, 3, 3)) == 0
 
+    @pytest.mark.parametrize("coords", [
+        (float("nan"), 0, 1, 1), (0, float("nan"), 1, 1),
+        (0, 0, float("nan"), 1), (0, 0, 1, float("nan")),
+    ])
+    def test_nan_rejected(self, coords):
+        with pytest.raises(ValueError):
+            BBox(*coords)
+
+
+class TestImageExtent:
+    @pytest.mark.parametrize("wh", [
+        (float("inf"), 10), (10, float("inf")), (float("nan"), 10), (10, float("nan")),
+    ])
+    def test_non_finite_rejected(self, wh):
+        with pytest.raises(ValueError):
+            ImageExtent(*wh)
+
 
 class TestExpand:
     def test_center_scaling(self):

@@ -33,6 +33,15 @@ class TestDetectionsIO:
         with pytest.raises(io.ValidationError, match=r"\[0\]"):
             io.load_detections(p)
 
+    @pytest.mark.parametrize("bad", [
+        {"bbox": [float("nan"), 0, 1, 1]}, {"bbox": [0, 0, float("inf"), 1]},
+        {"bbox": [0, 0, 1, float("nan")]}, {"bbox": [0, 0, 1, 1], "score": float("nan")},
+    ])
+    def test_non_finite_rejected(self, bad):
+        good = {"image_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5, "category_id": 0}
+        with pytest.raises(io.ValidationError, match=r"\[1\]"):
+            io.detections_from_records([good, {**good, **bad}])
+
     def test_malformed_json_position(self, tmp_path):
         p = tmp_path / "d.json"
         p.write_text('[{"bbox": [0, 0, 1')

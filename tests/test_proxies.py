@@ -8,6 +8,7 @@ from ufppack.proxies import (
     ProxyBank,
     adaptive_k,
     multi_proxy_grad,
+    multi_proxy_logit,
     multi_proxy_prob,
     similarity_profile,
     single_proxy_prob,
@@ -121,6 +122,50 @@ class TestMultiProxyGrad:
         bank = ProxyBank({0: np.array([[1.0, 0.0]])}, gamma=25.0)
         gx, gw = multi_proxy_grad(bank, 0, np.array([5.0, 0.0]))
         assert np.linalg.norm(gx) < 1e-7 and np.linalg.norm(gw) < 1e-7
+
+
+class TestBatchedLogit:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rows_equal_single_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        k, dim, n = int(rng.integers(1, 5)), int(rng.integers(3, 17)), int(rng.integers(1, 40))
+        bank = ProxyBank({0: rng.normal(size=(k, dim))}, gamma=5.0)
+        X = rng.normal(size=(n, dim))
+        z, dz_dx, dz_dw = multi_proxy_logit(bank, 0, X)
+        assert z.shape == (n,) and dz_dx.shape == (n, dim) and dz_dw.shape == (n, k, dim)
+        for i in range(n):
+            zi, dxi, dwi = multi_proxy_logit(bank, 0, X[i])
+            assert isinstance(zi, float) and dxi.shape == (dim,) and dwi.shape == (k, dim)
+            assert z[i] == pytest.approx(zi, rel=1e-12, abs=1e-14)
+            assert np.allclose(dz_dx[i], dxi, rtol=1e-12, atol=1e-14)
+            assert np.allclose(dz_dw[i], dwi, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        k, dim, n = int(rng.integers(1, 5)), int(rng.integers(3, 10)), 4
+        W = rng.normal(size=(k, dim))
+        X = rng.normal(size=(n, dim))
+        bank = ProxyBank({0: W.copy()}, gamma=5.0)
+        _, dz_dx, dz_dw = multi_proxy_logit(bank, 0, X)
+        for i in range(n):
+            def z_of_x(v, i=i):
+                Xv = X.copy()
+                Xv[i] = v
+                return multi_proxy_logit(bank, 0, Xv)[0][i]
+
+            def z_of_w(flat, i=i):
+                return multi_proxy_logit(ProxyBank({0: flat.reshape(k, dim)}, gamma=5.0),
+                                         0, X)[0][i]
+
+            assert np.allclose(dz_dx[i], central_diff(z_of_x, X[i]), rtol=1e-4, atol=1e-7)
+            num_w = central_diff(z_of_w, W.ravel()).reshape(k, dim)
+            assert np.allclose(dz_dw[i], num_w, rtol=1e-4, atol=1e-7)
+
+    def test_zero_row_rejected(self):
+        bank = _bank(np.eye(2, 3))
+        with pytest.raises(ValueError):
+            multi_proxy_logit(bank, 0, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 class TestAdaptiveK:

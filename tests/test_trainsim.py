@@ -62,3 +62,16 @@ class TestTrainSim:
     def test_random_init_supported(self):
         report = train_sim(TrainConfig(steps=2, seed=0, proxy_init="random"))
         assert len(report.records) == 3
+
+    def test_transport_stats_one_per_step(self):
+        report = train_sim(TrainConfig(steps=5, seed=0))
+        assert len(report.transport) == len(report.records)
+        for t in report.transport:
+            assert 0 < t.max_iterations <= report.config.sinkhorn_max_iters
+            assert t.max_violation >= 0.0
+            assert 0 <= t.unconverged <= report.config.n_classes
+
+    def test_unconverged_calls_reported(self):
+        report = train_sim(TrainConfig(steps=3, seed=0, sinkhorn_max_iters=2))
+        assert report.unconverged_calls > 0
+        assert all(t.max_iterations == 2 for t in report.transport)

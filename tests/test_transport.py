@@ -3,14 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ufppack.transport import (
-    TransportPlan,
-    cost_matrix,
-    exact_ot,
-    ot_loss,
-    sinkhorn,
-    transport_cost,
-)
+from oracles import exact_ot, ot_loss, sinkhorn_reference
+from ufppack import transport
+from ufppack.transport import TransportPlan, cost_matrix, sinkhorn, transport_cost
 
 
 def _random_instance(rng):
@@ -112,6 +107,59 @@ class TestSinkhorn:
         res = sinkhorn(cost, p, q, epsilon=0.001, max_iters=2, tol=1e-12)
         assert not res.converged
         assert res.iterations == 2
+
+
+class TestSinkhornAgainstReference:
+    """Both scaling regimes against the scalar log-domain reference."""
+
+    @staticmethod
+    def _instance(seed, zeros=False):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        cost = rng.uniform(0, 1, (n, k))
+        cost[0, 0] = 1.0  # max cost 1, so max|C|/epsilon is 1/epsilon
+        p = rng.dirichlet(np.ones(k))
+        q = rng.dirichlet(np.ones(n))
+        if zeros:
+            p[-1] = 0.0
+            q[-1] = 0.0
+            p /= p.sum()
+            q /= q.sum()
+        return cost, p, q
+
+    @pytest.mark.parametrize("epsilon, kernel", [(0.05, True), (0.01, True), (0.001, False)])
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_plan_matches_reference(self, epsilon, kernel, seed, zeros):
+        cost, p, q = self._instance(seed, zeros)
+        assert (1.0 / epsilon <= transport._KERNEL_MAX_EXPONENT) == kernel
+        for max_iters in (0, 7, 23, 300):
+            res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=max_iters)
+            assert res.iterations <= max_iters
+            want = sinkhorn_reference(cost, p, q, epsilon, res.iterations)
+            assert np.max(np.abs(res.plan.entries - want)) <= 1e-12
+            if zeros:
+                assert np.all(res.plan.entries[-1, :] == 0.0)
+                assert np.all(res.plan.entries[:, -1] == 0.0)
+
+    def test_non_finite_kernel_scaling_falls_back(self, monkeypatch):
+        # With the cutoff lifted, exp(-C/0.001) underflows to zero and the
+        # kernel-domain scalings stop being finite.
+        monkeypatch.setattr(transport, "_KERNEL_MAX_EXPONENT", np.inf)
+        cost, p, q = self._instance(0, zeros=True)
+        res = sinkhorn(cost, p, q, epsilon=0.001, max_iters=40)
+        assert np.all(np.isfinite(res.plan.entries))
+        want = sinkhorn_reference(cost, p, q, 0.001, res.iterations)
+        assert np.max(np.abs(res.plan.entries - want)) <= 1e-12
+
+    def test_violation_is_that_of_returned_plan(self):
+        cost, p, q = self._instance(3)
+        for epsilon in (0.05, 0.001):
+            res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=13, tol=1e-12)
+            P = res.plan.entries
+            viol = max(np.max(np.abs(P.sum(axis=1) - q)), np.max(np.abs(P.sum(axis=0) - p)))
+            assert res.marginal_violation == viol
+            assert res.converged == (viol < 1e-12)
 
 
 class TestExactOt:

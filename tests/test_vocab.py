@@ -41,6 +41,12 @@ class TestVocabQueue:
         q.update([_vec(4, 0), _vec(5, 0)], 2, rng)
         assert list(q.snapshot()[:, 0]) == [2, 3, 4, 5]
 
+    def test_batch_larger_than_capacity_keeps_newest(self):
+        rng = np.random.default_rng(0)
+        q = _fill(VocabQueue(3, 0), [_vec(-1, 0)], rng)
+        q.update([_vec(i, 0) for i in range(5)], 5, rng)
+        assert list(q.snapshot()[:, 0]) == [2, 3, 4]
+
     def test_empty_batch_noop(self):
         q = VocabQueue(4, 0)
         q.update([], 0, np.random.default_rng(0))
