@@ -8,8 +8,8 @@ from pathlib import Path
 
 from ufppack import io
 from ufppack.config import PipelineConfig
-from ufppack.metrics import SceneSpec, generate_scene
-from ufppack.pipeline import build_layout, mosaic_stats, source_stats
+from ufppack.metrics import SceneSpec, generate_scene, scene_stats
+from ufppack.pipeline import build_layout, mosaic_stats
 
 
 def main() -> None:
@@ -23,7 +23,7 @@ def main() -> None:
     cfg = PipelineConfig()
     regions, layout = build_layout(coarse, spec.extent, cfg)
 
-    src = source_stats(gt, spec.extent)
+    src = scene_stats(gt, spec.extent)
     mos = mosaic_stats(gt, layout)
     print(f"scene: {len(gt)} objects in {spec.extent.width}x{spec.extent.height}")
     print(f"merged {len(coarse)} detections into {len(regions.regions)} regions")

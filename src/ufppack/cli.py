@@ -10,12 +10,13 @@ import argparse
 import json
 import os
 import sys
+from typing import Any
 
 from . import io
 from .config import PipelineConfig
 from .geometry import ImageExtent
-from .metrics import SceneSpec, generate_scene
-from .pipeline import build_layout, mosaic_stats, source_stats
+from .metrics import SceneSpec, generate_scene, scene_stats
+from .pipeline import build_layout, mosaic_stats
 from .remap import fuse, to_source
 from .trainsim import TrainConfig, train_sim
 
@@ -33,16 +34,21 @@ def _parse_size(s: str) -> ImageExtent:
         raise argparse.ArgumentTypeError(f"expected WxH, got {s!r}") from e
 
 
+def _env_seeded(obj: Any) -> Any:
+    """Apply the UFPPACK_SEED override, when set, to an object with a seed."""
+    env_seed = os.environ.get("UFPPACK_SEED")
+    if env_seed is not None:
+        obj.seed = int(env_seed)
+    return obj
+
+
 def _load_config(path: str | None) -> PipelineConfig:
     if path is None:
         cfg = PipelineConfig()
     else:
         with open(path) as f:
             cfg = PipelineConfig.from_dict(json.load(f))
-    env_seed = os.environ.get("UFPPACK_SEED")
-    if env_seed is not None:
-        cfg.seed = int(env_seed)
-    return cfg
+    return _env_seeded(cfg)
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
@@ -81,7 +87,7 @@ def _stats_line(label: str, st) -> str:
 def _cmd_stats(args: argparse.Namespace) -> int:
     per_image = io.load_detections(args.boxes)
     boxes = [d.box for dets in per_image.values() for d in dets]
-    print(_stats_line("source", source_stats(boxes, args.image_size)))
+    print(_stats_line("source", scene_stats(boxes, args.image_size)))
     if args.layout:
         layout = io.load_layout(args.layout)
         print(_stats_line("mosaic", mosaic_stats(boxes, layout)))
@@ -90,10 +96,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_train_sim(args: argparse.Namespace) -> int:
     with open(args.config) as f:
-        cfg = TrainConfig.from_dict(json.load(f))
-    env_seed = os.environ.get("UFPPACK_SEED")
-    if env_seed is not None:
-        cfg.seed = int(env_seed)
+        cfg = _env_seeded(TrainConfig.from_dict(json.load(f)))
     report = train_sim(cfg)
     io.save_jsonl(report.records, args.out)
     last = report.records[-1]
@@ -110,10 +113,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     extent = doc.pop("extent", None)
     if extent is not None:
         doc["extent"] = ImageExtent(*extent)
-    spec = SceneSpec(**doc)
-    env_seed = os.environ.get("UFPPACK_SEED")
-    if env_seed is not None:
-        spec.seed = int(env_seed)
+    spec = _env_seeded(SceneSpec(**doc))
     gt, coarse = generate_scene(spec)
     io.save_scene((spec.extent.width, spec.extent.height), gt, coarse, args.out)
     print(f"generated {len(gt)} objects, {len(coarse)} coarse detections")

@@ -45,6 +45,16 @@ class Placement:
     dest_x: float
     dest_y: float
 
+    def __post_init__(self) -> None:
+        # Remapping divides by the scale and compares against the destination
+        # box, so both must be usable numbers (a NaN fails the test too).
+        if not (math.isfinite(self.scale) and self.scale > 0
+                and math.isfinite(self.dest_x) and math.isfinite(self.dest_y)):
+            raise ValueError(
+                f"placement needs a positive finite scale and a finite origin, "
+                f"got scale {self.scale} at ({self.dest_x},{self.dest_y})"
+            )
+
     @property
     def width(self) -> float:
         return self.scale * self.source.width

@@ -9,7 +9,7 @@ from typing import Sequence
 
 from .config import PipelineConfig
 from .geometry import BBox, ImageExtent
-from .metrics import SizeStats, foreground_ratio, size_buckets, union_area
+from .metrics import SizeStats, size_buckets, union_area
 from .mosaic import MosaicLayout, equalize, pack
 from .regions import RegionSet, expand_and_merge
 from .remap import Detection, to_mosaic
@@ -36,10 +36,4 @@ def mosaic_stats(gt_boxes: Sequence[BBox], layout: MosaicLayout) -> SizeStats:
         return SizeStats(fr=0.0, small=0.0, medium=0.0, large=0.0, empty=True)
     stats = size_buckets(mapped)
     stats.fr = union_area(mapped) / (layout.mosaic_width * layout.mosaic_height)
-    return stats
-
-
-def source_stats(gt_boxes: Sequence[BBox], extent: ImageExtent) -> SizeStats:
-    stats = size_buckets(gt_boxes)
-    stats.fr = foreground_ratio(gt_boxes, extent)
     return stats

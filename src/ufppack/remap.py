@@ -9,7 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import BBox, iou
+import numpy as np
+
+from .geometry import BBox
 from .mosaic import MosaicLayout, Placement
 
 
@@ -27,8 +29,10 @@ class Detection:
 
 
 def _owner_by_dest(layout: MosaicLayout, x: float, y: float) -> Optional[Placement]:
+    # The bounds are Placement.dest_box() written out, without building a BBox.
     for p in layout.placements:
-        if p.dest_box().contains_point(x, y):
+        if (p.dest_x <= x <= p.dest_x + p.scale * (p.source.x2 - p.source.x1)
+                and p.dest_y <= y <= p.dest_y + p.scale * (p.source.y2 - p.source.y1)):
             return p
     return None
 
@@ -83,18 +87,40 @@ def to_mosaic(box: BBox, layout: MosaicLayout) -> Optional[BBox]:
 
 
 def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
-    """Per-category greedy NMS by descending score, deterministic tie-breaks."""
+    """Per-category greedy NMS by descending score, deterministic tie-breaks.
+
+    Detections are visited in (-score, category, input index) order. Each one
+    that survives is kept and suppresses every later detection of its category
+    whose IoU with it exceeds the threshold, so a detection is kept exactly
+    when its IoU with every kept one of its category is <= the threshold. The
+    IoU row repeats ``geometry.iou``'s arithmetic elementwise.
+    """
     order = sorted(
         range(len(dets)), key=lambda i: (-dets[i].score, dets[i].category, i)
     )
+    boxes = np.array(
+        [(dets[i].box.x1, dets[i].box.y1, dets[i].box.x2, dets[i].box.y2) for i in order],
+        dtype=float,
+    ).reshape(-1, 4)
+    x1, y1, x2, y2 = boxes.T
+    areas = (x2 - x1) * (y2 - y1)
+    # Categories as small codes, so any int category fits the array.
+    codes: dict[int, int] = {}
+    cats = np.array([codes.setdefault(dets[i].category, len(codes)) for i in order])
+    suppressed = np.zeros(len(order), dtype=bool)
     keep: list[Detection] = []
-    for i in order:
-        d = dets[i]
-        if all(
-            k.category != d.category or iou(k.box, d.box) <= iou_threshold
-            for k in keep
-        ):
-            keep.append(d)
+    for r, i in enumerate(order):
+        if suppressed[r]:
+            continue
+        keep.append(dets[i])
+        t = slice(r + 1, None)
+        iw = np.minimum(x2[t], x2[r]) - np.maximum(x1[t], x1[r])
+        ih = np.minimum(y2[t], y2[r]) - np.maximum(y1[t], y1[r])
+        inter = iw * ih
+        union = areas[r] + areas[t] - inter
+        overlap = (iw > 0) & (ih > 0) & (union > 0)
+        iou = np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
+        suppressed[t] |= (cats[t] == cats[r]) & ~(iou <= iou_threshold)
     return keep
 
 

@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: the merge oracle is a
 direct index-juggling transcription of the greedy pseudocode, the union-area
 oracle is Monte Carlo, the bilinear oracle is a scalar loop, gradients
 are checked by central finite differences, exact transport comes from basis
-enumeration and the reference Sinkhorn is a scalar log-domain loop.
+enumeration, the reference Sinkhorn is a scalar log-domain loop and the NMS
+reference compares each candidate with every kept detection by scalar IoU.
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+
+from ufppack.geometry import iou
 
 Box = tuple[float, float, float, float]
 
@@ -57,6 +60,22 @@ def merge_oracle(boxes: Sequence[Box], single_pass: bool = False) -> list[Box]:
                 break
         merged.append(a)
     return merged
+
+
+def nms_reference(dets: Sequence, iou_threshold: float) -> list:
+    """Per-category greedy NMS by descending score, deterministic tie-breaks."""
+    order = sorted(
+        range(len(dets)), key=lambda i: (-dets[i].score, dets[i].category, i)
+    )
+    keep: list = []
+    for i in order:
+        d = dets[i]
+        if all(
+            k.category != d.category or iou(k.box, d.box) <= iou_threshold
+            for k in keep
+        ):
+            keep.append(d)
+    return keep
 
 
 def union_area_mc(boxes: Sequence[Box], extent: tuple[float, float], n: int, seed: int) -> float:

@@ -18,8 +18,9 @@ from ufppack.cli import main as cli_main
 from ufppack.config import PipelineConfig
 from ufppack.geometry import BBox, ImageExtent
 from ufppack.metrics import SceneSpec, generate_scene
+from ufppack.metrics import scene_stats as source_stats
 from ufppack.mosaic import ScaledRegion, pack, waste_ratio
-from ufppack.pipeline import build_layout, mosaic_stats, source_stats
+from ufppack.pipeline import build_layout, mosaic_stats
 from ufppack.proxies import ProxyBank, multi_proxy_grad, multi_proxy_prob
 from ufppack.regions import merge
 from ufppack.remap import Detection, to_mosaic, to_source

@@ -185,6 +185,22 @@ class TestTrainSimCommand:
         assert "8 of 8 Sinkhorn calls did not converge" in capsys.readouterr().out
 
 
+    def test_env_seed_override(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 3, "seed": 0, "use_ot": False}))
+        out_a = tmp_path / "a.jsonl"
+        out_b = tmp_path / "b.jsonl"
+        monkeypatch.setenv("UFPPACK_SEED", "7")
+        assert main(["train-sim", "--config", str(cfg), "--out", str(out_a)]) == 0
+        monkeypatch.delenv("UFPPACK_SEED")
+        cfg.write_text(json.dumps({"steps": 3, "seed": 7, "use_ot": False}))
+        assert main(["train-sim", "--config", str(cfg), "--out", str(out_b)]) == 0
+        cfg.write_text(json.dumps({"steps": 3, "seed": 0, "use_ot": False}))
+        out_c = tmp_path / "c.jsonl"
+        assert main(["train-sim", "--config", str(cfg), "--out", str(out_c)]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes() != out_c.read_bytes()
+
+
 class TestDeterminism:
     def test_pack_byte_identical(self, tmp_path, three_box_file):
         outs = []

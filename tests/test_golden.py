@@ -1,0 +1,79 @@
+"""Byte-level pins on the synth -> pack -> unpack path through the CLI.
+
+The digests are those of the scalar merge, NMS and owner lookup and of the
+per-output-row bilinear resize, which the array forms reproduce exactly. A
+change that moves any output byte must update them on purpose.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from ufppack.cli import main
+
+WIDTH, HEIGHT = 640, 480
+GOLDEN = {
+    "layout.json": "01c9b68f840f320df46f92023834c6de8ae70848faef7f8653dfc0e5069c83e0",
+    "mosaic.ppm": "b826baa9b256f95ba1a4563e130a2f25c8a5cb3defa8ca271df2c0ac5e0b9694",
+    "fused.json": "dea18ec0dae1a82c02e54b7142a2384608382ece52ed10d2be299166e90b249b",
+}
+
+
+def _fine_records(layout: dict, rng: np.random.Generator) -> list[dict]:
+    """Two mosaic-space detections per placement: one inside it, one across
+    its right edge; plus one in the gutter below the last shelf."""
+    records = []
+    for p in layout["placements"]:
+        (sx1, sy1, sx2, sy2), scale, (dx, dy) = p["src"], p["scale"], p["dest"]
+        w, h = scale * (sx2 - sx1), scale * (sy2 - sy1)
+        x, y = dx + rng.uniform(0, 0.3) * w, dy + rng.uniform(0, 0.3) * h
+        records.append({"image_id": 0, "bbox": [x, y, 0.6 * w, 0.6 * h],
+                        "score": float(rng.uniform(0.3, 1.0)),
+                        "category_id": int(rng.integers(0, 2))})
+        records.append({"image_id": 0, "bbox": [dx + 0.7 * w, dy + 0.2 * h, 0.5 * w, 0.5 * h],
+                        "score": float(rng.uniform(0.3, 1.0)), "category_id": 0})
+    height = layout["mosaic"]["height"]
+    records.append({"image_id": 0, "bbox": [10.0, height + 5.0, 8.0, 8.0],
+                    "score": 0.9, "category_id": 0})
+    return records
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("golden")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 3, "n_objects": 60, "target_fr": 0.1,
+                                "extent": [WIDTH, HEIGHT]}))
+    scene = tmp_path / "scene.json"
+    assert main(["synth", "--spec", str(spec), "--out", str(scene)]) == 0
+
+    pixels = np.random.default_rng(11).integers(0, 256, size=(HEIGHT, WIDTH, 3), dtype=np.uint8)
+    source = tmp_path / "source.ppm"
+    source.write_bytes(b"P6\n%d %d\n255\n" % (WIDTH, HEIGHT) + pixels.tobytes())
+
+    layout, mosaic = tmp_path / "layout.json", tmp_path / "mosaic.ppm"
+    assert main(["pack", "--detections", str(scene), "--image-size", f"{WIDTH}x{HEIGHT}",
+                 "--out-layout", str(layout), "--image", str(source),
+                 "--out-mosaic", str(mosaic)]) == 0
+
+    fine = tmp_path / "fine.json"
+    fine.write_text(json.dumps(_fine_records(json.loads(layout.read_text()),
+                                             np.random.default_rng(12))))
+    fused = tmp_path / "fused.json"
+    assert main(["unpack", "--fine", str(fine), "--layout", str(layout),
+                 "--coarse", str(scene), "--out", str(fused)]) == 0
+    return tmp_path
+
+
+def test_pack_unpack_bytes_pinned(outputs):
+    got = {name: hashlib.sha256((outputs / name).read_bytes()).hexdigest() for name in GOLDEN}
+    assert got == GOLDEN
+
+
+def test_scene_has_region_clamped_to_image_edge(outputs):
+    srcs = [p["src"] for p in json.loads((outputs / "layout.json").read_text())["placements"]]
+    assert any(s[2] == WIDTH or s[3] == HEIGHT for s in srcs)
+    assert any(s[0] == 0 or s[1] == 0 for s in srcs)

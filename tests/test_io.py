@@ -79,6 +79,17 @@ class TestLayoutIO:
         with pytest.raises(io.ParseError):
             io.load_layout(p)
 
+    @pytest.mark.parametrize("field,value", [
+        ("scale", -1.0), ("scale", 0.0), ("scale", float("nan")), ("dest", [float("inf"), 0.0]),
+    ])
+    def test_unusable_placement_rejected(self, tmp_path, field, value):
+        placement = {"src": [0, 0, 10, 10], "scale": 1.0, "dest": [0.0, 0.0], field: value}
+        p = tmp_path / "l.json"
+        p.write_text(json.dumps({"mosaic": {"width": 100, "height": 100},
+                                 "placements": [placement]}))
+        with pytest.raises(io.ParseError, match="scale"):
+            io.load_layout(p)
+
     def test_schema_violation(self, tmp_path):
         p = tmp_path / "l.json"
         p.write_text(json.dumps({"mosaic": {"width": 10, "height": 10}}))
@@ -203,6 +214,18 @@ class TestAtomicWrites:
             io.save_layout(pack([], 100), target)
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []  # temp file cleaned up too
+
+    def test_text_and_buffer_parts_in_order(self, tmp_path):
+        target = tmp_path / "out.bin"
+        pixels = np.arange(6, dtype=np.uint8).reshape(1, 2, 3)
+        io.atomic_write(target, "hé\n", b"\x00", pixels)
+        assert target.read_bytes() == "hé\n".encode() + b"\x00" + bytes(range(6))
+
+    def test_ppm_of_strided_view(self, tmp_path):
+        img = np.random.default_rng(5).integers(0, 256, size=(8, 9, 3), dtype=np.uint8)
+        view = img[::2, ::3]
+        io.write_ppm(view, tmp_path / "v.ppm")
+        assert np.array_equal(io.read_ppm(tmp_path / "v.ppm"), view)
 
 
 class TestSceneIO:

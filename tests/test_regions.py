@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from oracles import merge_oracle, random_boxes
+from ufppack import io
+from ufppack.config import PipelineConfig
 from ufppack.geometry import BBox, ImageExtent, area, enclosing
+from ufppack.pipeline import build_layout
 from ufppack.regions import expand_and_merge, merge
+from ufppack.remap import Detection
 
 
 def _boxes(tuples):
@@ -83,6 +89,18 @@ class TestExpandAndMerge:
             [BBox(0, 0, 10, 10), BBox(10, 0, 20, 10)], 1.5, ImageExtent(100, 100)
         )
         assert len(rs) == 1
+
+    def test_int_extent_edge_stays_int_in_layout(self, tmp_path):
+        # The merged region is built from the input boxes, so an edge clamped
+        # to an int extent is written as 200, not 200.0.
+        dets = [Detection(BBox(180.0, 40.0, 196.0, 60.0), 0.9, 0),
+                Detection(BBox(186.5, 45.0, 199.0, 58.0), 0.8, 0)]
+        regions, layout = build_layout(dets, ImageExtent(200, 100), PipelineConfig())
+        assert regions.provenance == [[1, 0]]
+        path = tmp_path / "layout.json"
+        io.save_layout(layout, path)
+        (src,) = (p["src"] for p in json.loads(path.read_text())["placements"])
+        assert src[2] == 200 and type(src[2]) is int
 
     def test_merge_soundness_replay(self):
         # Every absorption must have satisfied the area condition when taken.

@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import nms_reference
 from ufppack.geometry import BBox, iou
 from ufppack.mosaic import MosaicLayout, Placement, ScaledRegion, pack
-from ufppack.remap import Detection, fuse, to_mosaic, to_source
+from ufppack.remap import Detection, fuse, nms, to_mosaic, to_source
 
 
 def _layout_one(src, scale, dest):
@@ -141,3 +142,62 @@ class TestFuse:
         perm = [dets[i] for i in rng.permutation(len(dets))]
         b = fuse(perm, [], 0.5)
         assert {(d.box, d.score) for d in a} == {(d.box, d.score) for d in b}
+
+
+def _same_objects(got, want):
+    return [id(d) for d in got] == [id(d) for d in want]
+
+
+class TestNmsMatchesReference:
+    def test_empty(self):
+        assert nms([], 0.5) == []
+
+    def test_iou_equal_to_threshold_is_kept(self):
+        a = Detection(BBox(0, 0, 10, 10), 0.9, 0)
+        b = Detection(BBox(0, 0, 10, 5), 0.8, 0)  # IoU exactly 0.5
+        assert iou(a.box, b.box) == 0.5
+        assert _same_objects(nms([a, b], 0.5), [a, b])
+        assert _same_objects(nms([a, b], 0.49), [a])
+
+    def test_exact_ties_keep_input_order(self):
+        dets = [Detection(BBox(i, 0, i + 10, 10), 0.5, 0) for i in range(4)]
+        got = nms(dets, 0.5)
+        assert _same_objects(got, nms_reference(dets, 0.5))
+        assert got[0] is dets[0]
+
+    def test_duplicate_and_zero_area_boxes(self):
+        box, dot = BBox(5, 5, 15, 15), BBox(3, 3, 3, 3)
+        dets = [Detection(box, 0.7, 0), Detection(box, 0.7, 0),
+                Detection(dot, 0.9, 0), Detection(dot, 0.9, 0),
+                Detection(BBox(0, 3, 20, 3), 0.8, 0)]
+        got = nms(dets, 0.5)
+        assert _same_objects(got, nms_reference(dets, 0.5))
+        assert got == [dets[2], dets[3], dets[4], dets[0]]
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.25, 1 / 3, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_grid_boxes(self, seed, threshold):
+        # Small integer boxes and quantised scores make score ties, duplicate
+        # boxes, zero-area boxes and IoU values equal to the threshold common.
+        rng = np.random.default_rng(seed)
+        dets = []
+        for _ in range(int(rng.integers(0, 60))):
+            x, y = (int(v) for v in rng.integers(0, 12, 2))
+            w, h = (int(v) for v in rng.integers(0, 6, 2))
+            dets.append(Detection(BBox(x, y, x + w, y + h),
+                                  int(rng.integers(0, 5)) / 4, int(rng.integers(0, 3))))
+        assert _same_objects(nms(dets, threshold), nms_reference(dets, threshold))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_float_boxes(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        dets = [
+            Detection(
+                BBox(x := rng.uniform(0, 60), y := rng.uniform(0, 60),
+                     x + rng.uniform(0, 25), y + rng.uniform(0, 25)),
+                float(rng.uniform(0, 1)),
+                int(rng.integers(0, 4)),
+            )
+            for _ in range(int(rng.integers(0, 120)))
+        ]
+        assert _same_objects(nms(dets, 0.5), nms_reference(dets, 0.5))
