@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import tempfile
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -207,35 +208,66 @@ def load_jsonl(path: str | Path) -> list[dict[str, Any]]:
 
 # -- PPM rasters and mosaic composition --------------------------------------
 
+_PPM_SPACE = b" \t\n\r\x0b\x0c"
+_PPM_FIRST_READ = 1024
+
+
+def _ppm_header(data: bytes) -> tuple[list[bytes], int] | None:
+    """The four P6 header tokens and the offset of the pixel data, or None if
+    ``data`` ends before the single whitespace byte that follows maxval."""
+    tokens: list[bytes] = []
+    pos, n = 0, len(data)
+    while len(tokens) < 4:
+        while pos < n and data[pos] in _PPM_SPACE:
+            pos += 1
+        if pos < n and data[pos] == ord("#"):
+            pos = data.find(b"\n", pos)
+            if pos < 0:
+                return None
+            continue
+        start = pos
+        while pos < n and data[pos] not in _PPM_SPACE:
+            pos += 1
+        if pos == n:  # the token may go on in bytes not read yet
+            return None
+        tokens.append(data[start:pos])
+    return tokens, pos + 1
+
+
 def read_ppm(path: str | Path) -> np.ndarray:
-    """Read a binary (P6) 8-bit PPM into an H x W x 3 uint8 array."""
-    data = Path(path).read_bytes()
-    try:
-        header: list[bytes] = []
-        pos = 0
-        while len(header) < 4:
-            while pos < len(data) and data[pos : pos + 1].isspace():
-                pos += 1
-            if data[pos : pos + 1] == b"#":
-                while pos < len(data) and data[pos : pos + 1] != b"\n":
-                    pos += 1
-                continue
-            start = pos
-            while pos < len(data) and not data[pos : pos + 1].isspace():
-                pos += 1
-            header.append(data[start:pos])
-        if header[0] != b"P6":
+    """Read a binary (P6) 8-bit PPM into an H x W x 3 uint8 array.
+
+    The header is parsed from the first read, extended while a comment or
+    token runs past its end; the pixels are then read straight into the
+    returned array. Bytes after the pixel data are ignored.
+    """
+    with open(path, "rb") as f:
+        data = b""
+        while (header := _ppm_header(data)) is None:
+            more = f.read(max(len(data), _PPM_FIRST_READ))
+            if not more:
+                raise ParseError(f"{path}: truncated PPM header")
+            data += more
+        (magic, *fields), offset = header
+        if magic != b"P6":
             raise ParseError(f"{path}: not a P6 PPM")
-        w, h, maxval = int(header[1]), int(header[2]), int(header[3])
+        try:
+            w, h, maxval = (int(t) for t in fields)
+        except ValueError as e:
+            raise ParseError(f"{path}: malformed PPM header") from e
         if maxval != 255:
             raise ParseError(f"{path}: only 8-bit PPM supported (maxval {maxval})")
-        pos += 1  # single whitespace after maxval
-        pixels = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
-    except (IndexError, ValueError) as e:
-        raise ParseError(f"{path}: truncated or malformed PPM") from e
-    if pixels.size != w * h * 3:
-        raise ParseError(f"{path}: truncated pixel data")
-    return pixels.reshape(h, w, 3).copy()
+        if w < 0 or h < 0:
+            raise ParseError(f"{path}: negative PPM size {w}x{h}")
+        # Refuse a size the file cannot hold before allocating for it.
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size - offset < w * h * 3:
+            raise ParseError(f"{path}: truncated pixel data")
+        image = np.empty((h, w, 3), dtype=np.uint8)
+        f.seek(offset)
+        if f.readinto(image.reshape(-1)) != image.size:
+            raise ParseError(f"{path}: truncated pixel data")
+    return image
 
 
 def write_ppm(image: np.ndarray, path: str | Path) -> None:
@@ -244,59 +276,97 @@ def write_ppm(image: np.ndarray, path: str | Path) -> None:
     atomic_write(path, b"P6\n%d %d\n255\n" % (w, h), image)
 
 
+def _resample_into(src: np.ndarray, out_h: int, out_w: int, dst: np.ndarray) -> None:
+    """Resize ``src`` to out_h x out_w and write the top-left part of the
+    result that ``dst`` covers into ``dst``.
+
+    Bilinear with half-pixel-centred coordinates. The horizontal pass runs
+    once for each source row that the written rows read, and output rows y0
+    and y1 then share it. Both passes work on (rows, width * channels) arrays,
+    with each x weight repeated across the channels. Every value comes from
+    the same float64 operations as a per-output-row pass, so the bytes are
+    those of one. take() gathers along one axis faster than fancy indexing.
+    """
+    if not dst.size:
+        return
+    in_h, in_w = src.shape[:2]
+    eh, ew = dst.shape[:2]
+    channels = math.prod(src.shape[2:])
+    ys = (np.arange(eh) + 0.5) * in_h / out_h - 0.5
+    xs = (np.arange(ew) + 0.5) * in_w / out_w - 0.5
+    y0 = np.minimum(np.maximum(np.floor(ys).astype(int), 0), in_h - 1)
+    x0 = np.minimum(np.maximum(np.floor(xs).astype(int), 0), in_w - 1)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    fy = np.minimum(np.maximum(ys - y0, 0.0), 1.0)[:, None]
+    fx = np.repeat(np.minimum(np.maximum(xs - x0, 0.0), 1.0), channels)
+    top = int(y0[0])
+    rows = src[top : int(y1[-1]) + 1]
+    flat = (len(rows), ew * channels)
+    hz = rows.take(x0, axis=1).reshape(flat) * (1 - fx)
+    hz += rows.take(x1, axis=1).reshape(flat) * fx
+    acc = hz.take(y0 - top, axis=0)
+    acc *= 1 - fy
+    bot = hz.take(y1 - top, axis=0)
+    bot *= fy
+    acc += bot
+    acc = acc.reshape(dst.shape)
+    if src.dtype == np.uint8:
+        # A convex blend of values in [0, 255] rounds into [0, 255]: no clip.
+        np.rint(acc, out=dst, casting="unsafe")
+    else:
+        dst[...] = np.clip(np.rint(acc), 0, 255)
+
+
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resampling with half-pixel-centered coordinates."""
+    """Bilinear resampling with half-pixel-centered coordinates, to uint8.
+
+    ``image`` is H x W with any trailing channel axes; a same-size call
+    returns a copy.
+    """
     in_h, in_w = image.shape[:2]
     if out_h == in_h and out_w == in_w:
         return image.copy()
-    ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
-    xs = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
-    y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
-    y1 = np.clip(y0 + 1, 0, in_h - 1)
-    x1 = np.clip(x0 + 1, 0, in_w - 1)
-    fy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
-    fx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
-    # Horizontal pass once per source row; output rows y0 and y1 then share
-    # it. Each value is computed by the same operations as a per-output-row
-    # pass, so the result is bit-identical to one. take() gathers along one
-    # axis faster than fancy indexing does.
-    hz = image.take(x0, axis=1) * (1 - fx)
-    hz += image.take(x1, axis=1) * fx
-    out = hz.take(y0, axis=0)
-    out *= 1 - fy
-    bot = hz.take(y1, axis=0)
-    bot *= fy
-    out += bot
-    np.rint(out, out=out)
-    np.clip(out, 0, 255, out=out)
-    return out.astype(np.uint8)
+    out = np.empty((out_h, out_w) + image.shape[2:], dtype=np.uint8)
+    _resample_into(image, out_h, out_w, out)
+    return out
 
 
 class CompositionError(ValueError):
-    """A placement's source region falls outside the raster."""
+    """A placement's source region falls outside the raster, or its
+    destination origin outside the mosaic."""
 
 
 def compose_mosaic(layout: MosaicLayout, source_image: np.ndarray, path: str | Path) -> None:
-    """Render the mosaic: scaled bilinear crops on a black background."""
+    """Render the mosaic: scaled bilinear crops on a black background.
+
+    Each crop is widened to whole source pixels, resized to
+    max(1, round(size * scale)) and drawn at the rounded destination, in
+    layout order, clipped at the right and bottom mosaic edges.
+    """
     h, w = source_image.shape[:2]
-    out_h = int(np.ceil(layout.mosaic_height))
-    out_w = int(np.ceil(layout.mosaic_width))
-    canvas = np.zeros((max(out_h, 1), max(out_w, 1), 3), dtype=np.uint8)
+    canvas = np.zeros((max(math.ceil(layout.mosaic_height), 1),
+                       max(math.ceil(layout.mosaic_width), 1), 3), dtype=np.uint8)
+    canvas_h, canvas_w = canvas.shape[:2]
     for i, p in enumerate(layout.placements):
-        sx1, sy1 = int(np.floor(p.source.x1)), int(np.floor(p.source.y1))
-        sx2, sy2 = int(np.ceil(p.source.x2)), int(np.ceil(p.source.y2))
+        sx1, sy1 = math.floor(p.source.x1), math.floor(p.source.y1)
+        sx2, sy2 = math.ceil(p.source.x2), math.ceil(p.source.y2)
         if sx1 < 0 or sy1 < 0 or sx2 > w or sy2 > h:
             raise CompositionError(
                 f"placement {i} source region ({sx1},{sy1},{sx2},{sy2}) "
                 f"outside raster {w}x{h}"
             )
+        dx, dy = round(p.dest_x), round(p.dest_y)
+        if not (0 <= dx < canvas_w and 0 <= dy < canvas_h):
+            raise CompositionError(
+                f"placement {i} destination ({dx},{dy}) outside mosaic {canvas_w}x{canvas_h}"
+            )
         crop = source_image[sy1:sy2, sx1:sx2]
-        th = max(1, int(round(crop.shape[0] * p.scale)))
-        tw = max(1, int(round(crop.shape[1] * p.scale)))
-        resized = crop if p.scale == 1.0 else bilinear_resize(crop, th, tw)
-        dy, dx = int(round(p.dest_y)), int(round(p.dest_x))
-        eh = min(resized.shape[0], canvas.shape[0] - dy)
-        ew = min(resized.shape[1], canvas.shape[1] - dx)
-        canvas[dy : dy + eh, dx : dx + ew] = resized[:eh, :ew]
+        if p.scale == 1.0:
+            dst = canvas[dy : dy + sy2 - sy1, dx : dx + sx2 - sx1]
+            dst[...] = crop[: dst.shape[0], : dst.shape[1]]
+        else:
+            th = max(1, round((sy2 - sy1) * p.scale))
+            tw = max(1, round((sx2 - sx1) * p.scale))
+            _resample_into(crop, th, tw, canvas[dy : dy + th, dx : dx + tw])
     write_ppm(canvas, path)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: the merge oracle is a
 direct index-juggling transcription of the greedy pseudocode, the union-area
-oracle is Monte Carlo, the bilinear oracle is a scalar loop, gradients
+oracle is Monte Carlo, the bilinear oracle is a scalar loop (the compose
+oracle draws the mosaic with it, placement by placement), gradients
 are checked by central finite differences, exact transport comes from basis
 enumeration, the reference Sinkhorn is a scalar log-domain loop and the NMS
 reference compares each candidate with every kept detection by scalar IoU.
@@ -118,6 +119,29 @@ def bilinear_reference(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
             bot = image[y1, x0] * (1 - fx) + image[y1, x1] * fx
             out[oy, ox] = top * (1 - fy) + bot * fy
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+
+def compose_reference(layout, source_image: np.ndarray) -> np.ndarray:
+    """Mosaic canvas drawn placement by placement with the scalar resampler.
+
+    Each source crop is widened to whole pixels, resized to
+    max(1, round(size * scale)), and written at the rounded destination,
+    clipped at the right and bottom canvas edges. Placements are drawn in
+    layout order, so a later one overwrites an earlier one where they meet.
+    """
+    canvas = np.zeros((max(math.ceil(layout.mosaic_height), 1),
+                       max(math.ceil(layout.mosaic_width), 1), 3), dtype=np.uint8)
+    for p in layout.placements:
+        crop = source_image[math.floor(p.source.y1):math.ceil(p.source.y2),
+                            math.floor(p.source.x1):math.ceil(p.source.x2)]
+        th = max(1, round(crop.shape[0] * p.scale))
+        tw = max(1, round(crop.shape[1] * p.scale))
+        resized = crop if p.scale == 1.0 else bilinear_reference(crop, th, tw)
+        dy, dx = round(p.dest_y), round(p.dest_x)
+        eh = min(resized.shape[0], canvas.shape[0] - dy)
+        ew = min(resized.shape[1], canvas.shape[1] - dx)
+        canvas[dy:dy + eh, dx:dx + ew] = resized[:eh, :ew]
+    return canvas
 
 
 def random_boxes(rng: np.random.Generator, n: int, extent: tuple[float, float]) -> list[Box]:

@@ -1,4 +1,5 @@
-"""Byte-level pins on the synth -> pack -> unpack path through the CLI.
+"""Byte-level pins on the synth -> pack -> unpack path through the CLI, and
+on one mosaic rendered at workload scale.
 
 The digests are those of the scalar merge, NMS and owner lookup and of the
 per-output-row bilinear resize, which the array forms reproduce exactly. A
@@ -12,7 +13,11 @@ import json
 import numpy as np
 import pytest
 
+from ufppack import io
 from ufppack.cli import main
+from ufppack.config import PipelineConfig
+from ufppack.metrics import SceneSpec, generate_scene
+from ufppack.pipeline import build_layout
 
 WIDTH, HEIGHT = 640, 480
 GOLDEN = {
@@ -77,3 +82,21 @@ def test_scene_has_region_clamped_to_image_edge(outputs):
     srcs = [p["src"] for p in json.loads((outputs / "layout.json").read_text())["placements"]]
     assert any(s[2] == WIDTH or s[3] == HEIGHT for s in srcs)
     assert any(s[0] == 0 or s[1] == 0 for s in srcs)
+
+
+# A paper-default scene (180 objects on 2000x1500) rendered through
+# compose_mosaic from a seeded source raster: 167 placements, 13 of them at
+# scale 1, so both the copy and the resample branch write pixels.
+SCENE_MOSAIC_SHA256 = "4bc364da1a92486690d078cd02cfebe3bd382db35c05b276567168596fcd60ca"
+
+
+def test_scene_mosaic_bytes_pinned(tmp_path):
+    spec = SceneSpec(seed=5)
+    _, coarse = generate_scene(spec)
+    _, layout = build_layout(coarse, spec.extent, PipelineConfig())
+    source = np.random.default_rng(13).integers(
+        0, 256, size=(int(spec.extent.height), int(spec.extent.width), 3), dtype=np.uint8)
+    out = tmp_path / "mosaic.ppm"
+    io.compose_mosaic(layout, source, out)
+    assert len(layout.placements) > 100
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCENE_MOSAIC_SHA256

@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from oracles import bilinear_reference
+from oracles import bilinear_reference, compose_reference
 from ufppack import io
 from ufppack.config import PipelineConfig
 from ufppack.geometry import BBox
-from ufppack.mosaic import ScaledRegion, pack
+from ufppack.mosaic import MosaicLayout, Placement, ScaledRegion, pack
 from ufppack.remap import Detection
 
 
@@ -140,6 +140,43 @@ class TestPpm:
         with pytest.raises(io.ParseError):
             io.read_ppm(p)
 
+    # 10 KB runs past any first read; with FIRST_READ - 6 the width token
+    # "12" starts on the last byte of the first read and ends in the next.
+    @pytest.mark.parametrize("comment_len", [10_000, io._PPM_FIRST_READ - 6])
+    def test_header_longer_than_first_read(self, tmp_path, comment_len):
+        p = tmp_path / "img.ppm"
+        pixels = bytes(range(36))
+        p.write_bytes(b"P6\n#" + b"x" * comment_len + b"\n12 1\n# another\n255\n" + pixels)
+        assert io.read_ppm(p).tobytes() == pixels
+
+    def test_trailing_bytes_accepted(self, tmp_path):
+        p = tmp_path / "img.ppm"
+        pixels = bytes(range(12))
+        p.write_bytes(b"P6\n2 2\n255\n" + pixels + b"\n\x00trailing")
+        assert io.read_ppm(p).tobytes() == pixels
+
+    @pytest.mark.parametrize("data", [
+        b"", b"P6", b"P6\n4 4", b"P6\n4 4\n", b"P6\n4 4\n255", b"P6 4 4 # 255\n",
+        b"P6\n4 x\n255\n", b"P6\n4 4\n65535\n", b"P6\n-4 -4\n255\n" + bytes(48),
+        b"P6\n4000 4000\n255\n" + bytes(100),
+        # 3 TB claimed: refused from the file size, before any allocation
+        b"P6\n1000000 1000000\n255\n" + bytes(100),
+    ], ids=["empty", "magic-only", "cut-before-maxval", "cut-after-height", "no-space-after-maxval",
+            "maxval-in-comment", "bad-height", "16-bit", "negative-size", "short-pixels",
+            "huge-claim"])
+    def test_malformed_header_rejected(self, tmp_path, data):
+        p = tmp_path / "img.ppm"
+        p.write_bytes(data)
+        with pytest.raises(io.ParseError):
+            io.read_ppm(p)
+
+    def test_array_owns_writable_memory(self, tmp_path):
+        p = tmp_path / "img.ppm"
+        p.write_bytes(b"P6\n2 1\n255\n" + bytes(range(6)))
+        img = io.read_ppm(p)
+        assert img.base is None and img.flags.writeable and img.flags.c_contiguous
+        img[0, 0, 0] = 9
+
 
 class TestBilinear:
     def test_identity(self):
@@ -163,6 +200,45 @@ class TestBilinear:
         rng = np.random.default_rng(3)
         img = rng.integers(0, 256, size=(6, 9, 3), dtype=np.uint8)
         assert np.array_equal(io.bilinear_resize(img, 13, 7), bilinear_reference(img, 13, 7))
+
+    def test_matches_reference_seeded_property(self):
+        """Up- and down-scaling, 1-4 channels, strided crop views, size-1
+        edges and 0/255 checkerboards, all bit-identical to the scalar loop."""
+        rng = np.random.default_rng(21)
+        for case in range(300):
+            in_h, in_w = (int(v) for v in rng.integers(1, 10, size=2))
+            out_h, out_w = (int(v) for v in rng.integers(1, 16, size=2))
+            channels = int(rng.integers(1, 5))
+            if case % 3 == 0:
+                yy, xx = np.indices((in_h, in_w))
+                img = np.repeat((255 * ((yy + xx) % 2)).astype(np.uint8)[..., None],
+                                channels, axis=2)
+            else:
+                img = rng.integers(0, 256, size=(in_h, in_w, channels), dtype=np.uint8)
+            if case % 2:  # a crop view with row and column strides, as compose takes
+                big = rng.integers(0, 256, size=(2 * in_h + 3, 3 * in_w + 2, channels),
+                                   dtype=np.uint8)
+                big[1:1 + 2 * in_h:2, 2:2 + 3 * in_w:3] = img
+                img = big[1:1 + 2 * in_h:2, 2:2 + 3 * in_w:3]
+            got = io.bilinear_resize(img, out_h, out_w)
+            want = bilinear_reference(img, out_h, out_w)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want), (case, img.shape, out_h, out_w)
+
+    def test_non_uint8_image_rounded_and_clipped_like_reference(self):
+        img = np.random.default_rng(23).normal(128, 150, size=(6, 5, 3))
+        assert np.array_equal(io.bilinear_resize(img, 11, 4), bilinear_reference(img, 11, 4))
+
+    def test_empty_output(self):
+        img = np.zeros((4, 5, 3), dtype=np.uint8)
+        assert io.bilinear_resize(img, 0, 3).shape == (0, 3, 3)
+        assert io.bilinear_resize(img, 2, 0).shape == (2, 0, 3)
+
+    def test_two_dimensional_image(self):
+        img = np.random.default_rng(22).integers(0, 256, size=(5, 8), dtype=np.uint8)
+        got = io.bilinear_resize(img, 9, 3)
+        assert got.shape == (9, 3)
+        assert np.array_equal(got, bilinear_reference(img[..., None], 9, 3)[..., 0])
 
 
 class TestComposeMosaic:
@@ -195,6 +271,44 @@ class TestComposeMosaic:
         io.compose_mosaic(lay, img, out)
         got = io.read_ppm(out)
         assert np.all(got[:, 11:13] == 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_on_packed_layouts(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        img = rng.integers(0, 256, size=(50, 60, 3), dtype=np.uint8)
+        regions = []
+        for _ in range(int(rng.integers(3, 9))):
+            w, h = rng.uniform(1, 15, size=2)
+            x, y = rng.uniform(0, 60 - w), rng.uniform(0, 50 - h)
+            scale = 1.0 if rng.random() < 0.25 else float(rng.uniform(1, 3))
+            regions.append(ScaledRegion(BBox(x, y, x + w, y + h), scale))
+        lay = pack(regions, 50, padding=float(rng.choice([0.0, 1.0])))
+        io.compose_mosaic(lay, img, tmp_path / "m.ppm")
+        assert np.array_equal(io.read_ppm(tmp_path / "m.ppm"), compose_reference(lay, img))
+
+    def test_overhang_overlap_and_edge_clip_match_reference(self, tmp_path):
+        img = np.random.default_rng(7).integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
+        lay = MosaicLayout(30.0, 20.0, [
+            # drawn 12 px wide from a 9.8 px source at scale 1.2: overhangs
+            # into the next placement, which is drawn over it
+            Placement(BBox(2.6, 3.5, 12.4, 9.9), 1.2, 0.0, 0.0),
+            Placement(BBox(20.0, 20.0, 26.0, 26.0), 1.0, 11.0, 0.0),
+            # reaches past the right and bottom canvas edges: clipped
+            Placement(BBox(5.2, 15.1, 14.7, 24.9), 1.6, 22.0, 8.0),
+        ])
+        io.compose_mosaic(lay, img, tmp_path / "m.ppm")
+        got = io.read_ppm(tmp_path / "m.ppm")
+        assert np.array_equal(got, compose_reference(lay, img))
+        assert np.array_equal(got[0:6, 11:17], img[20:26, 20:26])
+
+    @pytest.mark.parametrize("dest", [(-1.0, 0.0), (0.0, -2.0), (30.0, 0.0), (0.0, 20.0),
+                                      (29.6, 0.0), (45.0, 3.0), (3.0, 25.0)])
+    def test_destination_outside_canvas_rejected(self, tmp_path, dest):
+        img = np.zeros((10, 10, 3), dtype=np.uint8)
+        lay = MosaicLayout(30.0, 20.0, [Placement(BBox(0, 0, 4, 4), 1.5, *dest)])
+        with pytest.raises(io.CompositionError, match="destination"):
+            io.compose_mosaic(lay, img, tmp_path / "m.ppm")
+        assert not (tmp_path / "m.ppm").exists()
 
 
 class TestAtomicWrites:
