@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 from typing import Any
 
 from . import io
@@ -58,9 +59,15 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     per_image = io.load_detections(args.detections)
     dets = [d for img in sorted(per_image, key=str) for d in per_image[img]]
     _, layout = build_layout(dets, args.image_size, cfg)
-    io.save_layout(layout, args.out_layout)
+    # Render first: a raster that does not fit the layout leaves no file.
     if args.image:
         io.compose_mosaic(layout, io.read_ppm(args.image), args.out_mosaic)
+    try:
+        io.save_layout(layout, args.out_layout)
+    except BaseException:
+        if args.image:
+            Path(args.out_mosaic).unlink(missing_ok=True)
+        raise
     print(f"packed {len(layout.placements)} regions into "
           f"{layout.mosaic_width:g}x{layout.mosaic_height:g}")
     return 0

@@ -333,8 +333,8 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 class CompositionError(ValueError):
-    """A placement's source region falls outside the raster, or its
-    destination origin outside the mosaic."""
+    """A placement's source region falls outside the raster or covers no
+    pixel, or its destination origin falls outside the mosaic."""
 
 
 def compose_mosaic(layout: MosaicLayout, source_image: np.ndarray, path: str | Path) -> None:
@@ -355,6 +355,10 @@ def compose_mosaic(layout: MosaicLayout, source_image: np.ndarray, path: str | P
             raise CompositionError(
                 f"placement {i} source region ({sx1},{sy1},{sx2},{sy2}) "
                 f"outside raster {w}x{h}"
+            )
+        if sx2 == sx1 or sy2 == sy1:
+            raise CompositionError(
+                f"placement {i} source region ({sx1},{sy1},{sx2},{sy2}) covers no pixel"
             )
         dx, dy = round(p.dest_x), round(p.dest_y)
         if not (0 <= dx < canvas_w and 0 <= dy < canvas_h):

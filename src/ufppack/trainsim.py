@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from .clustering import kmeans
-from .proxies import ProxyBank, _sigmoid, multi_proxy_logit
+from .proxies import ProxyBank, _row_norms, _sigmoid, multi_proxy_logit
 from .transport import cost_matrix, sinkhorn, transport_cost
 from .vocab import VocabQueue, contrastive_loss, estimate_marginals
 
@@ -52,6 +52,13 @@ class TrainConfig:
             raise ValueError(f"unknown proxy_init {self.proxy_init!r}")
         if self.vocab_insert > self.batch_size:
             raise ValueError("vocab_insert cannot exceed batch_size")
+        if self.vocab_capacity < 1 or self.marginal_cadence < 1:
+            raise ValueError("vocab_capacity and marginal_cadence must be at least 1")
+        # `not x > 0` also rejects NaN.
+        if not (self.gamma > 0 and self.sinkhorn_epsilon > 0 and self.sinkhorn_tol > 0):
+            raise ValueError("gamma, sinkhorn_epsilon and sinkhorn_tol must be positive")
+        if self.sinkhorn_max_iters < 0:
+            raise ValueError("sinkhorn_max_iters must be nonnegative")
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
@@ -103,7 +110,7 @@ class _FeatureModel:
         self.weights = {}
         for cid in range(cfg.n_classes):
             c = rng.normal(size=(cfg.modes_per_class, cfg.feature_dim))
-            self.centers[cid] = c / np.linalg.norm(c, axis=1, keepdims=True)
+            self.centers[cid] = c / _row_norms(c)[:, None]
             w = 0.45 ** np.arange(cfg.modes_per_class)
             self.weights[cid] = w / w.sum()
 
@@ -112,7 +119,7 @@ class _FeatureModel:
         x = self.centers[cid][modes] + self.cfg.mode_noise * rng.normal(
             size=(n, self.cfg.feature_dim)
         )
-        return x / np.linalg.norm(x, axis=1, keepdims=True)
+        return x / _row_norms(x)[:, None]
 
 
 def _init_proxies(cfg: TrainConfig, model: _FeatureModel, rng: np.random.Generator) -> ProxyBank:
@@ -123,22 +130,27 @@ def _init_proxies(cfg: TrainConfig, model: _FeatureModel, rng: np.random.Generat
         else:
             sample = model.sample(cid, max(8 * cfg.proxies_per_class, 32), rng)
             _, w = kmeans(sample, cfg.proxies_per_class, rng)
-        weights[cid] = w / np.linalg.norm(w, axis=1, keepdims=True)
+        weights[cid] = w / _row_norms(w)[:, None]
     return ProxyBank(weights=weights, gamma=cfg.gamma)
 
 
-def _proxy_separation(bank: ProxyBank) -> tuple[float, float]:
-    """(min pairwise cosine distance, max pairwise cosine similarity) within classes."""
+def _proxy_separation(
+    bank: ProxyBank, pairs: tuple[np.ndarray, np.ndarray]
+) -> tuple[float, float]:
+    """(min pairwise cosine distance, max pairwise cosine similarity) within classes.
+
+    ``pairs`` is np.triu_indices(K, k=1) for the K proxies of every class.
+    """
     min_dist = np.inf
     max_sim = -np.inf
     for w in bank.weights.values():
         if w.shape[0] < 2:
             continue
-        u = w / np.linalg.norm(w, axis=1, keepdims=True)
-        sim = u @ u.T
-        iu = np.triu_indices(w.shape[0], k=1)
-        max_sim = max(max_sim, float(np.max(sim[iu])))
-        min_dist = min(min_dist, float(np.min(1.0 - sim[iu])))
+        u = w / _row_norms(w)[:, None]
+        top = float(np.maximum.reduce((u @ u.T)[pairs]))
+        max_sim = max(max_sim, top)
+        # Rounding keeps 1 - s non-increasing in s: the least distance is 1 - top.
+        min_dist = min(min_dist, 1.0 - top)
     return min_dist, max_sim
 
 
@@ -146,12 +158,12 @@ def _ot_grad(
     features: np.ndarray, w: np.ndarray, plan: np.ndarray
 ) -> np.ndarray:
     """Gradient of tr(C^T P) w.r.t. the proxies, P held fixed."""
-    fn = features / np.linalg.norm(features, axis=1, keepdims=True)
-    wn = np.linalg.norm(w, axis=1)
+    fn = features / _row_norms(features)[:, None]
+    wn = _row_norms(w)
     u = w / wn[:, None]
     cos = fn @ u.T  # N x K
     # dC(j,k)/dw_k = -(f_hat_j - cos_jk * u_k) / (2 |w_k|), summed over j with weight P_jk
-    return -(plan.T @ fn - np.sum(plan * cos, axis=0)[:, None] * u) / (2.0 * wn[:, None])
+    return -(plan.T @ fn - np.add.reduce(plan * cos, axis=0)[:, None] * u) / (2.0 * wn[:, None])
 
 
 def train_sim(cfg: TrainConfig) -> TrainReport:
@@ -168,6 +180,10 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
     # Each step scores every sample of every class against every class.
     labels = np.repeat(np.arange(cfg.n_classes), cfg.batch_size)
     n_terms = labels.size * cfg.n_classes
+    targets = [(labels == cid).astype(float) for cid in range(cfg.n_classes)]
+    instance_labels = labels.tolist()
+    q = np.full(cfg.batch_size, 1.0 / cfg.batch_size)
+    pairs = np.triu_indices(cfg.proxies_per_class, k=1)
 
     for step in range(cfg.steps + 1):
         batches = {
@@ -186,13 +202,14 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
         feats_all = np.concatenate(list(batches.values()))
         grads = {}
         loss_det = 0.0
-        for target_cid in range(cfg.n_classes):
+        for target_cid, y in enumerate(targets):
             z, _, dz_dw = multi_proxy_logit(bank, target_cid, feats_all)
-            y = (labels == target_cid).astype(float)
             p = _sigmoid(z)
-            loss_det -= float(np.sum(y * np.log(np.maximum(p, 1e-12))
-                                     + (1 - y) * np.log(np.maximum(1 - p, 1e-12))))
-            grads[target_cid] = np.tensordot(p - y, dz_dw, axes=1)
+            loss_det -= float(np.add.reduce(y * np.log(np.maximum(p, 1e-12))
+                                            + (1 - y) * np.log(np.maximum(1 - p, 1e-12))))
+            # np.tensordot(p - y, dz_dw, axes=1), as the one dot it reduces to.
+            grads[target_cid] = (p - y).reshape(1, -1).dot(
+                dz_dw.reshape(len(p), -1)).reshape(dz_dw.shape[1:])
         loss_det /= n_terms
         for cid in grads:
             grads[cid] /= n_terms
@@ -203,7 +220,6 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
             results = []
             for cid, feats in batches.items():
                 cost = cost_matrix(feats, bank.weights[cid])
-                q = np.full(len(feats), 1.0 / len(feats))
                 res = sinkhorn(
                     cost,
                     marginals[cid],
@@ -223,10 +239,9 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
             )
         report.transport.append(stats)
 
-        instances = [(x, cid) for cid, feats in batches.items() for x in feats]
-        loss_cl = contrastive_loss(instances, vocabs)
+        loss_cl = contrastive_loss(list(zip(feats_all, instance_labels)), vocabs)
 
-        min_dist, max_sim = _proxy_separation(bank)
+        min_dist, max_sim = _proxy_separation(bank, pairs)
         report.records.append(
             {
                 "step": float(step),
@@ -241,7 +256,7 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
             break
         for cid in range(cfg.n_classes):
             w = bank.weights[cid] - cfg.lr * grads[cid]
-            bank.weights[cid] = w / np.linalg.norm(w, axis=1, keepdims=True)
+            bank.weights[cid] = w / _row_norms(w)[:, None]
 
     report.final_weights = {cid: w.copy() for cid, w in bank.weights.items()}
     return report

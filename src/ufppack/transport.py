@@ -8,10 +8,13 @@ identically zero.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .proxies import _row_norms
 
 # Largest max|C|/epsilon scaled in the kernel domain: exp(-200) ~ 1e-87 leaves
 # the scalings ample float64 range before they could overflow.
@@ -24,9 +27,9 @@ def cost_matrix(features: np.ndarray, proxies: np.ndarray) -> np.ndarray:
     """(1 - cosine similarity) / 2 between every feature and proxy; in [0,1]."""
     features = np.asarray(features, dtype=float)
     proxies = np.asarray(proxies, dtype=float)
-    fn = np.linalg.norm(features, axis=1)
-    pn = np.linalg.norm(proxies, axis=1)
-    if np.any(fn == 0) or np.any(pn == 0):
+    fn = _row_norms(features)
+    pn = _row_norms(proxies)
+    if (fn == 0).any() or (pn == 0).any():
         raise ValueError("zero-norm vector in cost_matrix input")
     sim = (features / fn[:, None]) @ (proxies / pn[:, None]).T
     return np.clip((1.0 - sim) / 2.0, 0.0, 1.0)
@@ -49,8 +52,9 @@ class SinkhornResult:
 
 def _check_marginal(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be a probability vector, got sum {v.sum()}")
+    total = v.sum()
+    if (v < 0).any() or abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{name} must be a probability vector, got sum {total}")
     return v
 
 
@@ -78,12 +82,13 @@ def sinkhorn(
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
+    qp = np.concatenate((q, p))
     viol = np.nan
-    if np.max(np.abs(cost)) <= _KERNEL_MAX_EXPONENT * epsilon:
+    if np.abs(cost).max() <= _KERNEL_MAX_EXPONENT * epsilon:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            P, iters, viol = _iterate(*_kernel_scaling(cost, p, q, epsilon), p, q, max_iters, tol)
-    if not np.isfinite(viol):
-        P, iters, viol = _iterate(*_log_scaling(cost, p, q, epsilon), p, q, max_iters, tol)
+            P, iters, viol = _iterate(*_kernel_scaling(cost, p, q, epsilon), qp, max_iters, tol)
+    if not math.isfinite(viol):
+        P, iters, viol = _iterate(*_log_scaling(cost, p, q, epsilon), qp, max_iters, tol)
     return SinkhornResult(
         plan=TransportPlan(P, q, p),
         iterations=iters,
@@ -95,43 +100,54 @@ def sinkhorn(
 def _iterate(
     sweep: Callable[[int], None],
     plan: Callable[[], np.ndarray],
-    p: np.ndarray,
-    q: np.ndarray,
+    qp: np.ndarray,
     max_iters: int,
     tol: float,
 ) -> tuple[np.ndarray, int, float]:
-    """Sweep in blocks of _CHECK_EVERY until the plan meets tol or max_iters is hit."""
+    """Sweep in blocks of _CHECK_EVERY until the plan meets tol or max_iters is hit.
+
+    ``qp`` is the row marginal followed by the column marginal.
+    """
     iters = 0
     P = plan()
-    viol = _violation(P, p, q)
+    viol = _violation(P, qp)
     while viol >= tol and iters < max_iters:
         block = min(_CHECK_EVERY, max_iters - iters)
         sweep(block)
         iters += block
         P = plan()
-        viol = _violation(P, p, q)
+        viol = _violation(P, qp)
     return P, iters, viol
 
 
-def _violation(P: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+def _violation(P: np.ndarray, qp: np.ndarray) -> float:
     # One reduction, so a NaN anywhere in the plan propagates to the result.
-    return float(np.max(np.abs(np.concatenate((P.sum(axis=1) - q, P.sum(axis=0) - p)))))
+    # The ufunc reductions are those np.sum/np.max run, minus their wrappers.
+    sums = np.concatenate((np.add.reduce(P, 1), np.add.reduce(P, 0)))
+    return float(np.maximum.reduce(np.abs(sums - qp)))
 
 
 def _kernel_scaling(
     cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float
 ) -> tuple[Callable[[int], None], Callable[[], np.ndarray]]:
-    """Cuturi's u = q / (K v), v = p / (K^T u); zero marginals keep zero scalings."""
+    """Cuturi's u = q / (K v), v = p / (K^T u); zero marginals keep zero scalings.
+
+    The products go through bound ndarray.dot methods: like ``@`` they end
+    in one BLAS gemv, with the same result bit for bit, but they skip the
+    matmul ufunc's dispatch, which costs more than these tiny products.
+    """
     K = np.exp(-cost / epsilon)
     Kt = K.T.copy()
+    Kdot = K.dot
+    Ktdot = Kt.dot
     u = (q > 0).astype(float)
     v = (p > 0).astype(float)
 
     def sweep(count: int) -> None:
         nonlocal u, v
         for _ in range(count):
-            u = q / (K @ v)
-            v = p / (Kt @ u)
+            u = q / Kdot(v)
+            v = p / Ktdot(u)
 
     def plan() -> np.ndarray:
         return u[:, None] * K * v
@@ -173,12 +189,12 @@ def _log_scaling(
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
+    m = np.maximum.reduce(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
+        return np.log(np.add.reduce(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
 
 
 def transport_cost(cost: np.ndarray, plan: TransportPlan) -> float:
     """tr(C^T P)."""
-    return float(np.sum(np.asarray(cost) * plan.entries))
+    return float(np.add.reduce(np.asarray(cost) * plan.entries, axis=None))

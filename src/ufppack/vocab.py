@@ -45,7 +45,7 @@ class VocabQueue:
         if m > len(batch_positives):
             raise ValueError(f"m={m} exceeds batch size {len(batch_positives)}")
         chosen = rng.choice(len(batch_positives), size=m, replace=False)
-        new = np.array([batch_positives[i] for i in np.sort(chosen)], dtype=float)
+        new = np.asarray(batch_positives, dtype=float)[np.sort(chosen)]
         new = new[-self.capacity :]
         if self._rows is None:
             self._rows = np.empty((self.capacity, new.shape[1]))
@@ -84,8 +84,8 @@ def estimate_marginals(queue: VocabQueue, k: int, seed: int) -> MarginalEstimate
 
 
 def _logsumexp_rows(s: np.ndarray) -> np.ndarray:
-    m = np.max(s, axis=1)
-    return m + np.log(np.sum(np.exp(s - m[:, None]), axis=1))
+    m = np.maximum.reduce(s, axis=1)
+    return m + np.log(np.add.reduce(np.exp(s - m[:, None]), axis=1))
 
 
 def contrastive_loss(
@@ -101,14 +101,14 @@ def contrastive_loss(
     words = {cid: q.snapshot() for cid, q in vocab.items() if len(q) > 0}
     # One affinity matrix against every word; each class's own words are a
     # column block of it.
-    x = np.array([np.asarray(v, dtype=float) for v, _ in instances])
+    x = np.array([v for v, _ in instances], dtype=float)
     s = x @ np.concatenate(list(words.values())).T
-    total = float(np.sum(_logsumexp_rows(s)))
+    total = float(np.add.reduce(_logsumexp_rows(s)))
     start = 0
     for class_id, own in words.items():
         rows = labels == class_id
-        if np.any(rows):
-            total -= float(np.sum(_logsumexp_rows(s[rows, start : start + len(own)])))
+        if rows.any():
+            total -= float(np.add.reduce(_logsumexp_rows(s[rows, start : start + len(own)])))
         start += len(own)
     return total / len(instances)
 

@@ -5,7 +5,8 @@ direct index-juggling transcription of the greedy pseudocode, the union-area
 oracle is Monte Carlo, the bilinear oracle is a scalar loop (the compose
 oracle draws the mosaic with it, placement by placement), gradients
 are checked by central finite differences, exact transport comes from basis
-enumeration, the reference Sinkhorn is a scalar log-domain loop and the NMS
+enumeration, the reference Sinkhorn is a scalar log-domain loop (plus the
+plain kernel-domain loop, for bit-for-bit checks of the fast one) and the NMS
 reference compares each candidate with every kept detection by scalar IoU.
 """
 from __future__ import annotations
@@ -179,6 +180,42 @@ def sinkhorn_reference(
              if p[j] > 0 else -math.inf for j in range(k)]
     return np.array([[math.exp(f[i] + g[j] - cost[i, j] / epsilon) for j in range(k)]
                      for i in range(n)])
+
+
+def sinkhorn_kernel_reference(
+    cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float,
+    max_iters: int, tol: float, check_every: int = 10,
+) -> tuple[np.ndarray, int, float]:
+    """(plan, iterations, violation) of the plain kernel-domain Sinkhorn loop.
+
+    Cuturi's u = q / (K v), v = p / (K^T u) with ``@`` products, from
+    scalings that are 1 on the nonzero marginal entries and 0 elsewhere. The
+    largest absolute marginal error of the plan is checked before the first
+    sweep and after every ``check_every`` sweeps (and at max_iters), through
+    np.sum/np.max, until it falls under tol. This is the loop the library's
+    kernel path must reproduce bit for bit.
+    """
+    K = np.exp(-cost / epsilon)
+    Kt = K.T.copy()
+    u = (q > 0).astype(float)
+    v = (p > 0).astype(float)
+
+    def plan_and_violation() -> tuple[np.ndarray, float]:
+        P = u[:, None] * K * v
+        gaps = np.concatenate((np.sum(P, axis=1) - q, np.sum(P, axis=0) - p))
+        return P, float(np.max(np.abs(gaps)))
+
+    iters = 0
+    P, viol = plan_and_violation()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while viol >= tol and iters < max_iters:
+            block = min(check_every, max_iters - iters)
+            for _ in range(block):
+                u = q / (K @ v)
+                v = p / (Kt @ u)
+            iters += block
+            P, viol = plan_and_violation()
+    return P, iters, viol
 
 
 _EXACT_CAP = 4

@@ -83,6 +83,31 @@ class TestPackCommand:
         ])
         assert rc == 1 and not out.exists()
 
+    def test_raster_smaller_than_image_size_writes_nothing(self, tmp_path, capsys):
+        dets = _write_detections(tmp_path / "dets.json", [
+            _det_record(300, 200, 40, 30), _det_record(500, 400, 60, 50),
+        ])
+        image = tmp_path / "in.ppm"
+        io.write_ppm(np.zeros((100, 100, 3), dtype=np.uint8), image)
+        layout, mosaic = tmp_path / "layout.json", tmp_path / "mosaic.ppm"
+        rc = main([
+            "pack", "--detections", dets, "--image-size", "640x480",
+            "--out-layout", str(layout), "--image", str(image), "--out-mosaic", str(mosaic),
+        ])
+        assert rc == 1 and "outside raster" in capsys.readouterr().err
+        assert not layout.exists() and not mosaic.exists()
+
+    def test_unwritable_layout_leaves_no_mosaic(self, tmp_path, three_box_file):
+        image = tmp_path / "in.ppm"
+        io.write_ppm(np.zeros((200, 200, 3), dtype=np.uint8), image)
+        mosaic = tmp_path / "mosaic.ppm"
+        rc = main([
+            "pack", "--detections", three_box_file, "--image-size", "200x200",
+            "--out-layout", str(tmp_path / "missing" / "layout.json"),
+            "--image", str(image), "--out-mosaic", str(mosaic),
+        ])
+        assert rc == 2 and not mosaic.exists()
+
     def test_no_output_on_parse_error(self, tmp_path):
         broken = tmp_path / "broken.json"
         broken.write_text("[{")
@@ -184,6 +209,18 @@ class TestTrainSimCommand:
         assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 0
         assert "8 of 8 Sinkhorn calls did not converge" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad", [
+        {"marginal_cadence": 0}, {"sinkhorn_epsilon": 0.0}, {"sinkhorn_tol": -1.0},
+        {"sinkhorn_tol": 0.0}, {"sinkhorn_max_iters": -1}, {"gamma": 0.0},
+        {"vocab_capacity": 0},
+    ])
+    def test_invalid_config_exit_1_without_records(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 3, "seed": 0, **bad}))
+        out = tmp_path / "report.jsonl"
+        assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

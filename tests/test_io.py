@@ -310,6 +310,16 @@ class TestComposeMosaic:
             io.compose_mosaic(lay, img, tmp_path / "m.ppm")
         assert not (tmp_path / "m.ppm").exists()
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    @pytest.mark.parametrize("source", [BBox(3, 3, 3, 8), BBox(3, 3, 8, 3)])
+    def test_empty_source_crop_rejected(self, tmp_path, scale, source):
+        img = np.zeros((10, 10, 3), dtype=np.uint8)
+        lay = MosaicLayout(20.0, 20.0, [Placement(BBox(0, 0, 4, 4), 1.0, 10.0, 10.0),
+                                        Placement(source, scale, 0.0, 0.0)])
+        with pytest.raises(io.CompositionError, match="placement 1 .* covers no pixel"):
+            io.compose_mosaic(lay, img, tmp_path / "m.ppm")
+        assert not (tmp_path / "m.ppm").exists()
+
 
 class TestAtomicWrites:
     def test_no_partial_file_on_error(self, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from oracles import central_diff
 from ufppack.proxies import (
     ProxyBank,
+    _row_norms,
     adaptive_k,
     multi_proxy_grad,
     multi_proxy_logit,
@@ -200,3 +201,18 @@ class TestAdaptiveK:
         k1 = adaptive_k(pts, eps=0.3, min_pts=5)
         k2 = adaptive_k(pts[rng.permutation(len(pts))], eps=0.3, min_pts=5)
         assert k1 == k2 == 2
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_linalg_norm_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n, c = int(rng.integers(1, 70)), int(rng.integers(1, 40))
+        x = rng.normal(scale=10.0 ** rng.uniform(-150, 150), size=(n, c))
+        x[int(rng.integers(n))] = 0.0
+        assert np.array_equal(_row_norms(x), np.linalg.norm(x, axis=1))
+        assert _row_norms(x)[np.all(x == 0, axis=1)].max() == 0.0
+
+    def test_strided_view(self):
+        x = np.random.default_rng(3).normal(size=(9, 12))[::2, 1::3]
+        assert np.array_equal(_row_norms(x), np.linalg.norm(x, axis=1))

@@ -23,6 +23,19 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(vocab_insert=99, batch_size=8)
 
+    @pytest.mark.parametrize("bad", [
+        {"marginal_cadence": 0}, {"marginal_cadence": -3},
+        {"sinkhorn_epsilon": 0.0}, {"sinkhorn_epsilon": -0.01}, {"sinkhorn_epsilon": float("nan")},
+        {"sinkhorn_tol": 0.0}, {"sinkhorn_tol": -1.0}, {"sinkhorn_max_iters": -1},
+        {"gamma": 0.0}, {"gamma": -5.0}, {"vocab_capacity": 0},
+    ])
+    def test_invalid_transport_and_vocab_settings_rejected(self, bad):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+
+    def test_zero_sinkhorn_iterations_accepted(self):
+        assert TrainConfig(sinkhorn_max_iters=0).sinkhorn_max_iters == 0
+
 
 class TestTrainSim:
     def test_zero_steps_is_initialization(self):

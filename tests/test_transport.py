@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import exact_ot, ot_loss, sinkhorn_reference
+from oracles import exact_ot, ot_loss, sinkhorn_kernel_reference, sinkhorn_reference
 from ufppack import transport
 from ufppack.transport import TransportPlan, cost_matrix, sinkhorn, transport_cost
 
@@ -160,6 +160,71 @@ class TestSinkhornAgainstReference:
             viol = max(np.max(np.abs(P.sum(axis=1) - q)), np.max(np.abs(P.sum(axis=0) - p)))
             assert res.marginal_violation == viol
             assert res.converged == (viol < 1e-12)
+
+
+class TestKernelSweepBitIdentical:
+    """The kernel path returns exactly what the plain ``@`` loop returns.
+
+    Both run on this machine's BLAS and exp, so the comparison is exact
+    without depending on which machine runs it.
+    """
+
+    @staticmethod
+    def _train_instance(seed, zeros=False):
+        # A train_sim call: 16 unit features against 3 proxies, uniform q,
+        # descending vocabulary marginals p.
+        rng = np.random.default_rng(seed)
+        cost = cost_matrix(rng.normal(size=(16, 16)), rng.normal(size=(3, 16)))
+        p = np.sort(rng.dirichlet(np.ones(3)))[::-1].copy()
+        q = np.full(16, 1.0 / 16)
+        if zeros:
+            p[-1] = 0.0
+            q[-3:] = 0.0
+            p /= p.sum()
+            q /= q.sum()
+        return cost, p, q
+
+    @staticmethod
+    def _assert_same(cost, p, q, epsilon, max_iters, tol=1e-6):
+        res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=max_iters, tol=tol)
+        P, iters, viol = sinkhorn_kernel_reference(cost, p, q, epsilon, max_iters, tol)
+        assert np.array_equal(res.plan.entries, P)
+        assert res.iterations == iters
+        assert res.marginal_violation == viol
+        return res
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_train_default_shapes(self, seed):
+        cost, p, q = self._train_instance(seed)
+        self._assert_same(cost, p, q, epsilon=0.01, max_iters=150)
+
+    def test_train_default_shapes_cover_both_outcomes(self):
+        converged = {self._assert_same(*self._train_instance(seed), epsilon=0.01,
+                                       max_iters=150).converged for seed in range(12)}
+        assert converged == {True, False}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_zero_marginals(self, seed):
+        cost, p, q = self._train_instance(seed, zeros=True)
+        res = self._assert_same(cost, p, q, epsilon=0.01, max_iters=150)
+        assert np.all(res.plan.entries[-3:, :] == 0.0)
+        assert np.all(res.plan.entries[:, -1] == 0.0)
+
+    @pytest.mark.parametrize("max_iters", [0, 7])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_short_budgets(self, seed, max_iters):
+        cost, p, q = self._train_instance(seed)
+        res = self._assert_same(cost, p, q, epsilon=0.01, max_iters=max_iters)
+        assert res.iterations == max_iters
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_costs_and_shapes(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+        cost = rng.uniform(0, 1, (n, k))
+        p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(n))
+        for epsilon in (0.05, 0.01):
+            self._assert_same(cost, p, q, epsilon=epsilon, max_iters=int(rng.integers(0, 300)))
 
 
 class TestExactOt:
