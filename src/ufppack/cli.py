@@ -106,11 +106,11 @@ def _cmd_train_sim(args: argparse.Namespace) -> int:
         cfg = _env_seeded(TrainConfig.from_dict(json.load(f)))
     report = train_sim(cfg)
     io.save_jsonl(report.records, args.out)
-    last = report.records[-1]
+    min_dist = report.final_min_proxy_distance
     calls = len(report.transport) * cfg.n_classes if cfg.use_ot else 0
     print(f"ran {cfg.steps} steps; final min proxy distance "
-          f"{last['min_proxy_distance']:.4f}; {report.unconverged_calls} of {calls} "
-          f"Sinkhorn calls did not converge")
+          f"{'n/a' if min_dist is None else f'{min_dist:.4f}'}; "
+          f"{report.unconverged_calls} of {calls} Sinkhorn calls did not converge")
     return 0
 
 

@@ -189,7 +189,9 @@ def load_layout(path: str | Path) -> MosaicLayout:
 # -- JSONL metric reports ----------------------------------------------------
 
 def save_jsonl(records: Iterable[dict[str, Any]], path: str | Path) -> None:
-    atomic_write(path, "".join(json.dumps(r) + "\n" for r in records))
+    """One JSON object per line; a NaN or infinity raises ValueError, since
+    standard JSON has no spelling for them."""
+    atomic_write(path, "".join(json.dumps(r, allow_nan=False) + "\n" for r in records))
 
 
 def load_jsonl(path: str | Path) -> list[dict[str, Any]]:

@@ -84,7 +84,9 @@ class TransportStats:
 @dataclass
 class TrainReport:
     config: TrainConfig
-    records: list[dict[str, float]] = field(default_factory=list)
+    # min_proxy_distance and max_proxy_similarity are None when no class has
+    # two proxies.
+    records: list[dict[str, float | None]] = field(default_factory=list)
     final_weights: dict[int, np.ndarray] = field(default_factory=dict)
     transport: list[TransportStats] = field(default_factory=list)  # one per record
 
@@ -93,12 +95,12 @@ class TrainReport:
         return sum(t.unconverged for t in self.transport)
 
     @property
-    def final_min_proxy_distance(self) -> float:
-        return self.records[-1]["min_proxy_distance"] if self.records else float("nan")
+    def final_min_proxy_distance(self) -> float | None:
+        return self.records[-1]["min_proxy_distance"] if self.records else None
 
     @property
-    def final_max_proxy_similarity(self) -> float:
-        return self.records[-1]["max_proxy_similarity"] if self.records else float("nan")
+    def final_max_proxy_similarity(self) -> float | None:
+        return self.records[-1]["max_proxy_similarity"] if self.records else None
 
 
 class _FeatureModel:
@@ -108,14 +110,20 @@ class _FeatureModel:
         self.cfg = cfg
         self.centers = {}
         self.weights = {}
+        self.cdfs = {}
         for cid in range(cfg.n_classes):
             c = rng.normal(size=(cfg.modes_per_class, cfg.feature_dim))
             self.centers[cid] = c / _row_norms(c)[:, None]
             w = 0.45 ** np.arange(cfg.modes_per_class)
             self.weights[cid] = w / w.sum()
+            # rng.choice(modes, p=w) cumulates and normalizes p this way on
+            # every call, after validating it.
+            cdf = np.cumsum(self.weights[cid])
+            self.cdfs[cid] = cdf / cdf[-1]
 
     def sample(self, cid: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        modes = rng.choice(self.cfg.modes_per_class, size=n, p=self.weights[cid])
+        # The draws and generator state of rng.choice(modes, n, p=weights).
+        modes = self.cdfs[cid].searchsorted(rng.random(n), side="right")
         x = self.centers[cid][modes] + self.cfg.mode_noise * rng.normal(
             size=(n, self.cfg.feature_dim)
         )
@@ -136,10 +144,11 @@ def _init_proxies(cfg: TrainConfig, model: _FeatureModel, rng: np.random.Generat
 
 def _proxy_separation(
     bank: ProxyBank, pairs: tuple[np.ndarray, np.ndarray]
-) -> tuple[float, float]:
+) -> tuple[float | None, float | None]:
     """(min pairwise cosine distance, max pairwise cosine similarity) within classes.
 
-    ``pairs`` is np.triu_indices(K, k=1) for the K proxies of every class.
+    Both are None when no class has two proxies. ``pairs`` is
+    np.triu_indices(K, k=1) for the K proxies of every class.
     """
     min_dist = np.inf
     max_sim = -np.inf
@@ -151,6 +160,8 @@ def _proxy_separation(
         max_sim = max(max_sim, top)
         # Rounding keeps 1 - s non-increasing in s: the least distance is 1 - top.
         min_dist = min(min_dist, 1.0 - top)
+    if max_sim == -np.inf:
+        return None, None
     return min_dist, max_sim
 
 
@@ -248,8 +259,8 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
                 "loss_det": float(loss_det),
                 "loss_ot": float(loss_ot),
                 "loss_cl": float(loss_cl),
-                "min_proxy_distance": float(min_dist),
-                "max_proxy_similarity": float(max_sim),
+                "min_proxy_distance": min_dist,
+                "max_proxy_similarity": max_sim,
             }
         )
         if step == cfg.steps:

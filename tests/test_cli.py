@@ -209,6 +209,23 @@ class TestTrainSimCommand:
         assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 0
         assert "8 of 8 Sinkhorn calls did not converge" in capsys.readouterr().out
 
+    def test_single_proxy_writes_null_separation(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 2, "seed": 0, "proxies_per_class": 1}))
+        out = tmp_path / "report.jsonl"
+        assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 0
+
+        def reject(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        records = [json.loads(line, parse_constant=reject)
+                   for line in out.read_text().splitlines()]
+        assert len(records) == 3
+        for r in records:
+            assert r["min_proxy_distance"] is None and r["max_proxy_similarity"] is None
+        assert ("final min proxy distance n/a; 0 of 6 Sinkhorn calls did not converge"
+                in capsys.readouterr().out)
+
     @pytest.mark.parametrize("bad", [
         {"marginal_cadence": 0}, {"sinkhorn_epsilon": 0.0}, {"sinkhorn_tol": -1.0},
         {"sinkhorn_tol": 0.0}, {"sinkhorn_max_iters": -1}, {"gamma": 0.0},
@@ -239,6 +256,16 @@ class TestTrainSimCommand:
 
 
 class TestDeterminism:
+    def test_train_sim_byte_identical(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 30, "seed": 3, "marginal_cadence": 10}))
+        outs = []
+        for name in ("a.jsonl", "b.jsonl"):
+            out = tmp_path / name
+            assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_pack_byte_identical(self, tmp_path, three_box_file):
         outs = []
         for name in ("a.json", "b.json"):

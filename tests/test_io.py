@@ -352,6 +352,20 @@ class TestAtomicWrites:
         assert np.array_equal(io.read_ppm(tmp_path / "v.ppm"), view)
 
 
+class TestJsonl:
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_number_rejected_without_file(self, tmp_path, bad):
+        target = tmp_path / "r.jsonl"
+        with pytest.raises(ValueError):
+            io.save_jsonl([{"a": 1.0}, {"a": bad}], target)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_none_written_as_null(self, tmp_path):
+        target = tmp_path / "r.jsonl"
+        io.save_jsonl([{"a": None, "b": 0.5}], target)
+        assert target.read_text() == '{"a": null, "b": 0.5}\n'
+        assert io.load_jsonl(target) == [{"a": None, "b": 0.5}]
+
 class TestSceneIO:
     def test_roundtrip(self, tmp_path):
         gt = [BBox(0, 0, 10, 10)]

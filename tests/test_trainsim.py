@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ufppack.trainsim import TrainConfig, train_sim
+from ufppack.proxies import _row_norms
+from ufppack.trainsim import TrainConfig, TrainReport, _FeatureModel, train_sim
 
 
 class TestTrainConfig:
@@ -88,3 +89,45 @@ class TestTrainSim:
         report = train_sim(TrainConfig(steps=3, seed=0, sinkhorn_max_iters=2))
         assert report.unconverged_calls > 0
         assert all(t.max_iterations == 2 for t in report.transport)
+
+
+class TestFeatureModel:
+    @pytest.mark.parametrize("modes", [1, 3, 5])
+    def test_sample_draws_as_rng_choice(self, modes):
+        cfg = TrainConfig(modes_per_class=modes, n_classes=2)
+        model = _FeatureModel(cfg, np.random.default_rng(11))
+        for seed in range(200):
+            for n in (1, 7, 16, 32):
+                cid = seed % 2
+                got_rng = np.random.default_rng(seed)
+                want_rng = np.random.default_rng(seed)
+                got = model.sample(cid, n, got_rng)
+                picks = want_rng.choice(modes, size=n, p=model.weights[cid])
+                x = model.centers[cid][picks] + cfg.mode_noise * want_rng.normal(
+                    size=(n, cfg.feature_dim))
+                assert np.array_equal(got, x / _row_norms(x)[:, None])
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestTransportConverges:
+    # The train_default benchmark config (acceptance criterion 9, cut to 200 steps).
+    TRAIN_DEFAULT = dict(n_classes=2, proxies_per_class=3, feature_dim=16, batch_size=16,
+                         sinkhorn_epsilon=0.01, sinkhorn_max_iters=150, use_ot=True, steps=200)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_train_default_every_call_converged(self, seed):
+        report = train_sim(TrainConfig(seed=seed, **self.TRAIN_DEFAULT))
+        assert report.unconverged_calls == 0
+        assert max(t.max_violation for t in report.transport) < 1e-6
+
+    def test_single_proxy_plan_is_row_marginal(self):
+        report = train_sim(TrainConfig(steps=2, seed=0, proxies_per_class=1))
+        assert report.unconverged_calls == 0
+        assert all(t.max_iterations == 0 for t in report.transport)
+        assert report.final_min_proxy_distance is None
+        assert report.final_max_proxy_similarity is None
+
+    def test_empty_report_has_no_separation(self):
+        report = TrainReport(config=TrainConfig())
+        assert report.final_min_proxy_distance is None
+        assert report.final_max_proxy_similarity is None

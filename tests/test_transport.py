@@ -133,8 +133,10 @@ class TestSinkhornAgainstReference:
     def test_plan_matches_reference(self, epsilon, kernel, seed, zeros):
         cost, p, q = self._instance(seed, zeros)
         assert (1.0 / epsilon <= transport._KERNEL_MAX_EXPONENT) == kernel
+        # In the kernel range sinkhorn() takes Newton steps; the sweep is pinned here.
+        solve = transport._sweep if kernel else sinkhorn
         for max_iters in (0, 7, 23, 300):
-            res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=max_iters)
+            res = solve(cost, p, q, epsilon=epsilon, max_iters=max_iters, tol=1e-6)
             assert res.iterations <= max_iters
             want = sinkhorn_reference(cost, p, q, epsilon, res.iterations)
             assert np.max(np.abs(res.plan.entries - want)) <= 1e-12
@@ -163,7 +165,7 @@ class TestSinkhornAgainstReference:
 
 
 class TestKernelSweepBitIdentical:
-    """The kernel path returns exactly what the plain ``@`` loop returns.
+    """The kernel sweep returns exactly what the plain ``@`` loop returns.
 
     Both run on this machine's BLAS and exp, so the comparison is exact
     without depending on which machine runs it.
@@ -186,7 +188,7 @@ class TestKernelSweepBitIdentical:
 
     @staticmethod
     def _assert_same(cost, p, q, epsilon, max_iters, tol=1e-6):
-        res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=max_iters, tol=tol)
+        res = transport._sweep(cost, p, q, epsilon=epsilon, max_iters=max_iters, tol=tol)
         P, iters, viol = sinkhorn_kernel_reference(cost, p, q, epsilon, max_iters, tol)
         assert np.array_equal(res.plan.entries, P)
         assert res.iterations == iters
@@ -225,6 +227,118 @@ class TestKernelSweepBitIdentical:
         p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(n))
         for epsilon in (0.05, 0.01):
             self._assert_same(cost, p, q, epsilon=epsilon, max_iters=int(rng.integers(0, 300)))
+
+
+class TestNewton:
+    """sinkhorn()'s semi-dual Newton path against long-run sweeps of the oracle loop."""
+
+    @staticmethod
+    def _long_run(cost, p, q, epsilon):
+        P, _, viol = sinkhorn_kernel_reference(cost, p, q, epsilon, 200_000, 1e-13)
+        assert viol < 1e-13
+        return P
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_train_default_shapes_converge_to_fixed_point(self, seed):
+        cost, p, q = TestKernelSweepBitIdentical._train_instance(seed)
+        res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
+        assert res.converged and res.iterations < 150
+        assert np.max(np.abs(res.plan.entries - self._long_run(cost, p, q, 0.01))) <= 1e-6
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_zero_marginals(self, seed):
+        cost, p, q = TestKernelSweepBitIdentical._train_instance(seed, zeros=True)
+        res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
+        assert res.converged
+        assert np.all(res.plan.entries[-3:, :] == 0.0)
+        assert np.all(res.plan.entries[:, -1] == 0.0)
+        assert np.max(np.abs(res.plan.entries - self._long_run(cost, p, q, 0.01))) <= 1e-6
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (2, 2), (7, 4), (9, 5), (40, 5), (30, 3)])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.01])
+    def test_shapes(self, n, k, epsilon):
+        assert k <= transport._NEWTON_MAX_K
+        rng = np.random.default_rng(n * 100 + k)
+        cost = rng.uniform(0, 1, (n, k))
+        p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(n))
+        res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=500)
+        assert res.converged and res.iterations < 500
+        assert np.max(np.abs(res.plan.entries - self._long_run(cost, p, q, epsilon))) <= 1e-6
+
+    def test_converged_plan_lies_well_under_tol(self):
+        # Quadratic convergence past tol: the margin that keeps a forced plan's
+        # cost within rounding of the exact one (test_cost_monotone_in_epsilon).
+        for seed in range(12):
+            cost, p, q = TestKernelSweepBitIdentical._train_instance(seed)
+            assert sinkhorn(cost, p, q, epsilon=0.01, max_iters=150).marginal_violation < 1e-8
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_single_column_is_row_marginal(self, n):
+        q = np.random.default_rng(n).dirichlet(np.ones(n))
+        res = sinkhorn(np.random.default_rng(0).uniform(0, 1, (n, 1)), np.ones(1), q,
+                       epsilon=0.01, max_iters=150)
+        assert res.iterations == 0 and res.converged
+        assert np.array_equal(res.plan.entries, q[:, None])
+
+    def test_single_positive_column_after_zeros(self):
+        cost = np.random.default_rng(1).uniform(0, 1, (4, 3))
+        q = np.array([0.25, 0.0, 0.5, 0.25])
+        res = sinkhorn(cost, np.array([0.0, 1.0, 0.0]), q, epsilon=0.01)
+        assert res.iterations == 0 and res.converged
+        assert np.array_equal(res.plan.entries, np.outer(q, [0.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_budget_returns_initial_plan(self, seed):
+        cost, p, q = TestKernelSweepBitIdentical._train_instance(seed)
+        res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=0)
+        K = np.exp(-cost / 0.01)
+        want = q[:, None] * K * p / (K @ p)[:, None]
+        assert res.iterations == 0
+        assert np.allclose(res.plan.entries, want, rtol=1e-12, atol=0.0)
+        assert not res.converged and res.marginal_violation >= 1e-6
+
+    def test_zero_budget_converged_initial_plan(self):
+        # A constant cost makes the initial plan q p^T, the fixed point itself.
+        p, q = np.array([0.2, 0.3, 0.5]), np.full(4, 0.25)
+        res = sinkhorn(np.full((4, 3), 0.4), p, q, epsilon=0.01, max_iters=0)
+        assert res.iterations == 0 and res.converged
+        assert np.allclose(res.plan.entries, np.outer(q, p), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("max_iters", [150, 40])
+    def test_stall_falls_back_to_sweep(self, monkeypatch, max_iters):
+        # Every system solve fails, so the damping grows past _DAMPING_MAX.
+        # The sweep gets the rest of the budget, and iterations count both.
+        solves = []
+        monkeypatch.setattr(transport, "_solve_scalar", lambda d, M, g: solves.append(g))
+        cost, p, q = TestKernelSweepBitIdentical._train_instance(0)
+        res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=max_iters)
+        assert 0 < len(solves) < max_iters
+        want = transport._sweep(cost, p, q, epsilon=0.01, max_iters=max_iters - len(solves),
+                                tol=1e-6)
+        assert np.array_equal(res.plan.entries, want.plan.entries)
+        assert res.iterations == len(solves) + want.iterations <= max_iters
+        assert (res.marginal_violation, res.converged) == (want.marginal_violation, want.converged)
+
+    @pytest.mark.parametrize("k, epsilon", [(6, 0.05), (3, 0.001)])
+    def test_sweep_outside_newton_range(self, k, epsilon):
+        # More than _NEWTON_MAX_K columns, or a kernel beyond _KERNEL_MAX_EXPONENT.
+        assert k > transport._NEWTON_MAX_K or 1.0 / epsilon > transport._KERNEL_MAX_EXPONENT
+        rng = np.random.default_rng(k)
+        cost = rng.uniform(0, 1, (10, k))
+        cost[0, 0] = 1.0
+        p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(10))
+        res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=300)
+        want = transport._sweep(cost, p, q, epsilon=epsilon, max_iters=300, tol=1e-6)
+        assert np.array_equal(res.plan.entries, want.plan.entries)
+        assert res.iterations == want.iterations
+
+    def test_nonconvergence_flagged_at_small_budget(self):
+        cost, p, q = TestKernelSweepBitIdentical._train_instance(0)
+        res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=2)
+        assert res.iterations == 2 and not res.converged
+        P = res.plan.entries
+        viol = max(np.max(np.abs(P.sum(axis=1) - q)), np.max(np.abs(P.sum(axis=0) - p)))
+        assert res.marginal_violation == pytest.approx(viol, rel=1e-12)
 
 
 class TestExactOt:
