@@ -47,6 +47,30 @@ def atomic_write(path: str | Path, *parts: str | bytes | np.ndarray) -> None:
         raise
 
 
+class _NotPlain(Exception):
+    """A value the JSON templates below do not spell; the caller falls back
+    to ``json.dumps``."""
+
+
+def _num(v: Any) -> str:
+    """A finite float or an int as ``json.dumps`` spells it.
+
+    ``float.__repr__`` is what the encoder calls, also for subclasses such as
+    ``np.float64``, whose own repr would differ.
+    """
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+    elif isinstance(v, int) and not isinstance(v, bool):
+        return int.__repr__(v)
+    raise _NotPlain
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """``items``, each already laid out one level deeper, as an indented array."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
 def _load_json(path: str | Path) -> Any:
     try:
         with open(path) as f:
@@ -106,8 +130,27 @@ def detections_to_records(
     ]
 
 
+_DETECTION = (' {\n  "image_id": %s,\n  "bbox": [\n   %s,\n   %s,\n   %s,\n   %s\n  ],'
+              '\n  "score": %s,\n  "category_id": %s\n }')
+
+
+def _detections_json(dets: Sequence[Detection], image_id: Any) -> str:
+    """``json.dumps(detections_to_records(dets, image_id), indent=1)``, one
+    template per record; the C-accelerated encoder has no indented mode."""
+    try:
+        if not (image_id is None or isinstance(image_id, (str, int, float))):
+            raise _NotPlain
+        ident = json.dumps(image_id)
+        items = [_DETECTION % (ident, _num(d.box.x1), _num(d.box.y1), _num(d.box.width),
+                               _num(d.box.height), _num(d.score), _num(d.category))
+                 for d in dets]
+    except _NotPlain:
+        return json.dumps(detections_to_records(dets, image_id), indent=1)
+    return _json_array(items, "")
+
+
 def save_detections(dets: Sequence[Detection], path: str | Path, image_id: Any = 0) -> None:
-    atomic_write(path, json.dumps(detections_to_records(dets, image_id), indent=1))
+    atomic_write(path, _detections_json(dets, image_id))
 
 
 # -- synthetic scene files ---------------------------------------------------
@@ -175,8 +218,26 @@ def layout_from_dict(doc: dict[str, Any]) -> MosaicLayout:
         raise ParseError(f"invalid layout document: {e}") from e
 
 
+_LAYOUT = '{\n "mosaic": {\n  "width": %s,\n  "height": %s\n },\n "placements": %s\n}'
+_PLACEMENT = ('  {\n   "src": [\n    %s,\n    %s,\n    %s,\n    %s\n   ],\n   "scale": %s,'
+              '\n   "dest": [\n    %s,\n    %s\n   ]\n  }')
+
+
+def _layout_json(layout: MosaicLayout) -> str:
+    """``json.dumps(layout_to_dict(layout), indent=1)``, one template per
+    placement; the C-accelerated encoder has no indented mode."""
+    try:
+        items = [_PLACEMENT % (_num(p.source.x1), _num(p.source.y1), _num(p.source.x2),
+                               _num(p.source.y2), _num(p.scale), _num(p.dest_x), _num(p.dest_y))
+                 for p in layout.placements]
+        return _LAYOUT % (_num(layout.mosaic_width), _num(layout.mosaic_height),
+                          _json_array(items, " "))
+    except _NotPlain:
+        return json.dumps(layout_to_dict(layout), indent=1)
+
+
 def save_layout(layout: MosaicLayout, path: str | Path) -> None:
-    atomic_write(path, json.dumps(layout_to_dict(layout), indent=1))
+    atomic_write(path, _layout_json(layout))
 
 
 def load_layout(path: str | Path) -> MosaicLayout:
@@ -278,73 +339,117 @@ def write_ppm(image: np.ndarray, path: str | Path) -> None:
     atomic_write(path, b"P6\n%d %d\n255\n" % (w, h), image)
 
 
-def _resample_into(src: np.ndarray, out_h: int, out_w: int, dst: np.ndarray) -> None:
-    """Resize ``src`` to out_h x out_w and write the top-left part of the
-    result that ``dst`` covers into ``dst``.
-
-    Bilinear with half-pixel-centred coordinates. The horizontal pass runs
-    once for each source row that the written rows read, and output rows y0
-    and y1 then share it. Both passes work on (rows, width * channels) arrays,
-    with each x weight repeated across the channels. Every value comes from
-    the same float64 operations as a per-output-row pass, so the bytes are
-    those of one. take() gathers along one axis faster than fancy indexing.
-    """
-    if not dst.size:
-        return
-    in_h, in_w = src.shape[:2]
-    eh, ew = dst.shape[:2]
-    channels = math.prod(src.shape[2:])
-    ys = (np.arange(eh) + 0.5) * in_h / out_h - 0.5
-    xs = (np.arange(ew) + 0.5) * in_w / out_w - 0.5
-    y0 = np.minimum(np.maximum(np.floor(ys).astype(int), 0), in_h - 1)
-    x0 = np.minimum(np.maximum(np.floor(xs).astype(int), 0), in_w - 1)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    fy = np.minimum(np.maximum(ys - y0, 0.0), 1.0)[:, None]
-    fx = np.repeat(np.minimum(np.maximum(xs - x0, 0.0), 1.0), channels)
-    top = int(y0[0])
-    rows = src[top : int(y1[-1]) + 1]
-    flat = (len(rows), ew * channels)
-    hz = rows.take(x0, axis=1).reshape(flat) * (1 - fx)
-    hz += rows.take(x1, axis=1).reshape(flat) * fx
-    acc = hz.take(y0 - top, axis=0)
-    acc *= 1 - fy
-    bot = hz.take(y1 - top, axis=0)
-    bot *= fy
-    acc += bot
-    acc = acc.reshape(dst.shape)
-    if src.dtype == np.uint8:
-        # A convex blend of values in [0, 255] rounds into [0, 255]: no clip.
-        np.rint(acc, out=dst, casting="unsafe")
-    else:
-        dst[...] = np.clip(np.rint(acc), 0, 255)
-
-
-def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resampling with half-pixel-centered coordinates, to uint8.
-
-    ``image`` is H x W with any trailing channel axes; a same-size call
-    returns a copy.
-    """
-    in_h, in_w = image.shape[:2]
-    if out_h == in_h and out_w == in_w:
-        return image.copy()
-    out = np.empty((out_h, out_w) + image.shape[2:], dtype=np.uint8)
-    _resample_into(image, out_h, out_w, out)
-    return out
-
-
 class CompositionError(ValueError):
     """A placement's source region falls outside the raster or covers no
     pixel, or its destination origin falls outside the mosaic."""
 
 
-def compose_mosaic(layout: MosaicLayout, source_image: np.ndarray, path: str | Path) -> None:
-    """Render the mosaic: scaled bilinear crops on a black background.
+def _axis_taps(
+    dest: np.ndarray, scale: np.ndarray, src1: np.ndarray, src2: np.ndarray,
+    limit: int, size: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bilinear taps along one axis for every placement at once.
 
-    Each crop is widened to whole source pixels, resized to
-    max(1, round(size * scale)) and drawn at the rounded destination, in
-    layout order, clipped at the right and bottom mosaic edges.
+    Placement k covers the output indices from ``start[k] = round(dest)``
+    up to ``round(dest + scale * (src2 - src1))``, clipped at ``limit``.
+    These are concatenated, and ``bounds[k]:bounds[k + 1]`` is placement k's
+    part of the tap arrays. Output index j samples ``(j + 0.5 - dest) /
+    scale + src1 - 0.5`` in pixel-index space: ``lo`` and ``hi`` are its
+    neighbours, clamped to ``0 .. size - 1``, and ``frac`` is the float32
+    weight of ``hi``.
+    """
+    start = np.rint(dest)
+    stop = np.minimum(np.rint(dest + scale * (src2 - src1)), limit)
+    counts = np.maximum(stop - start, 0).astype(np.intp)
+    bounds = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    j = np.arange(bounds[-1], dtype=float)
+    j += np.repeat(start - bounds[:-1], counts)
+    pos = (j + 0.5 - np.repeat(dest, counts)) / np.repeat(scale, counts)
+    pos += np.repeat(src1, counts)
+    pos -= 0.5
+    floor = np.floor(pos)
+    frac = (pos - floor).astype(np.float32)
+    lo = np.clip(floor, 0, size - 1).astype(np.intp)
+    hi = np.clip(floor + 1, 0, size - 1).astype(np.intp)
+    return start.astype(np.intp), bounds, lo, hi, frac
+
+
+def _draw(canvas: np.ndarray, flat: np.ndarray, placements: Sequence[Placement]) -> None:
+    """Draw the placements into ``canvas`` from the channel-flat H x 3W
+    source ``flat``, by the rule of ``compose_mosaic``."""
+    h, w = flat.shape[0], flat.shape[1] // 3
+    canvas_h, canvas_w = canvas.shape[:2]
+    geo = np.array([(p.dest_x, p.dest_y, p.scale, p.source.x1, p.source.y1,
+                     p.source.x2, p.source.y2) for p in placements])
+    dest_x, dest_y, scale, x1, y1, x2, y2 = geo.T
+    col0, xb, xlo, xhi, xfrac = _axis_taps(dest_x, scale, x1, x2, canvas_w, w)
+    row0, yb, ylo, yhi, yfrac = _axis_taps(dest_y, scale, y1, y2, canvas_h, h)
+    heights, widths = np.diff(yb), np.diff(xb)
+    drawn = np.flatnonzero((heights > 0) & (widths > 0))
+    if not drawn.size:
+        return
+    # The source rows each placement reads, and its row taps relative to them.
+    top = ylo[np.minimum(yb[:-1], len(ylo) - 1)]
+    bottom = yhi[np.maximum(yb[1:] - 1, 0)]
+    near = ylo - np.repeat(top, heights)
+    far = yhi - np.repeat(top, heights)
+    # Channel-flat column taps: pixel x is bytes 3x, 3x + 1 and 3x + 2.
+    left_cols = (3 * xlo[:, None] + np.arange(3)).reshape(-1)
+    right_cols = (3 * xhi[:, None] + np.arange(3)).reshape(-1)
+    xfrac = np.repeat(xfrac, 3)
+    yfrac = yfrac[:, None]
+    # Scratch sized for the largest placement and shared by all: fresh
+    # arrays per placement cost more in page faults than the blends.
+    read = (3 * (bottom - top + 1) * widths)[drawn].max()
+    area = (3 * heights * widths)[drawn].max()
+    left, right = np.empty(read, np.uint8), np.empty(read, np.uint8)
+    across = np.empty(read, np.float32)
+    upper, lower = np.empty(area, np.float32), np.empty(area, np.float32)
+    out = canvas.reshape(canvas_h, canvas_w * 3)
+    xb, yb, col0, row0 = (3 * xb).tolist(), yb.tolist(), (3 * col0).tolist(), row0.tolist()
+    top, bottom = top.tolist(), bottom.tolist()
+    for k in drawn.tolist():
+        c0, c1, r0, r1 = xb[k], xb[k + 1], yb[k], yb[k + 1]
+        rows = flat[top[k] : bottom[k] + 1]
+        n_read, n_out = len(rows) * (c1 - c0), (r1 - r0) * (c1 - c0)
+        # Horizontal lerp on the source rows, then vertical on the output
+        # rows. The indices are in range by construction; mode="clip" keeps
+        # take from buffering its output.
+        a = rows.take(left_cols[c0:c1], axis=1, mode="clip",
+                      out=left[:n_read].reshape(len(rows), -1))
+        b = rows.take(right_cols[c0:c1], axis=1, mode="clip",
+                      out=right[:n_read].reshape(len(rows), -1))
+        hz = np.subtract(b, a, out=across[:n_read].reshape(len(rows), -1), dtype=np.float32)
+        hz *= xfrac[c0:c1]
+        hz += a
+        a = hz.take(near[r0:r1], axis=0, mode="clip", out=upper[:n_out].reshape(r1 - r0, -1))
+        b = hz.take(far[r0:r1], axis=0, mode="clip", out=lower[:n_out].reshape(r1 - r0, -1))
+        b -= a
+        b *= yfrac[r0:r1]
+        b += a
+        # A convex blend of values in [0, 255] rounds into [0, 255]: no clip.
+        np.rint(b, out=out[row0[k] : row0[k] + r1 - r0, col0[k] : col0[k] + c1 - c0],
+                casting="unsafe")
+
+
+def compose_mosaic(layout: MosaicLayout, source_image: np.ndarray, path: str | Path) -> None:
+    """Render the mosaic: each placement's exact affine image of the source,
+    bilinear, on a black background.
+
+    ``source_image`` is an H x W x 3 uint8 raster. Placement p writes only its
+    rounded destination box, columns ``round(p.dest_x) .. round(p.dest_x +
+    p.width)`` and the rows likewise, clipped at the right and bottom mosaic
+    edges, in layout order. Pixel j samples the source at ``u = (j + 0.5 -
+    p.dest_x) / p.scale + p.source.x1`` (rows likewise), bilinear between the
+    pixel centres around it, with neighbours clamped to the raster. A
+    whole-pixel placement at scale 1 is therefore an exact copy.
+
+    The taps of all placements come from one vectorised pass. The blends are
+    float32 lerps ``a + (b - a) * f`` in elementwise ufuncs, horizontal on
+    the source rows a placement reads, then vertical; each is one IEEE-rounded
+    operation, so the bytes do not depend on the CPU's SIMD width. Gathers
+    run on channel-flat rows, where ``take`` moves single bytes.
     """
     h, w = source_image.shape[:2]
     canvas = np.zeros((max(math.ceil(layout.mosaic_height), 1),
@@ -367,12 +472,6 @@ def compose_mosaic(layout: MosaicLayout, source_image: np.ndarray, path: str | P
             raise CompositionError(
                 f"placement {i} destination ({dx},{dy}) outside mosaic {canvas_w}x{canvas_h}"
             )
-        crop = source_image[sy1:sy2, sx1:sx2]
-        if p.scale == 1.0:
-            dst = canvas[dy : dy + sy2 - sy1, dx : dx + sx2 - sx1]
-            dst[...] = crop[: dst.shape[0], : dst.shape[1]]
-        else:
-            th = max(1, round((sy2 - sy1) * p.scale))
-            tw = max(1, round((sx2 - sx1) * p.scale))
-            _resample_into(crop, th, tw, canvas[dy : dy + th, dx : dx + tw])
+    if layout.placements:
+        _draw(canvas, np.ascontiguousarray(source_image).reshape(h, w * 3), layout.placements)
     write_ppm(canvas, path)

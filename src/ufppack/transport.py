@@ -70,8 +70,10 @@ class SinkhornResult:
 
 def _check_marginal(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
+    if (v < 0).any():  # checked first: the sum of inf and -inf would warn
+        raise ValueError(f"{name} must be a probability vector, got a negative entry")
     total = v.sum()
-    if (v < 0).any() or abs(total - 1.0) > 1e-9:
+    if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
         raise ValueError(f"{name} must be a probability vector, got sum {total}")
     return v
 

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own code paths: the merge oracle is a
 direct index-juggling transcription of the greedy pseudocode, the union-area
-oracle is Monte Carlo, the bilinear oracle is a scalar loop (the compose
-oracle draws the mosaic with it, placement by placement), gradients
+oracle is Monte Carlo, the mosaic oracle samples each pixel through its
+placement's affine map in a scalar float64 loop, gradients
 are checked by central finite differences, exact transport comes from basis
 enumeration, the reference Sinkhorn is a scalar log-domain loop (plus the
 plain kernel-domain loop, for bit-for-bit checks of the fast one) and the NMS
@@ -102,46 +102,36 @@ def central_diff(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-
     return g
 
 
-def bilinear_reference(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Scalar half-pixel-centered bilinear resampler."""
-    in_h, in_w = image.shape[:2]
-    out = np.zeros((out_h, out_w, image.shape[2]))
-    for oy in range(out_h):
-        sy = (oy + 0.5) * in_h / out_h - 0.5
-        y0 = min(max(int(np.floor(sy)), 0), in_h - 1)
-        y1 = min(y0 + 1, in_h - 1)
-        fy = min(max(sy - y0, 0.0), 1.0)
-        for ox in range(out_w):
-            sx = (ox + 0.5) * in_w / out_w - 0.5
-            x0 = min(max(int(np.floor(sx)), 0), in_w - 1)
-            x1 = min(x0 + 1, in_w - 1)
-            fx = min(max(sx - x0, 0.0), 1.0)
-            top = image[y0, x0] * (1 - fx) + image[y0, x1] * fx
-            bot = image[y1, x0] * (1 - fx) + image[y1, x1] * fx
-            out[oy, ox] = top * (1 - fy) + bot * fy
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+def compose_affine_reference(layout, source_image: np.ndarray) -> np.ndarray:
+    """Mosaic canvas drawn pixel by pixel through each placement's exact
+    affine map, in float64.
 
-
-def compose_reference(layout, source_image: np.ndarray) -> np.ndarray:
-    """Mosaic canvas drawn placement by placement with the scalar resampler.
-
-    Each source crop is widened to whole pixels, resized to
-    max(1, round(size * scale)), and written at the rounded destination,
-    clipped at the right and bottom canvas edges. Placements are drawn in
-    layout order, so a later one overwrites an earlier one where they meet.
+    Placement p writes columns round(dest_x) .. round(dest_x + width) and
+    the rows likewise, clipped at the right and bottom canvas edges, in
+    layout order. Pixel j samples u = (j + 0.5 - dest_x) / scale + source.x1
+    (rows likewise) bilinearly at u - 0.5 in pixel-index space, with the
+    neighbours clamped to the raster.
     """
+    h, w = source_image.shape[:2]
+    image = source_image.astype(float)
     canvas = np.zeros((max(math.ceil(layout.mosaic_height), 1),
                        max(math.ceil(layout.mosaic_width), 1), 3), dtype=np.uint8)
+
+    def taps(j: int, dest: float, scale: float, origin: float, size: int):
+        pos = (j + 0.5 - dest) / scale + origin - 0.5
+        i = math.floor(pos)
+        return min(max(i, 0), size - 1), min(max(i + 1, 0), size - 1), pos - i
+
     for p in layout.placements:
-        crop = source_image[math.floor(p.source.y1):math.ceil(p.source.y2),
-                            math.floor(p.source.x1):math.ceil(p.source.x2)]
-        th = max(1, round(crop.shape[0] * p.scale))
-        tw = max(1, round(crop.shape[1] * p.scale))
-        resized = crop if p.scale == 1.0 else bilinear_reference(crop, th, tw)
-        dy, dx = round(p.dest_y), round(p.dest_x)
-        eh = min(resized.shape[0], canvas.shape[0] - dy)
-        ew = min(resized.shape[1], canvas.shape[1] - dx)
-        canvas[dy:dy + eh, dx:dx + ew] = resized[:eh, :ew]
+        rows = range(round(p.dest_y), min(round(p.dest_y + p.height), canvas.shape[0]))
+        cols = range(round(p.dest_x), min(round(p.dest_x + p.width), canvas.shape[1]))
+        for r in rows:
+            y0, y1, fy = taps(r, p.dest_y, p.scale, p.source.y1, h)
+            for c in cols:
+                x0, x1, fx = taps(c, p.dest_x, p.scale, p.source.x1, w)
+                top = image[y0, x0] * (1 - fx) + image[y0, x1] * fx
+                bot = image[y1, x0] * (1 - fx) + image[y1, x1] * fx
+                canvas[r, c] = np.clip(np.rint(top * (1 - fy) + bot * fy), 0, 255)
     return canvas
 
 

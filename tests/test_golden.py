@@ -1,9 +1,11 @@
 """Byte-level pins on the synth -> pack -> unpack path through the CLI, and
 on one mosaic rendered at workload scale.
 
-The digests are those of the scalar merge, NMS and owner lookup and of the
-per-output-row bilinear resize, which the array forms reproduce exactly. A
-change that moves any output byte must update them on purpose.
+The layout and fused digests are those of the scalar merge, NMS and owner
+lookup, which the array forms reproduce exactly. The mosaic digests are those
+of the exact-affine renderer, which is within one grey level of the scalar
+float64 oracle in tests/oracles.py. A change that moves any output byte must
+update them on purpose.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from ufppack.pipeline import build_layout
 WIDTH, HEIGHT = 640, 480
 GOLDEN = {
     "layout.json": "01c9b68f840f320df46f92023834c6de8ae70848faef7f8653dfc0e5069c83e0",
-    "mosaic.ppm": "b826baa9b256f95ba1a4563e130a2f25c8a5cb3defa8ca271df2c0ac5e0b9694",
+    "mosaic.ppm": "1d51062723bfac83a84edf5b51208e35a3876912e1a4aac79e83a078db3b4c4c",
     "fused.json": "dea18ec0dae1a82c02e54b7142a2384608382ece52ed10d2be299166e90b249b",
 }
 
@@ -86,8 +88,8 @@ def test_scene_has_region_clamped_to_image_edge(outputs):
 
 # A paper-default scene (180 objects on 2000x1500) rendered through
 # compose_mosaic from a seeded source raster: 167 placements, 13 of them at
-# scale 1, so both the copy and the resample branch write pixels.
-SCENE_MOSAIC_SHA256 = "4bc364da1a92486690d078cd02cfebe3bd382db35c05b276567168596fcd60ca"
+# scale 1 and the rest enlarged, all at fractional source origins.
+SCENE_MOSAIC_SHA256 = "efb68e09350339c4ff3bed1f7623437522bad57884dbf0e0d4507fb9338bdba6"
 
 
 def test_scene_mosaic_bytes_pinned(tmp_path):

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from oracles import bilinear_reference, compose_reference
+from oracles import compose_affine_reference
 from ufppack import io
 from ufppack.config import PipelineConfig
 from ufppack.geometry import BBox
+from ufppack.metrics import SceneSpec, generate_scene
 from ufppack.mosaic import MosaicLayout, Placement, ScaledRegion, pack
-from ufppack.remap import Detection
+from ufppack.pipeline import build_layout
+from ufppack.remap import Detection, to_mosaic
 
 
 class TestDetectionsIO:
@@ -97,6 +100,60 @@ class TestLayoutIO:
             io.load_layout(p)
 
 
+class TestTemplateJsonWriters:
+    """save_layout and save_detections write the bytes of json.dumps(...,
+    indent=1), which they build from per-record templates."""
+
+    SPECIAL = [0, 7, 2**70, -0.0, 0.0, 1e-300, 5e-324, 1e300, 0.1, np.float64(2.5),
+               np.float64(-0.0), np.float64(1e-300), np.float64(1 / 3)]
+
+    def _value(self, rng: np.random.Generator, lo: float = -1e4):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            return self.SPECIAL[int(rng.integers(len(self.SPECIAL)))]
+        if kind == 1:
+            return int(rng.integers(-1000, 1000))
+        if kind == 2:
+            return np.float64(rng.uniform(lo, 1e4))
+        return float(rng.uniform(lo, 1e4))
+
+    def _box(self, rng: np.random.Generator) -> BBox:
+        x, y = self._value(rng), self._value(rng)
+        return BBox(x, y, x + abs(self._value(rng)), y + abs(self._value(rng)))
+
+    def test_layout_bytes_equal_json_dumps(self, tmp_path):
+        rng = np.random.default_rng(51)
+        for n in [0, 0, 1, 2, 5, 30]:
+            lay = MosaicLayout(self._value(rng), self._value(rng), [
+                Placement(self._box(rng), abs(self._value(rng, 1e-3)) or 1.0,
+                          self._value(rng), self._value(rng))
+                for _ in range(n)])
+            io.save_layout(lay, tmp_path / "l.json")
+            want = json.dumps(io.layout_to_dict(lay), indent=1)
+            assert (tmp_path / "l.json").read_text() == want
+
+    @pytest.mark.parametrize("image_id", [0, 12, "img_7", "caf\u00e9 \"1\"", None, 2.5])
+    def test_detection_bytes_equal_json_dumps(self, tmp_path, image_id):
+        rng = np.random.default_rng(52)
+        for n in [0, 1, 3, 40]:
+            dets = [Detection(self._box(rng), float(rng.choice([0.0, 1.0, rng.random()])),
+                              int(rng.integers(0, 5)))
+                    for _ in range(n)]
+            io.save_detections(dets, tmp_path / "d.json", image_id=image_id)
+            want = json.dumps(io.detections_to_records(dets, image_id), indent=1)
+            assert (tmp_path / "d.json").read_text() == want
+
+    def test_non_finite_and_unusual_values_fall_back_to_json_dumps(self, tmp_path):
+        lay = MosaicLayout(40.0, float("inf"), [Placement(BBox(0, 0, float("inf"), 4), 1.0, 0, 0)])
+        io.save_layout(lay, tmp_path / "l.json")
+        assert (tmp_path / "l.json").read_text() == json.dumps(io.layout_to_dict(lay), indent=1)
+        dets = [Detection(BBox(1.0, 2.0, float("inf"), 4.0), 0.5, 1)]
+        for image_id in [3, [1, 2], {"a": 1}]:
+            io.save_detections(dets, tmp_path / "d.json", image_id=image_id)
+            want = json.dumps(io.detections_to_records(dets, image_id), indent=1)
+            assert (tmp_path / "d.json").read_text() == want
+
+
 class TestConfigRoundtrip:
     def test_identity(self):
         cfg = PipelineConfig(beta=1.7, seed=9)
@@ -178,67 +235,16 @@ class TestPpm:
         img[0, 0, 0] = 9
 
 
-class TestBilinear:
-    def test_identity(self):
-        rng = np.random.default_rng(1)
-        img = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
-        assert np.array_equal(io.bilinear_resize(img, 5, 7), img)
+def assert_within_one(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal shapes, and every channel value within one grey level."""
+    assert got.shape == want.shape
+    assert np.abs(got.astype(int) - want.astype(int)).max(initial=0) <= 1
 
-    def test_constant_field(self):
-        img = np.full((4, 4, 3), 99, dtype=np.uint8)
-        out = io.bilinear_resize(img, 8, 8)
-        assert np.all(out == 99)
 
-    def test_matches_scalar_reference(self):
-        rng = np.random.default_rng(2)
-        img = rng.integers(0, 256, size=(2, 2, 3), dtype=np.uint8)
-        got = io.bilinear_resize(img, 4, 4)
-        want = bilinear_reference(img, 4, 4)
-        assert np.array_equal(got, want)
-
-    def test_matches_reference_nonuniform(self):
-        rng = np.random.default_rng(3)
-        img = rng.integers(0, 256, size=(6, 9, 3), dtype=np.uint8)
-        assert np.array_equal(io.bilinear_resize(img, 13, 7), bilinear_reference(img, 13, 7))
-
-    def test_matches_reference_seeded_property(self):
-        """Up- and down-scaling, 1-4 channels, strided crop views, size-1
-        edges and 0/255 checkerboards, all bit-identical to the scalar loop."""
-        rng = np.random.default_rng(21)
-        for case in range(300):
-            in_h, in_w = (int(v) for v in rng.integers(1, 10, size=2))
-            out_h, out_w = (int(v) for v in rng.integers(1, 16, size=2))
-            channels = int(rng.integers(1, 5))
-            if case % 3 == 0:
-                yy, xx = np.indices((in_h, in_w))
-                img = np.repeat((255 * ((yy + xx) % 2)).astype(np.uint8)[..., None],
-                                channels, axis=2)
-            else:
-                img = rng.integers(0, 256, size=(in_h, in_w, channels), dtype=np.uint8)
-            if case % 2:  # a crop view with row and column strides, as compose takes
-                big = rng.integers(0, 256, size=(2 * in_h + 3, 3 * in_w + 2, channels),
-                                   dtype=np.uint8)
-                big[1:1 + 2 * in_h:2, 2:2 + 3 * in_w:3] = img
-                img = big[1:1 + 2 * in_h:2, 2:2 + 3 * in_w:3]
-            got = io.bilinear_resize(img, out_h, out_w)
-            want = bilinear_reference(img, out_h, out_w)
-            assert got.dtype == np.uint8
-            assert np.array_equal(got, want), (case, img.shape, out_h, out_w)
-
-    def test_non_uint8_image_rounded_and_clipped_like_reference(self):
-        img = np.random.default_rng(23).normal(128, 150, size=(6, 5, 3))
-        assert np.array_equal(io.bilinear_resize(img, 11, 4), bilinear_reference(img, 11, 4))
-
-    def test_empty_output(self):
-        img = np.zeros((4, 5, 3), dtype=np.uint8)
-        assert io.bilinear_resize(img, 0, 3).shape == (0, 3, 3)
-        assert io.bilinear_resize(img, 2, 0).shape == (2, 0, 3)
-
-    def test_two_dimensional_image(self):
-        img = np.random.default_rng(22).integers(0, 256, size=(5, 8), dtype=np.uint8)
-        got = io.bilinear_resize(img, 9, 3)
-        assert got.shape == (9, 3)
-        assert np.array_equal(got, bilinear_reference(img[..., None], 9, 3)[..., 0])
+def rounded_boxes(lay: MosaicLayout) -> list[tuple[int, int, int, int]]:
+    """Each placement's rounded destination box (x1, y1, x2, y2), unclipped."""
+    return [(round(p.dest_x), round(p.dest_y), round(p.dest_x + p.width),
+             round(p.dest_y + p.height)) for p in lay.placements]
 
 
 class TestComposeMosaic:
@@ -284,7 +290,7 @@ class TestComposeMosaic:
             regions.append(ScaledRegion(BBox(x, y, x + w, y + h), scale))
         lay = pack(regions, 50, padding=float(rng.choice([0.0, 1.0])))
         io.compose_mosaic(lay, img, tmp_path / "m.ppm")
-        assert np.array_equal(io.read_ppm(tmp_path / "m.ppm"), compose_reference(lay, img))
+        assert_within_one(io.read_ppm(tmp_path / "m.ppm"), compose_affine_reference(lay, img))
 
     def test_overhang_overlap_and_edge_clip_match_reference(self, tmp_path):
         img = np.random.default_rng(7).integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
@@ -298,8 +304,28 @@ class TestComposeMosaic:
         ])
         io.compose_mosaic(lay, img, tmp_path / "m.ppm")
         got = io.read_ppm(tmp_path / "m.ppm")
-        assert np.array_equal(got, compose_reference(lay, img))
+        assert_within_one(got, compose_affine_reference(lay, img))
         assert np.array_equal(got[0:6, 11:17], img[20:26, 20:26])
+
+    def test_downscaled_and_raster_edge_placements_match_reference(self, tmp_path):
+        img = np.random.default_rng(8).integers(0, 256, size=(40, 50, 3), dtype=np.uint8)
+        lay = MosaicLayout(60.0, 30.0, [
+            Placement(BBox(3.3, 1.7, 41.9, 29.2), 0.37, 0.0, 0.0),
+            Placement(BBox(0.0, 0.0, 50.0, 40.0), 0.5, 20.2, 3.6),
+            # samples past the raster edge: neighbours clamp to the last pixel
+            Placement(BBox(44.5, 33.25, 50.0, 40.0), 2.6, 46.0, 10.4),
+        ])
+        io.compose_mosaic(lay, img, tmp_path / "m.ppm")
+        assert_within_one(io.read_ppm(tmp_path / "m.ppm"), compose_affine_reference(lay, img))
+
+    def test_strided_source_view_renders_like_its_copy(self, tmp_path):
+        big = np.random.default_rng(9).integers(0, 256, size=(60, 80, 3), dtype=np.uint8)
+        view = big[1::2, 3::2]
+        lay = pack([ScaledRegion(BBox(2.5, 4.25, 20.5, 19.0), 1.7),
+                    ScaledRegion(BBox(10, 10, 30, 25), 1.0)], 70)
+        io.compose_mosaic(lay, view, tmp_path / "a.ppm")
+        io.compose_mosaic(lay, view.copy(), tmp_path / "b.ppm")
+        assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
 
     @pytest.mark.parametrize("dest", [(-1.0, 0.0), (0.0, -2.0), (30.0, 0.0), (0.0, 20.0),
                                       (29.6, 0.0), (45.0, 3.0), (3.0, 25.0)])
@@ -319,6 +345,68 @@ class TestComposeMosaic:
         with pytest.raises(io.CompositionError, match="placement 1 .* covers no pixel"):
             io.compose_mosaic(lay, img, tmp_path / "m.ppm")
         assert not (tmp_path / "m.ppm").exists()
+
+
+class TestComposeAffineRule:
+    """Where the pixels land: each placement's exact affine image, inside its
+    rounded destination box and nowhere else."""
+
+    def test_bright_pixel_lands_where_to_mosaic_maps_it(self, tmp_path):
+        rng = np.random.default_rng(31)
+        for case in range(60):
+            scale = 1.0 if case % 5 == 0 else float(rng.uniform(1, 3))
+            x, y = rng.uniform(0, 20, size=2)
+            w, h = rng.uniform(3, 12, size=2)
+            dx, dy = rng.uniform(0, 10, size=2)
+            # a source pixel whose centre lies at least 1 px inside the region
+            px = int(rng.integers(math.ceil(x + 0.5), math.floor(x + w - 1.5) + 1))
+            py = int(rng.integers(math.ceil(y + 0.5), math.floor(y + h - 1.5) + 1))
+            img = np.zeros((40, 40, 3), dtype=np.uint8)
+            img[py, px] = 255
+            lay = MosaicLayout(dx + scale * w + 3, dy + scale * h + 3,
+                               [Placement(BBox(x, y, x + w, y + h), scale, dx, dy)])
+            io.compose_mosaic(lay, img, tmp_path / "m.ppm")
+            got = io.read_ppm(tmp_path / "m.ppm").sum(axis=2)
+            r, c = np.unravel_index(np.argmax(got), got.shape)
+            centre = to_mosaic(BBox(px + 0.5, py + 0.5, px + 0.5, py + 0.5), lay)
+            assert abs(c + 0.5 - centre.x1) <= 1 and abs(r + 0.5 - centre.y1) <= 1, (
+                case, (r, c), centre)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_writes_exactly_the_rounded_destination_boxes(self, tmp_path, seed):
+        rng = np.random.default_rng(100 + seed)
+        img = rng.integers(1, 256, size=(50, 60, 3), dtype=np.uint8)  # no black pixel
+        regions = []
+        for _ in range(int(rng.integers(3, 12))):
+            w, h = rng.uniform(1, 15, size=2)
+            x, y = rng.uniform(0, 60 - w), rng.uniform(0, 50 - h)
+            scale = 1.0 if rng.random() < 0.25 else float(rng.uniform(1, 3))
+            regions.append(ScaledRegion(BBox(x, y, x + w, y + h), scale))
+        lay = pack(regions, 50, padding=float(rng.choice([0.0, 1.0, 2.5])))
+        io.compose_mosaic(lay, img, tmp_path / "m.ppm")
+        inside = np.zeros((math.ceil(lay.mosaic_height), 50), dtype=bool)
+        for x1, y1, x2, y2 in rounded_boxes(lay):
+            inside[y1:y2, x1:x2] = True
+        assert np.array_equal(io.read_ppm(tmp_path / "m.ppm").any(axis=2), inside)
+
+    def test_packed_rounded_boxes_are_disjoint(self):
+        rng = np.random.default_rng(41)
+        layouts = []
+        for _ in range(40):
+            regions = []
+            for _ in range(int(rng.integers(2, 30))):
+                w, h = rng.uniform(0.5, 30, size=2)
+                x, y = rng.uniform(0, 100, size=2)
+                regions.append(ScaledRegion(BBox(x, y, x + w, y + h), float(rng.uniform(1, 3))))
+            layouts.append(pack(regions, 100, padding=float(rng.uniform(1, 4))))
+        spec = SceneSpec(seed=5)
+        layouts.append(build_layout(generate_scene(spec)[1], spec.extent, PipelineConfig())[1])
+        for lay in layouts:
+            b = np.array(rounded_boxes(lay))
+            overlap = ((b[:, None, 0] < b[None, :, 2]) & (b[None, :, 0] < b[:, None, 2])
+                       & (b[:, None, 1] < b[None, :, 3]) & (b[None, :, 1] < b[:, None, 3]))
+            np.fill_diagonal(overlap, False)
+            assert not overlap.any()
 
 
 class TestAtomicWrites:

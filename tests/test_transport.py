@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,15 @@ class TestSinkhorn:
     def test_bad_marginals_rejected(self):
         with pytest.raises(ValueError):
             sinkhorn(np.zeros((2, 2)), np.array([0.5, 0.6]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0],
+                                     [math.inf, -math.inf]])
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_non_finite_marginals_rejected(self, bad, side):
+        good = [0.5, 0.5]
+        p, q = (bad, good) if side == "p" else (good, bad)
+        with pytest.raises(ValueError, match=f"{side} must be a probability vector"):
+            sinkhorn(np.full((2, 2), 0.3), p, q)
 
     def test_nonconvergence_flagged(self):
         cost = np.random.default_rng(0).uniform(0, 1, (4, 4))
