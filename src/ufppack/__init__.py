@@ -2,7 +2,7 @@
 
 from .config import PipelineConfig
 from .geometry import BBox, ImageExtent
-from .mosaic import MosaicLayout, ScaledRegion
+from .mosaic import MosaicLayout
 from .regions import RegionSet
 from .remap import Detection
 
@@ -13,5 +13,4 @@ __all__ = [
     "MosaicLayout",
     "PipelineConfig",
     "RegionSet",
-    "ScaledRegion",
 ]

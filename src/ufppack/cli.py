@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation error, 2 I/O or parse error. All
 diagnostics go to stderr. The UFPPACK_SEED environment variable overrides
-any seed found in config or spec files.
+the seed of the `synth` spec and the `train-sim` config; `pack` and `unpack`
+draw no random numbers, and their config holds no seed.
 """
 from __future__ import annotations
 
@@ -45,11 +46,9 @@ def _env_seeded(obj: Any) -> Any:
 
 def _load_config(path: str | None) -> PipelineConfig:
     if path is None:
-        cfg = PipelineConfig()
-    else:
-        with open(path) as f:
-            cfg = PipelineConfig.from_dict(json.load(f))
-    return _env_seeded(cfg)
+        return PipelineConfig()
+    with open(path) as f:
+        return PipelineConfig.from_dict(json.load(f))
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:

@@ -1,8 +1,8 @@
-"""Seeded k-means and DBSCAN on small in-memory point sets.
+"""Seeded k-means on small in-memory point sets.
 
-Both are deliberately dependency-free: determinism under a fixed seed is a
-hard requirement for the marginal estimation and proxy-count paths, and the
-point sets involved are tiny (a few hundred vectors).
+Deliberately dependency-free: determinism under a fixed seed is a hard
+requirement for proxy initialisation and marginal estimation, and the point
+sets involved are tiny (a few hundred vectors).
 """
 from __future__ import annotations
 
@@ -52,32 +52,3 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         centers[c] = points[idx]
         d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
     return centers
-
-
-def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
-    """Density-based clustering; returns labels with -1 for noise."""
-    points = np.asarray(points, dtype=float)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if min_pts < 1:
-        raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-    n = points.shape[0]
-    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-    neighbors = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
-    labels = np.full(n, -1, dtype=int)
-    cluster = 0
-    for i in range(n):
-        if labels[i] != -1 or not core[i]:
-            continue
-        # expand cluster from this core point
-        labels[i] = cluster
-        frontier = list(neighbors[i])
-        while frontier:
-            j = frontier.pop()
-            if labels[j] == -1:
-                labels[j] = cluster
-                if core[j]:
-                    frontier.extend(neighbors[j])
-        cluster += 1
-    return labels

@@ -2,30 +2,26 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any
 
 
 @dataclass
 class PipelineConfig:
+    """The five settings `pack` and `unpack` read; TrainConfig owns the rest."""
+
     beta: float = 1.5
     fixed_size: float = 96.0
     mosaic_width: float = 1333.0
     padding: float = 2.0
     nms_iou: float = 0.5
-    sinkhorn_epsilon: float = 0.05
-    sinkhorn_max_iters: int = 1000
-    sinkhorn_tol: float = 1e-6
-    vocab_capacity: int = 200
-    vocab_insert: int = 8
-    marginal_cadence: int = 2000
-    gamma: float = 5.0
-    dbscan_eps: float = 0.3
-    dbscan_min_pts: int = 5
-    k_max: int = 20
-    seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in dataclasses.asdict(self).items():
+            # A NaN or infinity from JSON would reach the layout file as is.
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.beta < 1.0:
             raise ValueError(f"beta must be >= 1, got {self.beta}")
         if self.fixed_size <= 0 or self.mosaic_width <= 0:
@@ -34,12 +30,6 @@ class PipelineConfig:
             raise ValueError("padding must be nonnegative")
         if not 0.0 <= self.nms_iou <= 1.0:
             raise ValueError(f"nms_iou must be in [0,1], got {self.nms_iou}")
-        if self.sinkhorn_epsilon <= 0 or self.sinkhorn_tol <= 0:
-            raise ValueError("sinkhorn epsilon and tol must be positive")
-        if self.vocab_capacity < 1 or self.vocab_insert < 0:
-            raise ValueError("invalid vocabulary sizing")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)

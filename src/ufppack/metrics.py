@@ -65,17 +65,13 @@ class SizeStats:
     empty: bool = False
 
 
-def size_buckets(
-    boxes: Sequence[BBox], scales: Sequence[float] | None = None
-) -> SizeStats:
-    """COCO-style size proportions; effective area is area * scale^2."""
+def size_buckets(boxes: Sequence[BBox]) -> SizeStats:
+    """COCO-style size proportions by box area."""
     if not boxes:
         return SizeStats(fr=0.0, small=0.0, medium=0.0, large=0.0, empty=True)
-    if scales is None:
-        scales = [1.0] * len(boxes)
     counts = [0, 0, 0]
-    for b, s in zip(boxes, scales):
-        a = area(b) * s * s
+    for b in boxes:
+        a = area(b)
         if a < SMALL_MAX_AREA:
             counts[0] += 1
         elif a < MEDIUM_MAX_AREA:

@@ -21,24 +21,6 @@ class UnpackableRegionError(ValueError):
 
 
 @dataclass(frozen=True)
-class ScaledRegion:
-    source: BBox
-    scale: float
-
-    def __post_init__(self) -> None:
-        if self.scale < 1.0:
-            raise ValueError(f"regions are only enlarged, got scale {self.scale}")
-
-    @property
-    def scaled_width(self) -> float:
-        return self.scale * self.source.width
-
-    @property
-    def scaled_height(self) -> float:
-        return self.scale * self.source.height
-
-
-@dataclass(frozen=True)
 class Placement:
     source: BBox
     scale: float
@@ -74,12 +56,13 @@ class MosaicLayout:
     placements: list[Placement]
 
 
-def equalize(regions: RegionSet, fixed_size: float) -> list[ScaledRegion]:
+def equalize(regions: RegionSet, fixed_size: float) -> list[float]:
     """Enlarge small regions so the average region scale reaches fixed_size.
 
-    Region scale is sqrt(area). When the mean scale falls short of
-    fixed_size, every region smaller than fixed_size grows by the common
-    factor fixed_size / mean; all other regions keep scale 1.
+    Returns one scale factor (>= 1) per region. Region scale is sqrt(area).
+    When the mean scale falls short of fixed_size, every region smaller than
+    fixed_size grows by the common factor fixed_size / mean; all other
+    regions keep scale 1.
     """
     if fixed_size <= 0:
         raise ValueError(f"fixed_size must be positive, got {fixed_size}")
@@ -88,36 +71,37 @@ def equalize(regions: RegionSet, fixed_size: float) -> list[ScaledRegion]:
     scales = [math.sqrt(area(r)) for r in regions.regions]
     mean_scale = sum(scales) / len(scales)
     if mean_scale >= fixed_size or mean_scale == 0:
-        return [ScaledRegion(r, 1.0) for r in regions.regions]
+        return [1.0] * len(scales)
     factor = fixed_size / mean_scale
-    return [
-        ScaledRegion(r, factor if s < fixed_size else 1.0)
-        for r, s in zip(regions.regions, scales)
-    ]
+    return [factor if s < fixed_size else 1.0 for s in scales]
 
 
-def pack(scaled: Sequence[ScaledRegion], target_width: float, padding: float = 2.0) -> MosaicLayout:
-    """Shelf-pack scaled regions into a strip of the given width."""
+def pack(
+    scaled: Sequence[tuple[BBox, float]], target_width: float, padding: float = 2.0
+) -> MosaicLayout:
+    """Shelf-pack (source box, scale) pairs into a strip of the given width."""
     if target_width <= 0:
         raise ValueError(f"target_width must be positive, got {target_width}")
     if padding < 0:
         raise ValueError(f"padding must be nonnegative, got {padding}")
-    for i, r in enumerate(scaled):
-        if r.scaled_width > target_width - 2 * padding:
+    widths = [scale * source.width for source, scale in scaled]
+    heights = [scale * source.height for source, scale in scaled]
+    for i, (source, scale) in enumerate(scaled):
+        if widths[i] > target_width - 2 * padding:
             raise UnpackableRegionError(
-                f"region {i} (source {r.source}, scale {r.scale}) is "
-                f"{r.scaled_width:.2f} px wide; strip allows "
+                f"region {i} (source {source}, scale {scale}) is "
+                f"{widths[i]:.2f} px wide; strip allows "
                 f"{target_width - 2 * padding:.2f}"
             )
 
-    order = sorted(range(len(scaled)), key=lambda i: (-scaled[i].scaled_height, i))
+    order = sorted(range(len(scaled)), key=lambda i: (-heights[i], i))
     placements: dict[int, Placement] = {}
     shelf_y = 0.0
     shelf_height = 0.0
     cursor_x = 0.0
     for i in order:
-        r = scaled[i]
-        w, h = r.scaled_width, r.scaled_height
+        source, scale = scaled[i]
+        w, h = widths[i], heights[i]
         at_start = cursor_x == 0.0
         if not at_start and cursor_x + w > target_width:
             shelf_y += shelf_height + padding
@@ -127,7 +111,7 @@ def pack(scaled: Sequence[ScaledRegion], target_width: float, padding: float = 2
         if at_start:
             shelf_height = h  # height-sorted order: first item on a shelf is tallest
 
-        placements[i] = Placement(r.source, r.scale, cursor_x, shelf_y)
+        placements[i] = Placement(source, scale, cursor_x, shelf_y)
         cursor_x += w + padding
     height = shelf_y + shelf_height if placements else 0.0
     return MosaicLayout(target_width, height, [placements[i] for i in range(len(scaled))])

@@ -20,8 +20,8 @@ def build_layout(
 ) -> tuple[RegionSet, MosaicLayout]:
     """Expand, merge, equalize and pack coarse detections into one mosaic."""
     regions = expand_and_merge([d.box for d in detections], config.beta, extent)
-    scaled = equalize(regions, config.fixed_size)
-    layout = pack(scaled, config.mosaic_width, config.padding)
+    scales = equalize(regions, config.fixed_size)
+    layout = pack(list(zip(regions.regions, scales)), config.mosaic_width, config.padding)
     return regions, layout
 
 

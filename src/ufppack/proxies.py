@@ -1,4 +1,4 @@
-"""Multi-proxy classification scoring, analytic gradients, adaptive proxy count.
+"""Multi-proxy classification scoring and its analytic gradients.
 
 A class is represented by K weight vectors (proxies). The classification
 probability is a sigmoid of a softmax-weighted aggregate of per-proxy cosine
@@ -8,11 +8,8 @@ single-proxy sigmoid head.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
-
-from .clustering import dbscan
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -126,21 +123,3 @@ def multi_proxy_grad(
     sig = _sigmoid(z)
     dp_dz = sig * (1.0 - sig)
     return dp_dz * dz_dx, dp_dz * dz_dw
-
-
-def adaptive_k(
-    features: np.ndarray,
-    eps: float = 0.3,
-    min_pts: int = 5,
-    k_max: int = 20,
-) -> int:
-    """Proxy count from DBSCAN over L2-normalized features, floored at 1."""
-    features = np.asarray(features, dtype=float)
-    if features.shape[0] == 0:
-        raise ValueError("empty feature list")
-    norms = _row_norms(features)
-    if (norms == 0).any():
-        raise ValueError("zero-norm feature vector")
-    labels = dbscan(features / norms[:, None], eps, min_pts)
-    count = int(labels.max()) + 1 if labels.size else 0
-    return max(1, min(count, k_max))

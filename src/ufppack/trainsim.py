@@ -9,6 +9,7 @@ feature modes instead of drifting toward a common mean.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -46,8 +47,10 @@ class TrainConfig:
             raise ValueError("need at least one class and one proxy")
         if self.feature_dim < 2 or self.modes_per_class < 1:
             raise ValueError("invalid feature geometry")
-        if self.steps < 0 or self.batch_size < 1 or self.lr <= 0:
+        if self.steps < 0 or self.batch_size < 1 or not 0 < self.lr < math.inf:
             raise ValueError("invalid optimization settings")
+        if not math.isfinite(self.mode_noise):
+            raise ValueError(f"mode_noise must be finite, got {self.mode_noise}")
         if self.proxy_init not in ("kmeans", "random"):
             raise ValueError(f"unknown proxy_init {self.proxy_init!r}")
         if self.vocab_insert > self.batch_size:
@@ -241,7 +244,7 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
                 )
                 results.append(res)
                 loss_ot += transport_cost(cost, res.plan)
-                grads[cid] += _ot_grad(feats, bank.weights[cid], res.plan.entries) / cfg.n_classes
+                grads[cid] += _ot_grad(feats, bank.weights[cid], res.plan) / cfg.n_classes
             loss_ot /= cfg.n_classes
             stats = TransportStats(
                 max_iterations=max(r.iterations for r in results),

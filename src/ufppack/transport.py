@@ -54,15 +54,8 @@ def cost_matrix(features: np.ndarray, proxies: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class TransportPlan:
-    entries: np.ndarray  # N x K, nonnegative
-    row_marginals: np.ndarray  # length N (instances)
-    col_marginals: np.ndarray  # length K (proxies)
-
-
-@dataclass
 class SinkhornResult:
-    plan: TransportPlan
+    plan: np.ndarray  # N x K, nonnegative: N instances (rows), K proxies
     iterations: int
     marginal_violation: float
     converged: bool
@@ -110,7 +103,7 @@ def sinkhorn(
         P, steps = _newton(cost, p, q, epsilon, max_iters, tol)
         if P is not None:
             viol = _violation(P, np.concatenate((q, p)))
-            return SinkhornResult(plan=TransportPlan(P, q, p), iterations=steps,
+            return SinkhornResult(plan=P, iterations=steps,
                                   marginal_violation=viol, converged=viol < tol)
         res = _sweep(cost, p, q, epsilon, max_iters - steps, tol)
         res.iterations += steps
@@ -263,7 +256,7 @@ def _sweep(
     if not math.isfinite(viol):
         P, iters, viol = _iterate(*_log_scaling(cost, p, q, epsilon), qp, max_iters, tol)
     return SinkhornResult(
-        plan=TransportPlan(P, q, p),
+        plan=P,
         iterations=iters,
         marginal_violation=viol,
         converged=viol < tol,
@@ -368,6 +361,6 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
         return np.log(np.add.reduce(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
 
 
-def transport_cost(cost: np.ndarray, plan: TransportPlan) -> float:
+def transport_cost(cost: np.ndarray, plan: np.ndarray) -> float:
     """tr(C^T P)."""
-    return float(np.add.reduce(np.asarray(cost) * plan.entries, axis=None))
+    return float(np.add.reduce(np.asarray(cost) * plan, axis=None))

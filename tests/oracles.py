@@ -262,13 +262,13 @@ def exact_ot(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray
 
 
 def ot_loss(class_costs: Sequence[np.ndarray], class_plans: Sequence) -> float:
-    """Mean of tr(C^T P) over classes, for plans with an ``entries`` matrix."""
+    """Mean of tr(C^T P) over classes, one N x K plan matrix per class."""
     if len(class_costs) != len(class_plans) or not class_costs:
         raise ValueError("need one plan per class, at least one class")
     total = 0.0
     for c, plan in zip(class_costs, class_plans):
         c = np.asarray(c)
-        if c.shape != plan.entries.shape:
-            raise ValueError(f"cost shape {c.shape} != plan shape {plan.entries.shape}")
-        total += float(np.sum(c * plan.entries))
+        if c.shape != plan.shape:
+            raise ValueError(f"cost shape {c.shape} != plan shape {plan.shape}")
+        total += float(np.sum(c * plan))
     return total / len(class_costs)

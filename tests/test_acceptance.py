@@ -19,7 +19,7 @@ from ufppack.config import PipelineConfig
 from ufppack.geometry import BBox, ImageExtent
 from ufppack.metrics import SceneSpec, generate_scene
 from ufppack.metrics import scene_stats as source_stats
-from ufppack.mosaic import ScaledRegion, pack, waste_ratio
+from ufppack.mosaic import pack, waste_ratio
 from ufppack.pipeline import build_layout, mosaic_stats
 from ufppack.proxies import ProxyBank, multi_proxy_grad, multi_proxy_prob
 from ufppack.regions import merge
@@ -72,13 +72,13 @@ def test_criterion_02_packing_soundness():
             area = rng.uniform(200, 4000)
             aspect = rng.uniform(0.5, 2.0)
             scaled.append(
-                ScaledRegion(
+                (
                     BBox(0, 0, np.sqrt(area * aspect), np.sqrt(area / aspect)),
                     float(rng.uniform(1.0, 2.0)),
                 )
             )
-        total = sum(r.scaled_width * r.scaled_height for r in scaled)
-        width = max(1.15 * np.sqrt(total), max(r.scaled_width for r in scaled) + 4)
+        total = sum((s * b.width) * (s * b.height) for b, s in scaled)
+        width = max(1.15 * np.sqrt(total), max(s * b.width for b, s in scaled) + 4)
         lay = pack(scaled, width, padding=2.0)
         check_layout_sound(lay)
         worst = max(worst, waste_ratio(lay))
@@ -99,7 +99,7 @@ def test_criterion_03_roundtrip_remap():
             x = (i % 3) * 200 + rng.uniform(0, 60)
             y = (i // 3) * 200 + rng.uniform(0, 60)
             w, h = rng.uniform(10, 120, 2)
-            scaled.append(ScaledRegion(BBox(x, y, x + w, y + h), float(rng.uniform(1, 3))))
+            scaled.append((BBox(x, y, x + w, y + h), float(rng.uniform(1, 3))))
         lay = pack(scaled, 700, padding=2.0)
         p = lay.placements[int(rng.integers(n))]
         src = p.source
@@ -285,7 +285,7 @@ def test_criterion_11_determinism_and_serialization(tmp_path):
     resaved = tmp_path / "layout_resave.json"
     io.save_layout(lay, resaved)
     assert resaved.read_bytes() == (tmp_path / "layout_a.json").read_bytes()
-    cfg = PipelineConfig(beta=1.7, seed=3)
+    cfg = PipelineConfig(beta=1.7, padding=3.0)
     assert PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
     dets = io.load_detections(tmp_path / "fused_a.json")[0]
     redets = tmp_path / "fused_resave.json"

@@ -8,6 +8,7 @@ import pytest
 from ufppack import io
 from ufppack.cli import main
 from ufppack.geometry import BBox
+from ufppack.mosaic import pack
 from ufppack.remap import Detection
 
 
@@ -108,6 +109,24 @@ class TestPackCommand:
         ])
         assert rc == 2 and not mosaic.exists()
 
+    @pytest.mark.parametrize("bad", [
+        '{"mosaic_width": Infinity}', '{"mosaic_width": NaN}', '{"fixed_size": NaN}',
+        '{"beta": NaN}', '{"beta": Infinity}',
+    ])
+    def test_non_finite_config_exit_1_without_output(self, tmp_path, capsys,
+                                                     three_box_file, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(bad)
+        image = tmp_path / "in.ppm"
+        io.write_ppm(np.zeros((200, 200, 3), dtype=np.uint8), image)
+        layout, mosaic = tmp_path / "layout.json", tmp_path / "mosaic.ppm"
+        args = ["pack", "--detections", three_box_file, "--image-size", "200x200",
+                "--config", str(cfg), "--out-layout", str(layout)]
+        for render in ([], ["--image", str(image), "--out-mosaic", str(mosaic)]):
+            assert main(args + render) == 1
+            assert "error:" in capsys.readouterr().err
+            assert not layout.exists() and not mosaic.exists()
+
     def test_no_output_on_parse_error(self, tmp_path):
         broken = tmp_path / "broken.json"
         broken.write_text("[{")
@@ -122,9 +141,7 @@ class TestPackCommand:
 class TestUnpackCommand:
     def test_empty_fine_equals_nms_of_coarse(self, tmp_path):
         layout = tmp_path / "layout.json"
-        from ufppack.mosaic import ScaledRegion, pack
-
-        io.save_layout(pack([ScaledRegion(BBox(0, 0, 50, 50), 1.0)], 100), layout)
+        io.save_layout(pack([(BBox(0, 0, 50, 50), 1.0)], 100), layout)
         fine = _write_detections(tmp_path / "fine.json", [])
         coarse = _write_detections(
             tmp_path / "coarse.json",
@@ -140,10 +157,8 @@ class TestUnpackCommand:
         assert len(fused) == 1 and fused[0].score == 0.9
 
     def test_remap_and_fuse(self, tmp_path):
-        from ufppack.mosaic import ScaledRegion, pack
-
         layout = tmp_path / "layout.json"
-        io.save_layout(pack([ScaledRegion(BBox(100, 100, 150, 150), 2.0)], 120), layout)
+        io.save_layout(pack([(BBox(100, 100, 150, 150), 2.0)], 120), layout)
         fine = _write_detections(tmp_path / "fine.json", [_det_record(0, 0, 20, 20, 0.7)])
         coarse = _write_detections(tmp_path / "coarse.json", [])
         out = tmp_path / "fused.json"
@@ -153,6 +168,28 @@ class TestUnpackCommand:
         ]) == 0
         fused = io.load_detections(out)[0]
         assert fused[0].box == BBox(100, 100, 110, 110)
+
+
+class TestRemovedConfigKeys:
+    """Keys of settings that pack and unpack never read fail loudly."""
+
+    @pytest.mark.parametrize("key", ["seed", "sinkhorn_epsilon", "dbscan_eps"])
+    @pytest.mark.parametrize("command", ["pack", "unpack"])
+    def test_exit_1_without_output(self, tmp_path, capsys, three_box_file, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"beta": 1.5, key: 1}))
+        out = tmp_path / "out.json"
+        if command == "pack":
+            args = ["pack", "--detections", three_box_file, "--image-size", "200x200",
+                    "--out-layout", str(out)]
+        else:
+            layout = tmp_path / "layout.json"
+            io.save_layout(pack([(BBox(0, 0, 50, 50), 1.0)], 100), layout)
+            args = ["unpack", "--fine", three_box_file, "--layout", str(layout),
+                    "--coarse", three_box_file, "--out", str(out)]
+        assert main(args + ["--config", str(cfg)]) == 1
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestStatsCommand:
@@ -229,7 +266,8 @@ class TestTrainSimCommand:
     @pytest.mark.parametrize("bad", [
         {"marginal_cadence": 0}, {"sinkhorn_epsilon": 0.0}, {"sinkhorn_tol": -1.0},
         {"sinkhorn_tol": 0.0}, {"sinkhorn_max_iters": -1}, {"gamma": 0.0},
-        {"vocab_capacity": 0},
+        {"vocab_capacity": 0}, {"lr": float("nan")}, {"lr": float("inf")},
+        {"mode_noise": float("nan")}, {"mode_noise": float("inf")},
     ])
     def test_invalid_config_exit_1_without_records(self, tmp_path, capsys, bad):
         cfg = tmp_path / "cfg.json"

@@ -11,7 +11,7 @@ from ufppack import io
 from ufppack.config import PipelineConfig
 from ufppack.geometry import BBox
 from ufppack.metrics import SceneSpec, generate_scene
-from ufppack.mosaic import MosaicLayout, Placement, ScaledRegion, pack
+from ufppack.mosaic import MosaicLayout, Placement, pack
 from ufppack.pipeline import build_layout
 from ufppack.remap import Detection, to_mosaic
 
@@ -68,8 +68,8 @@ class TestLayoutIO:
 
     def test_roundtrip_identity(self, tmp_path):
         scaled = [
-            ScaledRegion(BBox(0.1, 0.2, 50.7, 50.9), 1.37),
-            ScaledRegion(BBox(3, 4, 33, 44), 1.0),
+            (BBox(0.1, 0.2, 50.7, 50.9), 1.37),
+            (BBox(3, 4, 33, 44), 1.0),
         ]
         lay = pack(scaled, 120.5, padding=2.0)
         p = tmp_path / "l.json"
@@ -156,7 +156,7 @@ class TestTemplateJsonWriters:
 
 class TestConfigRoundtrip:
     def test_identity(self):
-        cfg = PipelineConfig(beta=1.7, seed=9)
+        cfg = PipelineConfig(beta=1.7, padding=9.0)
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_key(self):
@@ -251,14 +251,14 @@ class TestComposeMosaic:
     def test_identity_placement_byte_exact(self, tmp_path):
         rng = np.random.default_rng(4)
         img = rng.integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
-        lay = pack([ScaledRegion(BBox(0, 0, 40, 40), 1.0)], 40, padding=0.0)
+        lay = pack([(BBox(0, 0, 40, 40), 1.0)], 40, padding=0.0)
         out = tmp_path / "m.ppm"
         io.compose_mosaic(lay, img, out)
         assert np.array_equal(io.read_ppm(out), img)
 
     def test_scale_two_constant_crop(self, tmp_path):
         img = np.full((20, 20, 3), 77, dtype=np.uint8)
-        lay = pack([ScaledRegion(BBox(0, 0, 10, 10), 2.0)], 20, padding=0.0)
+        lay = pack([(BBox(0, 0, 10, 10), 2.0)], 20, padding=0.0)
         out = tmp_path / "m.ppm"
         io.compose_mosaic(lay, img, out)
         got = io.read_ppm(out)
@@ -266,13 +266,13 @@ class TestComposeMosaic:
 
     def test_out_of_raster_rejected(self, tmp_path):
         img = np.zeros((10, 10, 3), dtype=np.uint8)
-        lay = pack([ScaledRegion(BBox(0, 0, 40, 40), 1.0)], 60, padding=0.0)
+        lay = pack([(BBox(0, 0, 40, 40), 1.0)], 60, padding=0.0)
         with pytest.raises(io.CompositionError):
             io.compose_mosaic(lay, img, tmp_path / "m.ppm")
 
     def test_gutter_black(self, tmp_path):
         img = np.full((30, 30, 3), 200, dtype=np.uint8)
-        lay = pack([ScaledRegion(BBox(0, 0, 10, 10), 1.0)] * 2, 30, padding=4.0)
+        lay = pack([(BBox(0, 0, 10, 10), 1.0)] * 2, 30, padding=4.0)
         out = tmp_path / "m.ppm"
         io.compose_mosaic(lay, img, out)
         got = io.read_ppm(out)
@@ -287,7 +287,7 @@ class TestComposeMosaic:
             w, h = rng.uniform(1, 15, size=2)
             x, y = rng.uniform(0, 60 - w), rng.uniform(0, 50 - h)
             scale = 1.0 if rng.random() < 0.25 else float(rng.uniform(1, 3))
-            regions.append(ScaledRegion(BBox(x, y, x + w, y + h), scale))
+            regions.append((BBox(x, y, x + w, y + h), scale))
         lay = pack(regions, 50, padding=float(rng.choice([0.0, 1.0])))
         io.compose_mosaic(lay, img, tmp_path / "m.ppm")
         assert_within_one(io.read_ppm(tmp_path / "m.ppm"), compose_affine_reference(lay, img))
@@ -321,8 +321,8 @@ class TestComposeMosaic:
     def test_strided_source_view_renders_like_its_copy(self, tmp_path):
         big = np.random.default_rng(9).integers(0, 256, size=(60, 80, 3), dtype=np.uint8)
         view = big[1::2, 3::2]
-        lay = pack([ScaledRegion(BBox(2.5, 4.25, 20.5, 19.0), 1.7),
-                    ScaledRegion(BBox(10, 10, 30, 25), 1.0)], 70)
+        lay = pack([(BBox(2.5, 4.25, 20.5, 19.0), 1.7),
+                    (BBox(10, 10, 30, 25), 1.0)], 70)
         io.compose_mosaic(lay, view, tmp_path / "a.ppm")
         io.compose_mosaic(lay, view.copy(), tmp_path / "b.ppm")
         assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
@@ -381,7 +381,7 @@ class TestComposeAffineRule:
             w, h = rng.uniform(1, 15, size=2)
             x, y = rng.uniform(0, 60 - w), rng.uniform(0, 50 - h)
             scale = 1.0 if rng.random() < 0.25 else float(rng.uniform(1, 3))
-            regions.append(ScaledRegion(BBox(x, y, x + w, y + h), scale))
+            regions.append((BBox(x, y, x + w, y + h), scale))
         lay = pack(regions, 50, padding=float(rng.choice([0.0, 1.0, 2.5])))
         io.compose_mosaic(lay, img, tmp_path / "m.ppm")
         inside = np.zeros((math.ceil(lay.mosaic_height), 50), dtype=bool)
@@ -397,7 +397,7 @@ class TestComposeAffineRule:
             for _ in range(int(rng.integers(2, 30))):
                 w, h = rng.uniform(0.5, 30, size=2)
                 x, y = rng.uniform(0, 100, size=2)
-                regions.append(ScaledRegion(BBox(x, y, x + w, y + h), float(rng.uniform(1, 3))))
+                regions.append((BBox(x, y, x + w, y + h), float(rng.uniform(1, 3))))
             layouts.append(pack(regions, 100, padding=float(rng.uniform(1, 4))))
         spec = SceneSpec(seed=5)
         layouts.append(build_layout(generate_scene(spec)[1], spec.extent, PipelineConfig())[1])

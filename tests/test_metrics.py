@@ -66,10 +66,6 @@ class TestSizeBuckets:
         assert size_buckets([BBox(0, 0, 32, 32)]).medium == 1.0
         assert size_buckets([BBox(0, 0, 96, 96)]).large == 1.0
 
-    def test_scale_adjustment(self):
-        st_ = size_buckets([BBox(0, 0, 16, 16)], scales=[3.0])
-        assert st_.medium == 1.0
-
     def test_empty(self):
         st_ = size_buckets([])
         assert st_.empty and st_.small == 0.0

@@ -7,7 +7,6 @@ from oracles import central_diff
 from ufppack.proxies import (
     ProxyBank,
     _row_norms,
-    adaptive_k,
     multi_proxy_grad,
     multi_proxy_logit,
     multi_proxy_prob,
@@ -167,40 +166,6 @@ class TestBatchedLogit:
         bank = _bank(np.eye(2, 3))
         with pytest.raises(ValueError):
             multi_proxy_logit(bank, 0, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-
-
-class TestAdaptiveK:
-    def _blobs(self, rng, centers, n=10, spread=0.02):
-        pts = [c + spread * rng.normal(size=len(c)) for c in centers for _ in range(n)]
-        return np.stack(pts)
-
-    def test_single_blob(self):
-        rng = np.random.default_rng(0)
-        pts = self._blobs(rng, [np.array([3.0, 0.0, 0.0])])
-        assert adaptive_k(pts, eps=0.3, min_pts=5) == 1
-
-    def test_three_blobs(self):
-        rng = np.random.default_rng(0)
-        centers = [np.array([5.0, 0, 0]), np.array([0, 5.0, 0]), np.array([0, 0, 5.0])]
-        assert adaptive_k(self._blobs(rng, centers), eps=0.3, min_pts=5) == 3
-
-    def test_all_noise_floors_to_one(self):
-        pts = np.eye(6)  # pairwise distance sqrt(2) on the unit sphere
-        assert adaptive_k(pts, eps=0.3, min_pts=2) == 1
-
-    def test_cap(self):
-        rng = np.random.default_rng(1)
-        centers = [np.eye(8)[i] * 5 for i in range(8)]
-        got = adaptive_k(self._blobs(rng, centers), eps=0.3, min_pts=5, k_max=4)
-        assert got == 4
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(2)
-        centers = [np.array([5.0, 0, 0]), np.array([0, 5.0, 0])]
-        pts = self._blobs(rng, centers)
-        k1 = adaptive_k(pts, eps=0.3, min_pts=5)
-        k2 = adaptive_k(pts[rng.permutation(len(pts))], eps=0.3, min_pts=5)
-        assert k1 == k2 == 2
 
 
 class TestRowNorms:

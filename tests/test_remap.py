@@ -5,7 +5,7 @@ import pytest
 
 from oracles import nms_reference
 from ufppack.geometry import BBox, iou
-from ufppack.mosaic import MosaicLayout, Placement, ScaledRegion, pack
+from ufppack.mosaic import MosaicLayout, Placement, pack
 from ufppack.remap import Detection, fuse, nms, to_mosaic, to_source
 
 
@@ -47,7 +47,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(seed)
         # disjoint source regions (one per grid cell) so ownership is unambiguous
         scaled = [
-            ScaledRegion(
+            (
                 BBox(
                     x := col * 150 + rng.uniform(0, 40),
                     y := row * 150 + rng.uniform(0, 40),

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import exact_ot, ot_loss, sinkhorn_kernel_reference, sinkhorn_reference
 from ufppack import transport
-from ufppack.transport import TransportPlan, cost_matrix, sinkhorn, transport_cost
+from ufppack.transport import cost_matrix, sinkhorn, transport_cost
 
 
 def _random_instance(rng):
@@ -46,7 +46,7 @@ class TestSinkhorn:
         p = np.array([0.3, 0.7])
         q = np.array([0.6, 0.4])
         res = sinkhorn(np.full((2, 2), 0.5), p, q, epsilon=0.05)
-        assert np.allclose(res.plan.entries, np.outer(q, p), atol=1e-6)
+        assert np.allclose(res.plan, np.outer(q, p), atol=1e-6)
 
     def test_diagonal_cost_small_epsilon(self):
         cost = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -57,7 +57,7 @@ class TestSinkhorn:
 
     def test_single_row_forced(self):
         res = sinkhorn(np.array([[0.2, 0.7, 0.1]]), np.array([0.2, 0.3, 0.5]), np.array([1.0]))
-        assert np.allclose(res.plan.entries[0], [0.2, 0.3, 0.5], atol=1e-9)
+        assert np.allclose(res.plan[0], [0.2, 0.3, 0.5], atol=1e-9)
 
     def test_marginals_satisfied(self):
         rng = np.random.default_rng(1)
@@ -65,17 +65,17 @@ class TestSinkhorn:
             cost, p, q = _random_instance(rng)
             res = sinkhorn(cost, p, q, epsilon=0.05)
             assert res.converged
-            assert np.allclose(res.plan.entries.sum(axis=1), q, atol=1e-6)
-            assert np.allclose(res.plan.entries.sum(axis=0), p, atol=1e-6)
-            assert np.all(res.plan.entries >= 0)
-            assert res.plan.entries.sum() == pytest.approx(1.0, abs=1e-6)
+            assert np.allclose(res.plan.sum(axis=1), q, atol=1e-6)
+            assert np.allclose(res.plan.sum(axis=0), p, atol=1e-6)
+            assert np.all(res.plan >= 0)
+            assert res.plan.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_marginal_entries_zero_plan(self):
         cost = np.array([[0.1, 0.9], [0.3, 0.2]])
         p = np.array([1.0, 0.0])
         q = np.array([0.5, 0.5])
         res = sinkhorn(cost, p, q, epsilon=0.05)
-        assert np.allclose(res.plan.entries[:, 1], 0.0)
+        assert np.allclose(res.plan[:, 1], 0.0)
 
     def test_cost_monotone_in_epsilon(self):
         rng = np.random.default_rng(2)
@@ -93,10 +93,10 @@ class TestSinkhorn:
         cost = rng.uniform(0, 1, (3, 4))
         p = rng.dirichlet(np.ones(4))
         q = rng.dirichlet(np.ones(3))
-        base = sinkhorn(cost, p, q, epsilon=0.05).plan.entries
+        base = sinkhorn(cost, p, q, epsilon=0.05).plan
         pr = rng.permutation(3)
         pc = rng.permutation(4)
-        permuted = sinkhorn(cost[pr][:, pc], p[pc], q[pr], epsilon=0.05).plan.entries
+        permuted = sinkhorn(cost[pr][:, pc], p[pc], q[pr], epsilon=0.05).plan
         assert np.allclose(permuted, base[pr][:, pc], atol=1e-8)
 
     def test_bad_marginals_rejected(self):
@@ -150,10 +150,10 @@ class TestSinkhornAgainstReference:
             res = solve(cost, p, q, epsilon=epsilon, max_iters=max_iters, tol=1e-6)
             assert res.iterations <= max_iters
             want = sinkhorn_reference(cost, p, q, epsilon, res.iterations)
-            assert np.max(np.abs(res.plan.entries - want)) <= 1e-12
+            assert np.max(np.abs(res.plan - want)) <= 1e-12
             if zeros:
-                assert np.all(res.plan.entries[-1, :] == 0.0)
-                assert np.all(res.plan.entries[:, -1] == 0.0)
+                assert np.all(res.plan[-1, :] == 0.0)
+                assert np.all(res.plan[:, -1] == 0.0)
 
     def test_non_finite_kernel_scaling_falls_back(self, monkeypatch):
         # With the cutoff lifted, exp(-C/0.001) underflows to zero and the
@@ -161,15 +161,15 @@ class TestSinkhornAgainstReference:
         monkeypatch.setattr(transport, "_KERNEL_MAX_EXPONENT", np.inf)
         cost, p, q = self._instance(0, zeros=True)
         res = sinkhorn(cost, p, q, epsilon=0.001, max_iters=40)
-        assert np.all(np.isfinite(res.plan.entries))
+        assert np.all(np.isfinite(res.plan))
         want = sinkhorn_reference(cost, p, q, 0.001, res.iterations)
-        assert np.max(np.abs(res.plan.entries - want)) <= 1e-12
+        assert np.max(np.abs(res.plan - want)) <= 1e-12
 
     def test_violation_is_that_of_returned_plan(self):
         cost, p, q = self._instance(3)
         for epsilon in (0.05, 0.001):
             res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=13, tol=1e-12)
-            P = res.plan.entries
+            P = res.plan
             viol = max(np.max(np.abs(P.sum(axis=1) - q)), np.max(np.abs(P.sum(axis=0) - p)))
             assert res.marginal_violation == viol
             assert res.converged == (viol < 1e-12)
@@ -201,7 +201,7 @@ class TestKernelSweepBitIdentical:
     def _assert_same(cost, p, q, epsilon, max_iters, tol=1e-6):
         res = transport._sweep(cost, p, q, epsilon=epsilon, max_iters=max_iters, tol=tol)
         P, iters, viol = sinkhorn_kernel_reference(cost, p, q, epsilon, max_iters, tol)
-        assert np.array_equal(res.plan.entries, P)
+        assert np.array_equal(res.plan, P)
         assert res.iterations == iters
         assert res.marginal_violation == viol
         return res
@@ -220,8 +220,8 @@ class TestKernelSweepBitIdentical:
     def test_zero_marginals(self, seed):
         cost, p, q = self._train_instance(seed, zeros=True)
         res = self._assert_same(cost, p, q, epsilon=0.01, max_iters=150)
-        assert np.all(res.plan.entries[-3:, :] == 0.0)
-        assert np.all(res.plan.entries[:, -1] == 0.0)
+        assert np.all(res.plan[-3:, :] == 0.0)
+        assert np.all(res.plan[:, -1] == 0.0)
 
     @pytest.mark.parametrize("max_iters", [0, 7])
     @pytest.mark.parametrize("seed", range(4))
@@ -254,16 +254,16 @@ class TestNewton:
         cost, p, q = TestKernelSweepBitIdentical._train_instance(seed)
         res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
         assert res.converged and res.iterations < 150
-        assert np.max(np.abs(res.plan.entries - self._long_run(cost, p, q, 0.01))) <= 1e-6
+        assert np.max(np.abs(res.plan - self._long_run(cost, p, q, 0.01))) <= 1e-6
 
     @pytest.mark.parametrize("seed", range(6))
     def test_zero_marginals(self, seed):
         cost, p, q = TestKernelSweepBitIdentical._train_instance(seed, zeros=True)
         res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
         assert res.converged
-        assert np.all(res.plan.entries[-3:, :] == 0.0)
-        assert np.all(res.plan.entries[:, -1] == 0.0)
-        assert np.max(np.abs(res.plan.entries - self._long_run(cost, p, q, 0.01))) <= 1e-6
+        assert np.all(res.plan[-3:, :] == 0.0)
+        assert np.all(res.plan[:, -1] == 0.0)
+        assert np.max(np.abs(res.plan - self._long_run(cost, p, q, 0.01))) <= 1e-6
 
     @pytest.mark.parametrize("n, k", [(1, 2), (2, 2), (7, 4), (9, 5), (40, 5), (30, 3)])
     @pytest.mark.parametrize("epsilon", [0.05, 0.01])
@@ -274,7 +274,7 @@ class TestNewton:
         p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(n))
         res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=500)
         assert res.converged and res.iterations < 500
-        assert np.max(np.abs(res.plan.entries - self._long_run(cost, p, q, epsilon))) <= 1e-6
+        assert np.max(np.abs(res.plan - self._long_run(cost, p, q, epsilon))) <= 1e-6
 
     def test_converged_plan_lies_well_under_tol(self):
         # Quadratic convergence past tol: the margin that keeps a forced plan's
@@ -289,14 +289,14 @@ class TestNewton:
         res = sinkhorn(np.random.default_rng(0).uniform(0, 1, (n, 1)), np.ones(1), q,
                        epsilon=0.01, max_iters=150)
         assert res.iterations == 0 and res.converged
-        assert np.array_equal(res.plan.entries, q[:, None])
+        assert np.array_equal(res.plan, q[:, None])
 
     def test_single_positive_column_after_zeros(self):
         cost = np.random.default_rng(1).uniform(0, 1, (4, 3))
         q = np.array([0.25, 0.0, 0.5, 0.25])
         res = sinkhorn(cost, np.array([0.0, 1.0, 0.0]), q, epsilon=0.01)
         assert res.iterations == 0 and res.converged
-        assert np.array_equal(res.plan.entries, np.outer(q, [0.0, 1.0, 0.0]))
+        assert np.array_equal(res.plan, np.outer(q, [0.0, 1.0, 0.0]))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_zero_budget_returns_initial_plan(self, seed):
@@ -305,7 +305,7 @@ class TestNewton:
         K = np.exp(-cost / 0.01)
         want = q[:, None] * K * p / (K @ p)[:, None]
         assert res.iterations == 0
-        assert np.allclose(res.plan.entries, want, rtol=1e-12, atol=0.0)
+        assert np.allclose(res.plan, want, rtol=1e-12, atol=0.0)
         assert not res.converged and res.marginal_violation >= 1e-6
 
     def test_zero_budget_converged_initial_plan(self):
@@ -313,7 +313,7 @@ class TestNewton:
         p, q = np.array([0.2, 0.3, 0.5]), np.full(4, 0.25)
         res = sinkhorn(np.full((4, 3), 0.4), p, q, epsilon=0.01, max_iters=0)
         assert res.iterations == 0 and res.converged
-        assert np.allclose(res.plan.entries, np.outer(q, p), rtol=1e-15, atol=0.0)
+        assert np.allclose(res.plan, np.outer(q, p), rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("max_iters", [150, 40])
     def test_stall_falls_back_to_sweep(self, monkeypatch, max_iters):
@@ -326,7 +326,7 @@ class TestNewton:
         assert 0 < len(solves) < max_iters
         want = transport._sweep(cost, p, q, epsilon=0.01, max_iters=max_iters - len(solves),
                                 tol=1e-6)
-        assert np.array_equal(res.plan.entries, want.plan.entries)
+        assert np.array_equal(res.plan, want.plan)
         assert res.iterations == len(solves) + want.iterations <= max_iters
         assert (res.marginal_violation, res.converged) == (want.marginal_violation, want.converged)
 
@@ -340,14 +340,14 @@ class TestNewton:
         p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(10))
         res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=300)
         want = transport._sweep(cost, p, q, epsilon=epsilon, max_iters=300, tol=1e-6)
-        assert np.array_equal(res.plan.entries, want.plan.entries)
+        assert np.array_equal(res.plan, want.plan)
         assert res.iterations == want.iterations
 
     def test_nonconvergence_flagged_at_small_budget(self):
         cost, p, q = TestKernelSweepBitIdentical._train_instance(0)
         res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=2)
         assert res.iterations == 2 and not res.converged
-        P = res.plan.entries
+        P = res.plan
         viol = max(np.max(np.abs(P.sum(axis=1) - q)), np.max(np.abs(P.sum(axis=0) - p)))
         assert res.marginal_violation == pytest.approx(viol, rel=1e-12)
 
@@ -388,18 +388,18 @@ class TestExactOt:
 
 class TestOtLoss:
     def test_zero_costs(self):
-        plan = TransportPlan(np.full((2, 2), 0.25), np.full(2, 0.5), np.full(2, 0.5))
+        plan = np.full((2, 2), 0.25)
         assert ot_loss([np.zeros((2, 2))], [plan]) == 0.0
 
     def test_diagonal_plan_crossed_cost(self):
-        plan = TransportPlan(np.diag([0.5, 0.5]), np.full(2, 0.5), np.full(2, 0.5))
+        plan = np.diag([0.5, 0.5])
         assert ot_loss([np.array([[0.0, 1.0], [1.0, 0.0]])], [plan]) == 0.0
 
     def test_constant_cost_equals_constant(self):
-        plan = TransportPlan(np.outer([0.5, 0.5], [0.25] * 4), np.full(2, 0.5), np.full(4, 0.25))
+        plan = np.outer([0.5, 0.5], [0.25] * 4)
         assert ot_loss([np.full((2, 4), 0.3)], [plan]) == pytest.approx(0.3)
 
     def test_shape_mismatch(self):
-        plan = TransportPlan(np.diag([0.5, 0.5]), np.full(2, 0.5), np.full(2, 0.5))
+        plan = np.diag([0.5, 0.5])
         with pytest.raises(ValueError):
             ot_loss([np.zeros((3, 2))], [plan])
