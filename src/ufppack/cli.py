@@ -107,9 +107,13 @@ def _cmd_train_sim(args: argparse.Namespace) -> int:
     io.save_jsonl(report.records, args.out)
     min_dist = report.final_min_proxy_distance
     calls = len(report.transport) * cfg.n_classes if cfg.use_ot else 0
+    steps = max(t.max_iterations for t in report.transport)
+    violation = max(t.max_violation for t in report.transport)
     print(f"ran {cfg.steps} steps; final min proxy distance "
           f"{'n/a' if min_dist is None else f'{min_dist:.4f}'}; "
-          f"{report.unconverged_calls} of {calls} Sinkhorn calls did not converge")
+          f"{report.unconverged_calls} of {calls} Sinkhorn calls did not converge; "
+          f"at most {steps} solver steps in a call; "
+          f"worst marginal violation {violation:.1e}")
     return 0
 
 

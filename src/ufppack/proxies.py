@@ -73,20 +73,17 @@ def multi_proxy_prob(bank: ProxyBank, class_id: int, x: np.ndarray) -> float:
     return _sigmoid(bank.gamma * float(w @ s))
 
 
-def multi_proxy_logit(
-    bank: ProxyBank, class_id: int, x: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-sigmoid logit z = gamma * aggregate and its gradients.
+def _logit_terms(
+    bank: ProxyBank, class_id: int, X: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """(z, dz_dw, dagg_ds, s, x_hat, w_hat, xn) for a batch X of shape N x C.
 
-    For one feature x of shape C, returns (z, dz_dx of shape C, dz_dw of
-    shape K x C). For a batch x of shape N x C, returns (z of shape N,
-    dz_dx of shape N x C, dz_dw of shape N x K x C), row n being the result
-    for x[n]. Working at the logit level keeps cross-entropy gradients
-    finite when the sigmoid saturates.
+    z (N) and dz_dw (N x K x C) are what multi_proxy_logit returns; the rest
+    are the terms multi_proxy_grad builds dz_dx from: the aggregate's
+    derivative in the similarities and the similarities themselves (N x K),
+    the unit rows of X and of the proxies, and the norms of X's rows.
     """
     W = bank.weights[class_id]
-    x = np.asarray(x, dtype=float)
-    X = x.reshape(1, -1) if x.ndim == 1 else x
     xn = _row_norms(X)
     if (xn == 0).any():
         raise ValueError("zero feature vector")
@@ -99,17 +96,27 @@ def multi_proxy_logit(
     dagg_ds = alpha * (1.0 + s - agg[:, None])
     x_hat = X / xn[:, None]
     w_hat = W / wn[:, None]
-    # d(s_k)/dx = (w_k/|w_k| - s_k x/|x|) / |x|
-    dz_dx = bank.gamma * (
-        dagg_ds @ w_hat - np.add.reduce(dagg_ds * s, axis=1)[:, None] * x_hat
-    ) / xn[:, None]
     # d(s_k)/dw_k = (x/|x| - s_k w_k/|w_k|) / |w_k|
     ds_dw = (x_hat[:, None, :] - s[:, :, None] * w_hat[None, :, :]) / wn[None, :, None]
     dz_dw = bank.gamma * dagg_ds[:, :, None] * ds_dw
-    z = bank.gamma * agg
+    return bank.gamma * agg, dz_dw, dagg_ds, s, x_hat, w_hat, xn
+
+
+def multi_proxy_logit(
+    bank: ProxyBank, class_id: int, x: np.ndarray
+) -> tuple[float, np.ndarray] | tuple[np.ndarray, np.ndarray]:
+    """Pre-sigmoid logit z = gamma * aggregate and its gradient in the proxies.
+
+    For one feature x of shape C, returns (z, dz_dw of shape K x C). For a
+    batch x of shape N x C, returns (z of shape N, dz_dw of shape N x K x C),
+    row n being the result for x[n]. Working at the logit level keeps
+    cross-entropy gradients finite when the sigmoid saturates.
+    """
+    x = np.asarray(x, dtype=float)
+    z, dz_dw = _logit_terms(bank, class_id, x.reshape(1, -1) if x.ndim == 1 else x)[:2]
     if x.ndim == 1:
-        return float(z[0]), dz_dx[0], dz_dw[0]
-    return z, dz_dx, dz_dw
+        return float(z[0]), dz_dw[0]
+    return z, dz_dw
 
 
 def multi_proxy_grad(
@@ -117,9 +124,20 @@ def multi_proxy_grad(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of multi_proxy_prob w.r.t. x and w.r.t. the class's proxies.
 
-    Returns (grad_x of shape C, grad_w of shape K x C).
+    For one feature x of shape C, returns (grad_x of shape C, grad_w of
+    shape K x C); for a batch of shape N x C, (N x C, N x K x C), row n
+    being the result for x[n].
     """
-    z, dz_dx, dz_dw = multi_proxy_logit(bank, class_id, x)
+    x = np.asarray(x, dtype=float)
+    z, dz_dw, dagg_ds, s, x_hat, w_hat, xn = _logit_terms(
+        bank, class_id, x.reshape(1, -1) if x.ndim == 1 else x)
+    # d(s_k)/dx = (w_k/|w_k| - s_k x/|x|) / |x|
+    dz_dx = bank.gamma * (
+        dagg_ds @ w_hat - np.add.reduce(dagg_ds * s, axis=1)[:, None] * x_hat
+    ) / xn[:, None]
     sig = _sigmoid(z)
-    dp_dz = sig * (1.0 - sig)
-    return dp_dz * dz_dx, dp_dz * dz_dw
+    dp_dz = (sig * (1.0 - sig))[:, None]
+    grad_x, grad_w = dp_dz * dz_dx, dp_dz[:, :, None] * dz_dw
+    if x.ndim == 1:
+        return grad_x[0], grad_w[0]
+    return grad_x, grad_w

@@ -53,8 +53,9 @@ class TrainConfig:
             raise ValueError(f"mode_noise must be finite, got {self.mode_noise}")
         if self.proxy_init not in ("kmeans", "random"):
             raise ValueError(f"unknown proxy_init {self.proxy_init!r}")
-        if self.vocab_insert > self.batch_size:
-            raise ValueError("vocab_insert cannot exceed batch_size")
+        if not 1 <= self.vocab_insert <= self.batch_size:
+            raise ValueError(f"vocab_insert must be between 1 and batch_size "
+                             f"({self.batch_size}), got {self.vocab_insert}")
         if self.vocab_capacity < 1 or self.marginal_cadence < 1:
             raise ValueError("vocab_capacity and marginal_cadence must be at least 1")
         # `not x > 0` also rejects NaN.
@@ -198,6 +199,10 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
     instance_labels = labels.tolist()
     q = np.full(cfg.batch_size, 1.0 / cfg.batch_size)
     pairs = np.triu_indices(cfg.proxies_per_class, k=1)
+    # Each class's transport starts from the column potentials of its
+    # previous step: one batch and one proxy step apart, the problems are
+    # close, so the Newton solve starts near its answer.
+    potentials: dict[int, np.ndarray | None] = dict.fromkeys(range(cfg.n_classes))
 
     for step in range(cfg.steps + 1):
         batches = {
@@ -217,7 +222,7 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
         grads = {}
         loss_det = 0.0
         for target_cid, y in enumerate(targets):
-            z, _, dz_dw = multi_proxy_logit(bank, target_cid, feats_all)
+            z, dz_dw = multi_proxy_logit(bank, target_cid, feats_all)
             p = _sigmoid(z)
             loss_det -= float(np.add.reduce(y * np.log(np.maximum(p, 1e-12))
                                             + (1 - y) * np.log(np.maximum(1 - p, 1e-12))))
@@ -241,7 +246,9 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
                     epsilon=cfg.sinkhorn_epsilon,
                     max_iters=cfg.sinkhorn_max_iters,
                     tol=cfg.sinkhorn_tol,
+                    init=potentials[cid],
                 )
+                potentials[cid] = res.potentials
                 results.append(res)
                 loss_ot += transport_cost(cost, res.plan)
                 grads[cid] += _ot_grad(feats, bank.weights[cid], res.plan) / cfg.n_classes

@@ -59,6 +59,10 @@ class SinkhornResult:
     iterations: int
     marginal_violation: float
     converged: bool
+    # K column log-potentials h of a Newton plan, P = diag(q / (K e^h)) K
+    # diag(e^h) with K = exp(-C/epsilon); -inf on zero-mass columns. None when
+    # the sweep produced the plan.
+    potentials: np.ndarray | None = None
 
 
 def _check_marginal(v: np.ndarray, name: str) -> np.ndarray:
@@ -78,12 +82,18 @@ def sinkhorn(
     epsilon: float = 0.05,
     max_iters: int = 1000,
     tol: float = 1e-6,
+    init: np.ndarray | None = None,
 ) -> SinkhornResult:
     """Entropic-regularized plan with column marginal p and row marginal q.
 
     With at most _NEWTON_MAX_K columns and max|C|/epsilon within
     _KERNEL_MAX_EXPONENT, takes damped Newton steps on the semi-dual
-    (``iterations`` counts them, rejected steps included). Otherwise the
+    (``iterations`` counts them, rejected steps included), and ``potentials``
+    holds the column log-potentials of the plan. The steps start from
+    ``init``, K column log-potentials taken up to an additive constant, such
+    as the ``potentials`` of a neighbouring problem, when it is finite on
+    every column with mass; otherwise, and without ``init``, from log p.
+    ``init`` of any other shape than (K,) raises ValueError. Otherwise the
     Sinkhorn sweep (``_sweep``) solves it, and ``iterations`` counts its
     sweeps. If the Newton steps stall, the sweep gets what is left of
     max_iters, and ``iterations`` counts both. Either way
@@ -98,13 +108,17 @@ def sinkhorn(
         raise ValueError(f"marginal shapes {p.shape}/{q.shape} do not match cost {cost.shape}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if init is not None:
+        init = np.asarray(init, dtype=float)
+        if init.shape != (k,):
+            raise ValueError(f"init shape {init.shape} does not match cost {cost.shape}")
 
     if k <= _NEWTON_MAX_K and np.abs(cost).max() <= _KERNEL_MAX_EXPONENT * epsilon:
-        P, steps = _newton(cost, p, q, epsilon, max_iters, tol)
+        P, h, steps = _newton(cost, p, q, epsilon, max_iters, tol, init)
         if P is not None:
             viol = _violation(P, np.concatenate((q, p)))
-            return SinkhornResult(plan=P, iterations=steps,
-                                  marginal_violation=viol, converged=viol < tol)
+            return SinkhornResult(plan=P, iterations=steps, marginal_violation=viol,
+                                  converged=viol < tol, potentials=h)
         res = _sweep(cost, p, q, epsilon, max_iters - steps, tol)
         res.iterations += steps
         return res
@@ -112,23 +126,25 @@ def sinkhorn(
 
 
 def _newton(
-    cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float, max_iters: int, tol: float
-) -> tuple[np.ndarray | None, int]:
-    """(plan, steps) from Newton on the semi-dual; the plan is None if the
-    steps stall or the plan is not finite.
+    cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float, max_iters: int, tol: float,
+    init: np.ndarray | None,
+) -> tuple[np.ndarray | None, np.ndarray, int]:
+    """(plan, column log-potentials, steps) from Newton on the semi-dual; the
+    plan is None if the steps stall or the plan is not finite.
 
     The plan is P = diag(q / (K e^h)) K diag(e^h) with K = exp(-C/epsilon),
     so its row sums are q by construction; the unknowns are the column
-    log-potentials h, from h = log p. The concave semi-dual
-    F(h) = p.h - q.log(K e^h) has gradient p - c, c the plan's column sums,
-    and Hessian -(diag(c) - P^T diag(1/q) P). Each step solves that system
-    with the last potential held fixed (the shift gauge) and lam * max(c)
-    added to its diagonal. A step is accepted when F does not drop, beyond
-    rounding; lam then shrinks tenfold, so that the damping all but vanishes
-    in the last steps, and it grows tenfold after a rejected step. Zero
+    log-potentials h, from ``init`` (see sinkhorn) or h = log p. The concave
+    semi-dual F(h) = p.h - q.log(K e^h) has gradient p - c, c the plan's
+    column sums, and Hessian -(diag(c) - P^T diag(1/q) P). Each step solves
+    that system with the last potential held fixed (the shift gauge) and
+    lam * max(c) added to its diagonal. A step is accepted when F does not
+    drop, beyond rounding; lam then shrinks tenfold, so that the damping all
+    but vanishes in the last steps, and it grows tenfold after a rejected
+    step. Zero
     entries of p and q drop their columns and rows, which stay zero in the
-    plan. With one column left, every row of the plan is its q entry from
-    the start.
+    plan and get potential -inf. With one column left, every row of the plan
+    is its q entry from the start.
     """
     n, k = cost.shape
     # The marginals are nonnegative, so all() says whether all are positive.
@@ -139,20 +155,32 @@ def _newton(
         cost = cost[rows][:, cols]
         p = p[cols]
         q = q[rows]
-    P, steps = _newton_steps(cost, p, q, epsilon, max_iters, tol)
+        if init is not None:
+            init = init[cols]
+    if init is not None:
+        # A start with no finite potential on some column with mass is no
+        # start; a finite one is shifted to a largest potential of 0, so that
+        # e^h cannot overflow.
+        init = init - init.max() if np.isfinite(init).all() else None
+    P, h, steps = _newton_steps(cost, p, q, epsilon, max_iters, tol, init)
     if P is None:
-        return None, steps
+        return None, h, steps
     if not full:
         out = np.zeros((n, k))
         out[np.ix_(rows, cols)] = P
         P = out
-    return P, steps
+        full_h = np.full(k, -np.inf)
+        full_h[cols] = h
+        h = full_h
+    return P, h, steps
 
 
 def _newton_steps(
-    cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float, max_iters: int, tol: float
-) -> tuple[np.ndarray | None, int]:
-    """The iteration of _newton, on positive marginals.
+    cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float, max_iters: int, tol: float,
+    init: np.ndarray | None,
+) -> tuple[np.ndarray | None, np.ndarray, int]:
+    """The iteration of _newton, on positive marginals, from the finite
+    potentials ``init`` or, if it is None, from log p.
 
     Length-K quantities are Python lists: for K this small a NumPy call costs
     more in dispatch than the arithmetic.
@@ -163,8 +191,12 @@ def _newton_steps(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         K = np.exp(-cost / epsilon)
         Kdot = K.dot
-        h = np.log(p)
-        v = p
+        if init is None:
+            h = np.log(p)
+            v = p
+        else:
+            h = init
+            v = np.exp(h)
         Kv = Kdot(v)
         F = p.dot(h) - q.dot(np.log(Kv))
         lam = _DAMPING_START
@@ -176,11 +208,11 @@ def _newton_steps(
             c = q.dot(B).tolist()
             # With q positive, a NaN or infinity anywhere in P reaches sum(c).
             if not math.isfinite(sum(c)):
-                return None, iters
+                return None, h, iters
             g = [pj - cj for pj, cj in zip(p_list, c)]
             viol = max(map(abs, g))
             if iters >= max_iters or viol < tol * _POLISH or tol > viol >= last_viol:
-                return P, iters
+                return P, h, iters
             last_viol = viol
             M = B.T.dot(P)[:m, :m]
             cmax = max(c)
@@ -199,10 +231,10 @@ def _newton_steps(
                         lam /= 10.0
                         break
                 if viol < tol or iters >= max_iters:  # keep the current plan
-                    return P, iters
+                    return P, h, iters
                 lam *= 10.0
                 if lam > _DAMPING_MAX:
-                    return None, iters
+                    return None, h, iters
 
 
 def _solve_scalar(d: list[float], M: np.ndarray, g: list[float]) -> list[float] | None:

@@ -244,7 +244,20 @@ class TestTrainSimCommand:
         cfg.write_text(json.dumps({"steps": 3, "seed": 0, "sinkhorn_max_iters": 2}))
         out = tmp_path / "report.jsonl"
         assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 0
-        assert "8 of 8 Sinkhorn calls did not converge" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "8 of 8 Sinkhorn calls did not converge" in out
+        assert "; at most 2 solver steps in a call; worst marginal violation " in out
+
+    def test_reports_solver_steps_and_violation(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 5, "seed": 0}))
+        out = tmp_path / "report.jsonl"
+        assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 0
+        line = capsys.readouterr().out
+        assert "0 of 12 Sinkhorn calls did not converge; at most " in line
+        steps = int(line.split("at most ")[1].split()[0])
+        violation = float(line.split("worst marginal violation ")[1])
+        assert 0 < steps <= 150 and 0 <= violation < 1e-6
 
     def test_single_proxy_writes_null_separation(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -260,7 +273,8 @@ class TestTrainSimCommand:
         assert len(records) == 3
         for r in records:
             assert r["min_proxy_distance"] is None and r["max_proxy_similarity"] is None
-        assert ("final min proxy distance n/a; 0 of 6 Sinkhorn calls did not converge"
+        assert ("final min proxy distance n/a; 0 of 6 Sinkhorn calls did not converge; "
+                "at most 0 solver steps in a call; worst marginal violation 0.0e+00"
                 in capsys.readouterr().out)
 
     @pytest.mark.parametrize("bad", [
@@ -275,6 +289,15 @@ class TestTrainSimCommand:
         out = tmp_path / "report.jsonl"
         assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 1
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("insert", [0, -1, 17])
+    def test_vocab_insert_outside_batch_exit_1(self, tmp_path, capsys, insert):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 3, "seed": 0, "vocab_insert": insert}))
+        out = tmp_path / "report.jsonl"
+        assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "vocab_insert" in capsys.readouterr().err
         assert not out.exists()
 
     def test_env_seed_override(self, tmp_path, monkeypatch):

@@ -131,14 +131,19 @@ class TestBatchedLogit:
         k, dim, n = int(rng.integers(1, 5)), int(rng.integers(3, 17)), int(rng.integers(1, 40))
         bank = ProxyBank({0: rng.normal(size=(k, dim))}, gamma=5.0)
         X = rng.normal(size=(n, dim))
-        z, dz_dx, dz_dw = multi_proxy_logit(bank, 0, X)
-        assert z.shape == (n,) and dz_dx.shape == (n, dim) and dz_dw.shape == (n, k, dim)
+        z, dz_dw = multi_proxy_logit(bank, 0, X)
+        gx, gw = multi_proxy_grad(bank, 0, X)
+        assert z.shape == (n,) and dz_dw.shape == (n, k, dim)
+        assert gx.shape == (n, dim) and gw.shape == (n, k, dim)
         for i in range(n):
-            zi, dxi, dwi = multi_proxy_logit(bank, 0, X[i])
-            assert isinstance(zi, float) and dxi.shape == (dim,) and dwi.shape == (k, dim)
+            zi, dwi = multi_proxy_logit(bank, 0, X[i])
+            assert isinstance(zi, float) and dwi.shape == (k, dim)
             assert z[i] == pytest.approx(zi, rel=1e-12, abs=1e-14)
-            assert np.allclose(dz_dx[i], dxi, rtol=1e-12, atol=1e-14)
             assert np.allclose(dz_dw[i], dwi, rtol=1e-12, atol=1e-14)
+            gxi, gwi = multi_proxy_grad(bank, 0, X[i])
+            assert gxi.shape == (dim,) and gwi.shape == (k, dim)
+            assert np.allclose(gx[i], gxi, rtol=1e-12, atol=1e-14)
+            assert np.allclose(gw[i], gwi, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_finite_differences(self, seed):
@@ -147,18 +152,15 @@ class TestBatchedLogit:
         W = rng.normal(size=(k, dim))
         X = rng.normal(size=(n, dim))
         bank = ProxyBank({0: W.copy()}, gamma=5.0)
-        _, dz_dx, dz_dw = multi_proxy_logit(bank, 0, X)
+        _, dz_dw = multi_proxy_logit(bank, 0, X)
+        gx, _ = multi_proxy_grad(bank, 0, X)
         for i in range(n):
-            def z_of_x(v, i=i):
-                Xv = X.copy()
-                Xv[i] = v
-                return multi_proxy_logit(bank, 0, Xv)[0][i]
-
             def z_of_w(flat, i=i):
                 return multi_proxy_logit(ProxyBank({0: flat.reshape(k, dim)}, gamma=5.0),
                                          0, X)[0][i]
 
-            assert np.allclose(dz_dx[i], central_diff(z_of_x, X[i]), rtol=1e-4, atol=1e-7)
+            num_x = central_diff(lambda v: multi_proxy_prob(bank, 0, v), X[i])
+            assert np.allclose(gx[i], num_x, rtol=1e-4, atol=1e-7)
             num_w = central_diff(z_of_w, W.ravel()).reshape(k, dim)
             assert np.allclose(dz_dw[i], num_w, rtol=1e-4, atol=1e-7)
 
@@ -166,6 +168,8 @@ class TestBatchedLogit:
         bank = _bank(np.eye(2, 3))
         with pytest.raises(ValueError):
             multi_proxy_logit(bank, 0, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            multi_proxy_grad(bank, 0, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 class TestRowNorms:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ufppack import trainsim
 from ufppack.proxies import _row_norms
 from ufppack.trainsim import TrainConfig, TrainReport, _FeatureModel, train_sim
 
@@ -34,6 +35,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize("insert", [0, -1, 9])
+    def test_vocab_insert_outside_batch_rejected(self, insert):
+        with pytest.raises(ValueError, match="vocab_insert"):
+            TrainConfig(vocab_insert=insert, batch_size=8)
+
+    @pytest.mark.parametrize("insert", [1, 8])
+    def test_vocab_insert_within_batch_accepted(self, insert):
+        assert TrainConfig(vocab_insert=insert, batch_size=8).vocab_insert == insert
+
     def test_zero_sinkhorn_iterations_accepted(self):
         assert TrainConfig(sinkhorn_max_iters=0).sinkhorn_max_iters == 0
 
@@ -48,10 +58,12 @@ class TestTrainSim:
             assert np.allclose(np.linalg.norm(w, axis=1), 1.0)
 
     def test_deterministic(self):
-        cfg = TrainConfig(steps=20, seed=7)
+        # The warm-start potentials live in the call: a second run with the
+        # same config, across marginal_cadence boundaries, repeats the first.
+        cfg = TrainConfig(steps=30, seed=7, marginal_cadence=10)
         a = train_sim(cfg)
         b = train_sim(cfg)
-        assert a.records == b.records
+        assert a.records == b.records and a.transport == b.transport
         for cid in a.final_weights:
             assert np.array_equal(a.final_weights[cid], b.final_weights[cid])
 
@@ -119,6 +131,39 @@ class TestTransportConverges:
         report = train_sim(TrainConfig(seed=seed, **self.TRAIN_DEFAULT))
         assert report.unconverged_calls == 0
         assert max(t.max_violation for t in report.transport) < 1e-6
+
+    def test_train_default_warm_start_converges_and_saves_steps(self, monkeypatch):
+        cfg = TrainConfig(seed=0, **self.TRAIN_DEFAULT)
+        warm = train_sim(cfg)
+        assert warm.unconverged_calls == 0
+        assert max(t.max_violation for t in warm.transport) <= 1e-9
+        cold_sinkhorn = trainsim.sinkhorn
+        monkeypatch.setattr(trainsim, "sinkhorn",
+                            lambda *a, init=None, **kw: cold_sinkhorn(*a, **kw))
+        cold = train_sim(cfg)
+        assert cold.unconverged_calls == 0
+        assert (sum(t.max_iterations for t in warm.transport)
+                < sum(t.max_iterations for t in cold.transport))
+        assert abs(warm.final_min_proxy_distance - cold.final_min_proxy_distance) < 1e-8
+
+    def test_each_class_starts_from_its_previous_potentials(self, monkeypatch):
+        calls = []
+        real = trainsim.sinkhorn
+
+        def spy(cost, p, q, **kw):
+            res = real(cost, p, q, **kw)
+            calls.append((kw["init"], res.potentials))
+            return res
+
+        monkeypatch.setattr(trainsim, "sinkhorn", spy)
+        cfg = TrainConfig(steps=12, seed=2, n_classes=3, marginal_cadence=5)
+        train_sim(cfg)
+        assert len(calls) == 13 * 3
+        for i, (init, _) in enumerate(calls):
+            if i < cfg.n_classes:
+                assert init is None
+            else:
+                assert init is calls[i - cfg.n_classes][1]
 
     def test_single_proxy_plan_is_row_marginal(self):
         report = train_sim(TrainConfig(steps=2, seed=0, proxies_per_class=1))

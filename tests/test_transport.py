@@ -352,6 +352,124 @@ class TestNewton:
         assert res.marginal_violation == pytest.approx(viol, rel=1e-12)
 
 
+class TestWarmStart:
+    """sinkhorn(init=...) starts Newton from given column potentials."""
+
+    @staticmethod
+    def _neighbours(seed, k):
+        # A 16 x k train_sim-like problem and its neighbour one step later:
+        # fresh feature noise and slightly moved proxies.
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(16, 16))
+        proxies = rng.normal(size=(k, 16))
+        p = rng.dirichlet(np.ones(k))
+        q = np.full(16, 1.0 / 16)
+        near = cost_matrix(feats + 0.05 * rng.normal(size=feats.shape),
+                           proxies + 0.05 * rng.normal(size=proxies.shape))
+        return cost_matrix(feats, proxies), near, p, q
+
+    @staticmethod
+    def _plan_from_potentials(cost, q, h, epsilon):
+        K = np.exp(-cost / epsilon)
+        v = np.exp(h)
+        return q[:, None] * K * v / (K @ v)[:, None]
+
+    @pytest.mark.parametrize("shift", [0.0, 3.7, -250.0, 800.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_resolve_from_own_potentials(self, seed, shift):
+        cost, p, q = TestKernelSweepBitIdentical._train_instance(seed)
+        cold = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
+        assert cold.converged and cold.potentials.shape == (3,)
+        warm = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150, init=cold.potentials + shift)
+        assert warm.converged and warm.iterations <= 2
+        assert np.max(np.abs(warm.plan - cold.plan)) <= 1e-9
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_start_from_neighbouring_problem(self, k):
+        cold_steps = warm_steps = 0
+        for seed in range(10):
+            cost, near, p, q = self._neighbours(100 * k + seed, k)
+            start = sinkhorn(near, p, q, epsilon=0.01, max_iters=150).potentials
+            cold = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
+            warm = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150, init=start)
+            assert cold.converged and warm.converged
+            assert np.max(np.abs(warm.plan - cold.plan)) <= 1e-8
+            cold_steps += cold.iterations
+            warm_steps += warm.iterations
+        if k > 1:
+            assert warm_steps < cold_steps
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_mass_rows_and_columns(self, seed):
+        cost, p, q = TestKernelSweepBitIdentical._train_instance(seed, zeros=True)
+        cold = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
+        assert cold.potentials[-1] == -np.inf and np.isfinite(cold.potentials[:-1]).all()
+        # Whatever sits on the zero-mass column is ignored.
+        for last in (-np.inf, np.nan, 5.0):
+            init = cold.potentials.copy()
+            init[-1] = last
+            warm = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150, init=init)
+            assert warm.converged and warm.iterations <= 2
+            assert np.all(warm.plan[-3:, :] == 0.0) and np.all(warm.plan[:, -1] == 0.0)
+            assert np.max(np.abs(warm.plan - cold.plan)) <= 1e-9
+            assert warm.potentials[-1] == -np.inf
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_non_finite_start_is_cold_start(self, bad, zeros):
+        cost, p, q = TestKernelSweepBitIdentical._train_instance(3, zeros=zeros)
+        cold = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
+        init = np.array([0.1, bad, -0.2])
+        warm = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150, init=init)
+        assert np.array_equal(warm.plan, cold.plan)
+        assert np.array_equal(warm.potentials, cold.potentials)
+        assert (warm.iterations, warm.marginal_violation) == (cold.iterations,
+                                                              cold.marginal_violation)
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4,), (3, 1), (1, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        cost, p, q = TestKernelSweepBitIdentical._train_instance(0)
+        with pytest.raises(ValueError, match="init"):
+            sinkhorn(cost, p, q, epsilon=0.01, init=np.zeros(shape))
+
+    def test_wrong_shape_rejected_on_the_sweep_path(self):
+        rng = np.random.default_rng(0)
+        cost = rng.uniform(0, 1, (10, 7))
+        p, q = rng.dirichlet(np.ones(7)), rng.dirichlet(np.ones(10))
+        with pytest.raises(ValueError, match="init"):
+            sinkhorn(cost, p, q, init=np.zeros(3))
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_potentials_reproduce_plan(self, seed, zeros):
+        cost, p, q = TestKernelSweepBitIdentical._train_instance(seed, zeros=zeros)
+        for max_iters in (0, 3, 150):
+            res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=max_iters)
+            want = self._plan_from_potentials(cost, q, res.potentials, 0.01)
+            assert np.max(np.abs(res.plan - want)) <= 1e-12
+
+    def test_cold_start_potentials_are_log_p(self):
+        cost, p, q = TestKernelSweepBitIdentical._train_instance(0)
+        assert np.array_equal(sinkhorn(cost, p, q, epsilon=0.01, max_iters=0).potentials,
+                              np.log(p))
+
+    @pytest.mark.parametrize("k, epsilon", [(6, 0.05), (3, 0.001)])
+    def test_sweep_plan_has_no_potentials(self, k, epsilon):
+        rng = np.random.default_rng(k)
+        cost = rng.uniform(0, 1, (10, k))
+        cost[0, 0] = 1.0
+        p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(10))
+        res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=300, init=np.zeros(k))
+        assert res.potentials is None
+        want = transport._sweep(cost, p, q, epsilon=epsilon, max_iters=300, tol=1e-6)
+        assert np.array_equal(res.plan, want.plan)
+
+    def test_stalled_newton_has_no_potentials(self, monkeypatch):
+        monkeypatch.setattr(transport, "_solve_scalar", lambda d, M, g: None)
+        cost, p, q = TestKernelSweepBitIdentical._train_instance(0)
+        assert sinkhorn(cost, p, q, epsilon=0.01, max_iters=150).potentials is None
+
+
 class TestExactOt:
     def test_diagonal(self):
         plan, opt = exact_ot(
