@@ -44,17 +44,18 @@ def _env_seeded(obj: Any) -> Any:
     return obj
 
 
-def _load_config(path: str | None) -> PipelineConfig:
+def _load_config(cls: type, path: str | None) -> Any:
+    """A PipelineConfig or TrainConfig from its JSON file; the defaults without one."""
     if path is None:
-        return PipelineConfig()
+        return cls()
     with open(path) as f:
-        return PipelineConfig.from_dict(json.load(f))
+        return cls.from_dict(json.load(f))
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
     if args.image and not args.out_mosaic:
         return _fail(1, "--image requires --out-mosaic")
-    cfg = _load_config(args.config)
+    cfg = _load_config(PipelineConfig, args.config)
     per_image = io.load_detections(args.detections)
     dets = [d for img in sorted(per_image, key=str) for d in per_image[img]]
     _, layout = build_layout(dets, args.image_size, cfg)
@@ -73,7 +74,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 
 def _cmd_unpack(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(PipelineConfig, args.config)
     layout = io.load_layout(args.layout)
     fine = [d for dets in io.load_detections(args.fine).values() for d in dets]
     coarse = [d for dets in io.load_detections(args.coarse).values() for d in dets]
@@ -101,8 +102,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_sim(args: argparse.Namespace) -> int:
-    with open(args.config) as f:
-        cfg = _env_seeded(TrainConfig.from_dict(json.load(f)))
+    cfg = _env_seeded(_load_config(TrainConfig, args.config))
     report = train_sim(cfg)
     io.save_jsonl(report.records, args.out)
     min_dist = report.final_min_proxy_distance
@@ -173,9 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (io.ParseError, FileNotFoundError) as e:
-        return _fail(2, str(e))
-    except OSError as e:
+    except (io.ParseError, OSError) as e:
         return _fail(2, str(e))
     except (ValueError, TypeError) as e:
         return _fail(1, str(e))

@@ -7,8 +7,24 @@ from dataclasses import dataclass
 from typing import Any
 
 
+class DictConfig:
+    """The dict form of a dataclass config, as its JSON file holds it."""
+
+    def to_dict(self) -> dict[str, Any]:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict[str, Any]) -> Any:
+        """The config from its dict form; an unknown key raises ValueError."""
+        known = {f.name for f in dataclasses.fields(cls)}
+        unknown = set(d) - known
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**d)
+
+
 @dataclass
-class PipelineConfig:
+class PipelineConfig(DictConfig):
     """The five settings `pack` and `unpack` read; TrainConfig owns the rest."""
 
     beta: float = 1.5
@@ -30,14 +46,3 @@ class PipelineConfig:
             raise ValueError("padding must be nonnegative")
         if not 0.0 <= self.nms_iou <= 1.0:
             raise ValueError(f"nms_iou must be in [0,1], got {self.nms_iou}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)

@@ -47,13 +47,9 @@ def atomic_write(path: str | Path, *parts: str | bytes | np.ndarray) -> None:
         raise
 
 
-class _NotPlain(Exception):
-    """A value the JSON templates below do not spell; the caller falls back
-    to ``json.dumps``."""
-
-
 def _num(v: Any) -> str:
-    """A finite float or an int as ``json.dumps`` spells it.
+    """A finite float or an int as ``json.dumps`` spells it; anything else
+    raises ValueError, since standard JSON has no spelling for NaN or infinity.
 
     ``float.__repr__`` is what the encoder calls, also for subclasses such as
     ``np.float64``, whose own repr would differ.
@@ -63,7 +59,7 @@ def _num(v: Any) -> str:
             return float.__repr__(v)
     elif isinstance(v, int) and not isinstance(v, bool):
         return int.__repr__(v)
-    raise _NotPlain
+    raise ValueError(f"not a finite JSON number: {v!r}")
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -93,12 +89,15 @@ def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[Any, list
                 raise ValueError("non-finite coordinate")
             if w < 0 or h < 0:
                 raise ValueError("negative extent")
+            x2, y2 = float(x) + float(w), float(y) + float(h)
+            if not (math.isfinite(x2) and math.isfinite(y2)):
+                raise ValueError("box overflows")
             det = Detection(
-                BBox(float(x), float(y), float(x) + float(w), float(y) + float(h)),
+                BBox(float(x), float(y), x2, y2),
                 float(rec.get("score", 1.0)),
                 int(rec.get("category_id", 0)),
             )
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             bad.append(i)
             continue
         per_image.setdefault(rec.get("image_id", 0), []).append(det)
@@ -136,16 +135,17 @@ _DETECTION = (' {\n  "image_id": %s,\n  "bbox": [\n   %s,\n   %s,\n   %s,\n   %s
 
 def _detections_json(dets: Sequence[Detection], image_id: Any) -> str:
     """``json.dumps(detections_to_records(dets, image_id), indent=1)``, one
-    template per record; the C-accelerated encoder has no indented mode."""
-    try:
-        if not (image_id is None or isinstance(image_id, (str, int, float))):
-            raise _NotPlain
-        ident = json.dumps(image_id)
-        items = [_DETECTION % (ident, _num(d.box.x1), _num(d.box.y1), _num(d.box.width),
-                               _num(d.box.height), _num(d.score), _num(d.category))
-                 for d in dets]
-    except _NotPlain:
-        return json.dumps(detections_to_records(dets, image_id), indent=1)
+    template per record; the C-accelerated encoder has no indented mode.
+
+    A non-finite number or an ``image_id`` that is not a JSON scalar raises
+    ValueError.
+    """
+    if not (image_id is None or isinstance(image_id, (str, int, float))):
+        raise ValueError(f"image_id must be a JSON scalar, got {image_id!r}")
+    ident = json.dumps(image_id, allow_nan=False)
+    items = [_DETECTION % (ident, _num(d.box.x1), _num(d.box.y1), _num(d.box.width),
+                           _num(d.box.height), _num(d.score), _num(d.category))
+             for d in dets]
     return _json_array(items, "")
 
 
@@ -163,14 +163,10 @@ def save_scene(
 ) -> None:
     doc = {
         "image_size": [extent_wh[0], extent_wh[1]],
-        "ground_truth": [
-            {"image_id": 0, "bbox": [b.x1, b.y1, b.width, b.height], "score": 1.0,
-             "category_id": 0}
-            for b in gt_boxes
-        ],
+        "ground_truth": detections_to_records([Detection(b, 1.0, 0) for b in gt_boxes]),
         "coarse": detections_to_records(coarse),
     }
-    atomic_write(path, json.dumps(doc, indent=1))
+    atomic_write(path, json.dumps(doc, indent=1, allow_nan=False))
 
 
 def load_scene(path: str | Path) -> tuple[tuple[float, float], list[BBox], list[Detection]]:
@@ -186,22 +182,12 @@ def load_scene(path: str | Path) -> tuple[tuple[float, float], list[BBox], list[
 
 # -- mosaic layouts ----------------------------------------------------------
 
-def layout_to_dict(layout: MosaicLayout) -> dict[str, Any]:
-    return {
-        "mosaic": {"width": layout.mosaic_width, "height": layout.mosaic_height},
-        "placements": [
-            {
-                "src": [p.source.x1, p.source.y1, p.source.x2, p.source.y2],
-                "scale": p.scale,
-                "dest": [p.dest_x, p.dest_y],
-            }
-            for p in layout.placements
-        ],
-    }
-
-
 def layout_from_dict(doc: dict[str, Any]) -> MosaicLayout:
     try:
+        width, height = float(doc["mosaic"]["width"]), float(doc["mosaic"]["height"])
+        # Written so that a NaN fails the test too.
+        if not (0 <= width < math.inf and 0 <= height < math.inf):
+            raise ValueError(f"mosaic size {width}x{height} is not finite and nonnegative")
         placements = [
             Placement(
                 BBox(*(float(v) for v in p["src"])),
@@ -211,10 +197,8 @@ def layout_from_dict(doc: dict[str, Any]) -> MosaicLayout:
             )
             for p in doc["placements"]
         ]
-        return MosaicLayout(
-            float(doc["mosaic"]["width"]), float(doc["mosaic"]["height"]), placements
-        )
-    except (KeyError, TypeError, ValueError) as e:
+        return MosaicLayout(width, height, placements)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"invalid layout document: {e}") from e
 
 
@@ -224,16 +208,14 @@ _PLACEMENT = ('  {\n   "src": [\n    %s,\n    %s,\n    %s,\n    %s\n   ],\n   "s
 
 
 def _layout_json(layout: MosaicLayout) -> str:
-    """``json.dumps(layout_to_dict(layout), indent=1)``, one template per
-    placement; the C-accelerated encoder has no indented mode."""
-    try:
-        items = [_PLACEMENT % (_num(p.source.x1), _num(p.source.y1), _num(p.source.x2),
-                               _num(p.source.y2), _num(p.scale), _num(p.dest_x), _num(p.dest_y))
-                 for p in layout.placements]
-        return _LAYOUT % (_num(layout.mosaic_width), _num(layout.mosaic_height),
-                          _json_array(items, " "))
-    except _NotPlain:
-        return json.dumps(layout_to_dict(layout), indent=1)
+    """The document ``layout_from_dict`` reads, as ``json.dumps(..., indent=1)``
+    spells it, one template per placement; the C-accelerated encoder has no
+    indented mode. A non-finite number raises ValueError."""
+    items = [_PLACEMENT % (_num(p.source.x1), _num(p.source.y1), _num(p.source.x2),
+                           _num(p.source.y2), _num(p.scale), _num(p.dest_x), _num(p.dest_y))
+             for p in layout.placements]
+    return _LAYOUT % (_num(layout.mosaic_width), _num(layout.mosaic_height),
+                      _json_array(items, " "))
 
 
 def save_layout(layout: MosaicLayout, path: str | Path) -> None:

@@ -55,24 +55,6 @@ def single_proxy_prob(w: np.ndarray, x: np.ndarray) -> float:
     return _sigmoid(float(w @ x))
 
 
-def similarity_profile(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cosine similarity of x against every proxy row."""
-    x = np.asarray(x, dtype=float)
-    xn = np.linalg.norm(x)
-    if xn == 0:
-        raise ValueError("zero feature vector")
-    wn = np.linalg.norm(weights, axis=1)
-    return (weights @ x) / (wn * xn)
-
-
-def multi_proxy_prob(bank: ProxyBank, class_id: int, x: np.ndarray) -> float:
-    """Sigmoid(gamma * sum_k softmax(s)_k * s_k) over proxy cosine similarities."""
-    s = similarity_profile(bank.weights[class_id], x)
-    w = np.exp(s - np.max(s))
-    w /= w.sum()
-    return _sigmoid(bank.gamma * float(w @ s))
-
-
 def _logit_terms(
     bank: ProxyBank, class_id: int, X: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -117,6 +99,15 @@ def multi_proxy_logit(
     if x.ndim == 1:
         return float(z[0]), dz_dw[0]
     return z, dz_dw
+
+
+def multi_proxy_prob(bank: ProxyBank, class_id: int, x: np.ndarray) -> float | np.ndarray:
+    """Sigmoid(gamma * sum_k softmax(s)_k * s_k) over proxy cosine similarities.
+
+    The sigmoid of multi_proxy_logit: one probability for a feature of shape
+    C, N of them for a batch of shape N x C.
+    """
+    return _sigmoid(multi_proxy_logit(bank, class_id, x)[0])
 
 
 def multi_proxy_grad(

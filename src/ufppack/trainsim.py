@@ -8,21 +8,20 @@ feature modes instead of drifting toward a common mean.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
 from .clustering import kmeans
+from .config import DictConfig
 from .proxies import ProxyBank, _row_norms, _sigmoid, multi_proxy_logit
 from .transport import cost_matrix, sinkhorn, transport_cost
 from .vocab import VocabQueue, contrastive_loss, estimate_marginals
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(DictConfig):
     n_classes: int = 2
     proxies_per_class: int = 3
     feature_dim: int = 16
@@ -43,12 +42,18 @@ class TrainConfig:
     sinkhorn_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.n_classes < 1 or self.proxies_per_class < 1:
-            raise ValueError("need at least one class and one proxy")
-        if self.feature_dim < 2 or self.modes_per_class < 1:
-            raise ValueError("invalid feature geometry")
-        if self.steps < 0 or self.batch_size < 1 or not 0 < self.lr < math.inf:
-            raise ValueError("invalid optimization settings")
+        for name, least in (("n_classes", 1), ("proxies_per_class", 1), ("feature_dim", 2),
+                            ("modes_per_class", 1), ("steps", 0), ("batch_size", 1),
+                            ("vocab_capacity", 1), ("marginal_cadence", 1),
+                            ("sinkhorn_max_iters", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        # `not x > 0` also rejects NaN.
+        for name in ("gamma", "sinkhorn_epsilon", "sinkhorn_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not math.isfinite(self.mode_noise):
             raise ValueError(f"mode_noise must be finite, got {self.mode_noise}")
         if self.proxy_init not in ("kmeans", "random"):
@@ -56,24 +61,6 @@ class TrainConfig:
         if not 1 <= self.vocab_insert <= self.batch_size:
             raise ValueError(f"vocab_insert must be between 1 and batch_size "
                              f"({self.batch_size}), got {self.vocab_insert}")
-        if self.vocab_capacity < 1 or self.marginal_cadence < 1:
-            raise ValueError("vocab_capacity and marginal_cadence must be at least 1")
-        # `not x > 0` also rejects NaN.
-        if not (self.gamma > 0 and self.sinkhorn_epsilon > 0 and self.sinkhorn_tol > 0):
-            raise ValueError("gamma, sinkhorn_epsilon and sinkhorn_tol must be positive")
-        if self.sinkhorn_max_iters < 0:
-            raise ValueError("sinkhorn_max_iters must be nonnegative")
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -196,7 +183,6 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
     labels = np.repeat(np.arange(cfg.n_classes), cfg.batch_size)
     n_terms = labels.size * cfg.n_classes
     targets = [(labels == cid).astype(float) for cid in range(cfg.n_classes)]
-    instance_labels = labels.tolist()
     q = np.full(cfg.batch_size, 1.0 / cfg.batch_size)
     pairs = np.triu_indices(cfg.proxies_per_class, k=1)
     # Each class's transport starts from the column potentials of its
@@ -260,7 +246,7 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
             )
         report.transport.append(stats)
 
-        loss_cl = contrastive_loss(list(zip(feats_all, instance_labels)), vocabs)
+        loss_cl = contrastive_loss(feats_all, labels, vocabs)
 
         min_dist, max_sim = _proxy_separation(bank, pairs)
         report.records.append(

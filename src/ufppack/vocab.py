@@ -13,6 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clustering import kmeans
+from .transport import _logsumexp
 
 
 class InsufficientVocabularyError(ValueError):
@@ -20,19 +21,17 @@ class InsufficientVocabularyError(ValueError):
 
 
 class VocabQueue:
-    """Fixed-capacity FIFO of feature vectors for one class, as a ring buffer."""
+    """Fixed-capacity FIFO of feature vectors for one class."""
 
     def __init__(self, capacity: int, class_id: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.class_id = class_id
-        self._rows: np.ndarray | None = None  # capacity x C, sized by the first insert
-        self._count = 0
-        self._next = 0  # slot the next insert writes; the oldest entry once full
+        self._rows = np.empty((0, 0))  # oldest first; the width comes with the first insert
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._rows)
 
     def update(
         self, batch_positives: Sequence[np.ndarray], m: int, rng: np.random.Generator
@@ -46,21 +45,14 @@ class VocabQueue:
             raise ValueError(f"m={m} exceeds batch size {len(batch_positives)}")
         chosen = rng.choice(len(batch_positives), size=m, replace=False)
         new = np.asarray(batch_positives, dtype=float)[np.sort(chosen)]
-        new = new[-self.capacity :]
-        if self._rows is None:
-            self._rows = np.empty((self.capacity, new.shape[1]))
-        self._rows[(self._next + np.arange(len(new))) % self.capacity] = new
-        self._next = (self._next + len(new)) % self.capacity
-        self._count = min(self._count + len(new), self.capacity)
+        if len(self._rows):
+            new = np.concatenate((self._rows, new))
+        self._rows = new[-self.capacity :]
         return self
 
     def snapshot(self) -> np.ndarray:
         """Entries as an array, oldest first."""
-        if self._rows is None:
-            return np.empty((0, 0))
-        if self._count < self.capacity:
-            return self._rows[: self._count].copy()
-        return np.concatenate((self._rows[self._next :], self._rows[: self._next]))
+        return self._rows.copy()
 
 
 @dataclass
@@ -83,41 +75,40 @@ def estimate_marginals(queue: VocabQueue, k: int, seed: int) -> MarginalEstimate
     return MarginalEstimate(p=sizes / sizes.sum(), cluster_sizes=sizes)
 
 
-def _logsumexp_rows(s: np.ndarray) -> np.ndarray:
-    m = np.maximum.reduce(s, axis=1)
-    return m + np.log(np.add.reduce(np.exp(s - m[:, None]), axis=1))
-
-
 def contrastive_loss(
-    instances: Sequence[tuple[np.ndarray, int]], vocab: Mapping[int, VocabQueue]
+    x: np.ndarray, labels: np.ndarray, vocab: Mapping[int, VocabQueue]
 ) -> float:
-    """Mean negative log-ratio of own-class to all-class vocabulary affinity."""
-    if not instances:
+    """Mean negative log-ratio of own-class to all-class vocabulary affinity.
+
+    Row n of the N x C array ``x`` is an instance of class ``labels[n]``.
+    """
+    x = np.asarray(x, dtype=float)
+    labels = np.asarray(labels)
+    if x.ndim != 2 or labels.shape != (len(x),):
+        raise ValueError(f"need an N x C array and N labels, got {x.shape} and {labels.shape}")
+    if not len(x):
         raise ValueError("no instances")
-    labels = np.array([class_id for _, class_id in instances])
     for class_id in dict.fromkeys(labels.tolist()):
         if len(vocab[class_id]) == 0:
             raise ValueError(f"class {class_id} has an empty vocabulary")
     words = {cid: q.snapshot() for cid, q in vocab.items() if len(q) > 0}
     # One affinity matrix against every word; each class's own words are a
     # column block of it.
-    x = np.array([v for v, _ in instances], dtype=float)
     s = x @ np.concatenate(list(words.values())).T
-    total = float(np.add.reduce(_logsumexp_rows(s)))
+    total = float(np.add.reduce(_logsumexp(s, axis=1)))
     start = 0
     for class_id, own in words.items():
         rows = labels == class_id
         if rows.any():
-            total -= float(np.add.reduce(_logsumexp_rows(s[rows, start : start + len(own)])))
+            total -= float(np.add.reduce(_logsumexp(s[rows, start : start + len(own)], axis=1)))
         start += len(own)
-    return total / len(instances)
+    return total / len(x)
 
 
 def contrastive_grad(
-    instance: tuple[np.ndarray, int], vocab: Mapping[int, VocabQueue]
+    x: np.ndarray, class_id: int, vocab: Mapping[int, VocabQueue]
 ) -> np.ndarray:
     """Analytic gradient of the single-instance contrastive term w.r.t. x."""
-    x, class_id = instance
     x = np.asarray(x, dtype=float)
     own = vocab[class_id].snapshot()
     if own.size == 0:

@@ -6,8 +6,9 @@ oracle is Monte Carlo, the mosaic oracle samples each pixel through its
 placement's affine map in a scalar float64 loop, gradients
 are checked by central finite differences, exact transport comes from basis
 enumeration, the reference Sinkhorn is a scalar log-domain loop (plus the
-plain kernel-domain loop, for bit-for-bit checks of the fast one) and the NMS
-reference compares each candidate with every kept detection by scalar IoU.
+plain kernel-domain loop, for bit-for-bit checks of the fast one), the NMS
+reference compares each candidate with every kept detection by scalar IoU
+and the layout file reference is ``json.dumps`` of the layout as a dict.
 """
 from __future__ import annotations
 
@@ -100,6 +101,22 @@ def central_diff(f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-
         e.flat[i] = h
         g.flat[i] = (f(x + e) - f(x - e)) / (2 * h)
     return g
+
+
+def layout_to_dict(layout) -> dict:
+    """A MosaicLayout as plain JSON values; ``json.dumps(layout_to_dict(l),
+    indent=1)`` is the byte-for-byte reference for ``io.save_layout``."""
+    return {
+        "mosaic": {"width": layout.mosaic_width, "height": layout.mosaic_height},
+        "placements": [
+            {
+                "src": [p.source.x1, p.source.y1, p.source.x2, p.source.y2],
+                "scale": p.scale,
+                "dest": [p.dest_x, p.dest_y],
+            }
+            for p in layout.placements
+        ],
+    }
 
 
 def compose_affine_reference(layout, source_image: np.ndarray) -> np.ndarray:

@@ -163,8 +163,8 @@ def test_criterion_05_gradient_checks():
             vocab[cid] = q
         x = rng.normal(size=8)
         cid = int(rng.integers(n_classes))
-        grad = contrastive_grad((x, cid), vocab)
-        num = central_diff(lambda v: contrastive_loss([(v, cid)], vocab), x)
+        grad = contrastive_grad(x, cid, vocab)
+        num = central_diff(lambda v: contrastive_loss(v[None, :], [cid], vocab), x)
         assert np.allclose(grad, num, rtol=1e-4, atol=1e-7)
     _report("criterion 5: analytic vs finite-difference gradients")
 

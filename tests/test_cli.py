@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ufppack
 from ufppack import io
 from ufppack.cli import main
 from ufppack.geometry import BBox
@@ -170,6 +175,56 @@ class TestUnpackCommand:
         assert fused[0].box == BBox(100, 100, 110, 110)
 
 
+    def test_out_directory_exit_2_without_temp_file(self, tmp_path, capsys, three_box_file):
+        layout = tmp_path / "layout.json"
+        io.save_layout(pack([(BBox(0, 0, 50, 50), 1.0)], 100), layout)
+        out = tmp_path / "fused"
+        out.mkdir()
+        before = sorted(tmp_path.iterdir())
+        assert main(["unpack", "--fine", three_box_file, "--layout", str(layout),
+                     "--coarse", three_box_file, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before and not any(out.iterdir())
+
+    @pytest.mark.parametrize("height", ["NaN", "Infinity", "-1"])
+    def test_unusable_mosaic_size_exit_2_without_output(self, tmp_path, capsys,
+                                                        three_box_file, height):
+        layout = tmp_path / "layout.json"
+        layout.write_text('{"mosaic": {"width": 100, "height": %s}, "placements": []}' % height)
+        out = tmp_path / "fused.json"
+        assert main(["unpack", "--fine", three_box_file, "--layout", str(layout),
+                     "--coarse", three_box_file, "--out", str(out)]) == 2
+        assert "invalid layout document" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOverflowingBox:
+    """A record whose corners are finite but whose x + w or y + h overflows is
+    rejected by its index: exit 1, no output."""
+
+    @pytest.mark.parametrize("bbox", [[1e308, 5, 1e308, 10], [5, 1e308, 10, 1e308]])
+    @pytest.mark.parametrize("command", ["pack", "unpack-coarse", "unpack-fine", "stats"])
+    def test_exit_1_without_output(self, tmp_path, capsys, three_box_file, command, bbox):
+        bad = _write_detections(tmp_path / "bad.json",
+                                [_det_record(0, 0, 10, 10), _det_record(*bbox)])
+        layout = tmp_path / "layout.json"
+        io.save_layout(pack([(BBox(0, 0, 50, 50), 1.0)], 100), layout)
+        out = tmp_path / "out.json"
+        args = {
+            "pack": ["pack", "--detections", bad, "--image-size", "200x200",
+                     "--out-layout", str(out)],
+            "unpack-coarse": ["unpack", "--fine", three_box_file, "--layout", str(layout),
+                              "--coarse", bad, "--out", str(out)],
+            "unpack-fine": ["unpack", "--fine", bad, "--layout", str(layout),
+                            "--coarse", three_box_file, "--out", str(out)],
+            "stats": ["stats", "--boxes", bad, "--image-size", "200x200"],
+        }[command]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "invalid detection records at indices [1]" in captured.err
+        assert captured.out == "" and not out.exists()
+
+
 class TestRemovedConfigKeys:
     """Keys of settings that pack and unpack never read fail loudly."""
 
@@ -199,6 +254,39 @@ class TestStatsCommand:
         assert rc == 0
         assert "FR 4.00%" in capsys.readouterr().out
 
+    def test_mosaic_line(self, tmp_path, capsys):
+        # One 50x50 region at scale 2 fills a 100-wide strip at (0, 0); the
+        # 20x20 box inside it becomes 40x40 of the 100x100 mosaic.
+        boxes = _write_detections(tmp_path / "b.json", [_det_record(10, 10, 20, 20)])
+        layout = tmp_path / "layout.json"
+        io.save_layout(pack([(BBox(0, 0, 50, 50), 2.0)], 100, padding=0.0), layout)
+        rc = main(["stats", "--boxes", boxes, "--image-size", "100x100",
+                   "--layout", str(layout)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("source: FR 4.00%")
+        assert lines[1] == "mosaic: FR 16.00%  small 0.00%  medium 100.00%  large 0.00%"
+
+    def test_nan_mosaic_size_exit_2(self, tmp_path, capsys):
+        boxes = _write_detections(tmp_path / "b.json", [_det_record(0, 0, 20, 20)])
+        layout = tmp_path / "layout.json"
+        layout.write_text('{"mosaic": {"width": 100, "height": NaN}, "placements": []}')
+        rc = main(["stats", "--boxes", boxes, "--image-size", "100x100",
+                   "--layout", str(layout)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "invalid layout document" in captured.err
+        assert "mosaic:" not in captured.out
+
+    @pytest.mark.parametrize("size", ["100", "100x", "axb", "100x100x3"])
+    def test_malformed_image_size_exit_2(self, tmp_path, capsys, size):
+        boxes = _write_detections(tmp_path / "b.json", [_det_record(0, 0, 20, 20)])
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--boxes", boxes, "--image-size", size])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"expected WxH, got {size!r}" in captured.err and captured.out == ""
+
 
 class TestSynthCommand:
     def test_generates_scene(self, tmp_path):
@@ -208,6 +296,24 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
         (w, h), gt, coarse = io.load_scene(out)
         assert len(gt) == 40 and len(coarse) > 0
+
+    def test_module_entry_point(self, tmp_path):
+        """``python -m ufppack.cli`` exits with main's return code."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 1, "n_objects": 10, "target_fr": 0.05}))
+        out = tmp_path / "scene.json"
+        src = str(Path(ufppack.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("UFPPACK_SEED", None)
+        ok = subprocess.run([sys.executable, "-m", "ufppack.cli", "synth", "--spec", str(spec),
+                             "--out", str(out)], env=env, capture_output=True, text=True,
+                            timeout=120)
+        assert ok.returncode == 0 and ok.stdout.startswith("generated 10 objects")
+        assert out.exists()
+        missing = subprocess.run([sys.executable, "-m", "ufppack.cli", "synth", "--spec",
+                                  str(tmp_path / "nope.json"), "--out", str(out)],
+                                 env=env, capture_output=True, text=True, timeout=120)
+        assert missing.returncode == 2 and missing.stderr.startswith("error:")
 
     def test_infinite_extent_exit_1(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -282,13 +388,15 @@ class TestTrainSimCommand:
         {"sinkhorn_tol": 0.0}, {"sinkhorn_max_iters": -1}, {"gamma": 0.0},
         {"vocab_capacity": 0}, {"lr": float("nan")}, {"lr": float("inf")},
         {"mode_noise": float("nan")}, {"mode_noise": float("inf")},
+        {"steps": -1}, {"batch_size": 0}, {"lr": 0.0}, {"n_classes": 0},
+        {"proxies_per_class": 0}, {"feature_dim": 1}, {"modes_per_class": 0},
     ])
     def test_invalid_config_exit_1_without_records(self, tmp_path, capsys, bad):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"steps": 3, "seed": 0, **bad}))
         out = tmp_path / "report.jsonl"
         assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "error" in capsys.readouterr().err
+        assert f"error: {next(iter(bad))} must be" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("insert", [0, -1, 17])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import compose_affine_reference
+from oracles import compose_affine_reference, layout_to_dict
 from ufppack import io
 from ufppack.config import PipelineConfig
 from ufppack.geometry import BBox
@@ -39,6 +39,9 @@ class TestDetectionsIO:
     @pytest.mark.parametrize("bad", [
         {"bbox": [float("nan"), 0, 1, 1]}, {"bbox": [0, 0, float("inf"), 1]},
         {"bbox": [0, 0, 1, float("nan")]}, {"bbox": [0, 0, 1, 1], "score": float("nan")},
+        # finite corners whose sum overflows, or numbers too large for a float
+        {"bbox": [1e308, 5, 1e308, 10]}, {"bbox": [5, 1e308, 10, 1e308]},
+        {"bbox": [10**400, 0, 1, 1]}, {"bbox": [0, 0, 1, 1], "category_id": float("inf")},
     ])
     def test_non_finite_rejected(self, bad):
         good = {"image_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5, "category_id": 0}
@@ -93,6 +96,16 @@ class TestLayoutIO:
         with pytest.raises(io.ParseError, match="scale"):
             io.load_layout(p)
 
+    @pytest.mark.parametrize("width,height", [
+        (100, float("nan")), (float("inf"), 100), (100, -1.0), (-0.5, 100), (10**400, 100),
+    ], ids=["nan-height", "inf-width", "negative-height", "negative-width", "huge-width"])
+    def test_unusable_mosaic_size_rejected(self, tmp_path, width, height):
+        p = tmp_path / "l.json"
+        p.write_text(json.dumps({"mosaic": {"width": width, "height": height},
+                                 "placements": []}))
+        with pytest.raises(io.ParseError, match="invalid layout document"):
+            io.load_layout(p)
+
     def test_schema_violation(self, tmp_path):
         p = tmp_path / "l.json"
         p.write_text(json.dumps({"mosaic": {"width": 10, "height": 10}}))
@@ -129,7 +142,7 @@ class TestTemplateJsonWriters:
                           self._value(rng), self._value(rng))
                 for _ in range(n)])
             io.save_layout(lay, tmp_path / "l.json")
-            want = json.dumps(io.layout_to_dict(lay), indent=1)
+            want = json.dumps(layout_to_dict(lay), indent=1)
             assert (tmp_path / "l.json").read_text() == want
 
     @pytest.mark.parametrize("image_id", [0, 12, "img_7", "caf\u00e9 \"1\"", None, 2.5])
@@ -143,15 +156,20 @@ class TestTemplateJsonWriters:
             want = json.dumps(io.detections_to_records(dets, image_id), indent=1)
             assert (tmp_path / "d.json").read_text() == want
 
-    def test_non_finite_and_unusual_values_fall_back_to_json_dumps(self, tmp_path):
-        lay = MosaicLayout(40.0, float("inf"), [Placement(BBox(0, 0, float("inf"), 4), 1.0, 0, 0)])
-        io.save_layout(lay, tmp_path / "l.json")
-        assert (tmp_path / "l.json").read_text() == json.dumps(io.layout_to_dict(lay), indent=1)
-        dets = [Detection(BBox(1.0, 2.0, float("inf"), 4.0), 0.5, 1)]
-        for image_id in [3, [1, 2], {"a": 1}]:
-            io.save_detections(dets, tmp_path / "d.json", image_id=image_id)
-            want = json.dumps(io.detections_to_records(dets, image_id), indent=1)
-            assert (tmp_path / "d.json").read_text() == want
+    def test_non_finite_and_unusual_values_are_rejected_without_a_file(self, tmp_path):
+        out = tmp_path / "out.json"
+        for lay in [MosaicLayout(40.0, float("inf"), []),
+                    MosaicLayout(40.0, 8.0, [Placement(BBox(0, 0, float("inf"), 4), 1.0, 0, 0)])]:
+            with pytest.raises(ValueError, match="finite"):
+                io.save_layout(lay, out)
+            assert list(tmp_path.iterdir()) == []
+        good = [Detection(BBox(1.0, 2.0, 3.0, 4.0), 0.5, 1)]
+        for dets, image_id in [([Detection(BBox(1.0, 2.0, float("inf"), 4.0), 0.5, 1)], 3),
+                               (good, [1, 2]), (good, {"a": 1}), (good, float("nan")),
+                               ([], (1,))]:
+            with pytest.raises(ValueError):
+                io.save_detections(dets, out, image_id=image_id)
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigRoundtrip:

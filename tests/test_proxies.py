@@ -10,13 +10,17 @@ from ufppack.proxies import (
     multi_proxy_grad,
     multi_proxy_logit,
     multi_proxy_prob,
-    similarity_profile,
     single_proxy_prob,
 )
 
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def _cosines(w, x):
+    """Cosine similarity of x against every row of w."""
+    return (w @ x) / (np.linalg.norm(w, axis=1) * np.linalg.norm(x))
 
 
 def _bank(W, gamma=1.0):
@@ -46,7 +50,7 @@ class TestMultiProxy:
             w = rng.normal(size=(1, 6))
             x = rng.normal(size=6)
             bank = ProxyBank({0: w}, gamma=3.0)
-            s = similarity_profile(w, x)[0]
+            s = _cosines(w, x)[0]
             assert multi_proxy_prob(bank, 0, x) == pytest.approx(
                 _sigmoid(3.0 * s), abs=1e-12
             )
@@ -59,10 +63,17 @@ class TestMultiProxy:
                 w[i, i] = 1.0
             x = np.ones(k + 1)
             bank = ProxyBank({0: w}, gamma=2.0)
-            s = similarity_profile(w, x)[0]
+            s = _cosines(w, x)[0]
             assert multi_proxy_prob(bank, 0, x) == pytest.approx(
                 _sigmoid(2.0 * s), abs=1e-12
             )
+
+    def test_batch_rows_equal_single_calls(self):
+        rng = np.random.default_rng(4)
+        bank = _bank(rng.normal(size=(3, 5)), gamma=5.0)
+        X = rng.normal(size=(6, 5))
+        single = [multi_proxy_prob(bank, 0, x) for x in X]
+        assert np.allclose(multi_proxy_prob(bank, 0, X), single, rtol=0, atol=1e-14)
 
     def test_worked_two_proxy_example(self):
         x = np.array([0.8, 0.2, np.sqrt(1 - 0.8**2 - 0.2**2)])
@@ -85,7 +96,7 @@ class TestMultiProxy:
             w = rng.normal(size=(4, 6))
             x = rng.normal(size=6)
             bank = _bank(w, gamma=5.0)
-            s = similarity_profile(w, x)
+            s = _cosines(w, x)
             p = multi_proxy_prob(bank, 0, x)
             assert _sigmoid(5.0 * s.min()) - 1e-12 <= p <= _sigmoid(5.0 * s.max()) + 1e-12
 

@@ -32,8 +32,16 @@ class TestTrainConfig:
         {"gamma": 0.0}, {"gamma": -5.0}, {"vocab_capacity": 0},
     ])
     def test_invalid_transport_and_vocab_settings_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
             TrainConfig(**bad)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_classes", 0), ("proxies_per_class", 0), ("feature_dim", 1), ("modes_per_class", 0),
+        ("steps", -1), ("batch_size", 0), ("lr", 0.0), ("lr", -0.1), ("lr", float("inf")),
+    ])
+    def test_message_names_the_rejected_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("insert", [0, -1, 9])
     def test_vocab_insert_outside_batch_rejected(self, insert):

@@ -129,7 +129,7 @@ class TestContrastiveLoss:
     def test_single_class_zero(self):
         rng = np.random.default_rng(0)
         vocab = {0: _fill(VocabQueue(4, 0), list(rng.normal(size=(4, 3))), rng)}
-        assert contrastive_loss([(rng.normal(size=3), 0)], vocab) == pytest.approx(0.0)
+        assert contrastive_loss(rng.normal(size=(1, 3)), [0], vocab) == pytest.approx(0.0)
 
     def test_symmetric_two_words(self):
         rng = np.random.default_rng(0)
@@ -137,14 +137,14 @@ class TestContrastiveLoss:
         # one word per class, both orthogonal to x -> equal affinities
         v0 = _fill(VocabQueue(1, 0), [_vec(0, 1)], rng)
         v1 = _fill(VocabQueue(1, 1), [_vec(0, -1)], rng)
-        loss = contrastive_loss([(x, 0)], {0: v0, 1: v1})
+        loss = contrastive_loss(x[None, :], [0], {0: v0, 1: v1})
         assert loss == pytest.approx(np.log(2))
 
     def test_dominating_own_word(self):
         rng = np.random.default_rng(0)
         v0 = _fill(VocabQueue(1, 0), [_vec(100, 0)], rng)
         v1 = _fill(VocabQueue(1, 1), [_vec(0, 1)], rng)
-        loss = contrastive_loss([(_vec(1, 0), 0)], {0: v0, 1: v1})
+        loss = contrastive_loss(_vec(1, 0)[None, :], [0], {0: v0, 1: v1})
         assert loss < 1e-9
 
     def test_nonnegative(self):
@@ -152,7 +152,14 @@ class TestContrastiveLoss:
         vocab = _two_class_vocab(rng)
         for _ in range(50):
             x = rng.normal(size=8)
-            assert contrastive_loss([(x, int(rng.integers(0, 2)))], vocab) >= 0.0
+            assert contrastive_loss(x[None, :], [int(rng.integers(0, 2))], vocab) >= 0.0
+
+
+    def test_shape_mismatch_rejected(self):
+        vocab = _two_class_vocab(np.random.default_rng(3))
+        for x, labels in [(np.ones(8), [0]), (np.ones((2, 8)), [0]), (np.ones((1, 8)), 0)]:
+            with pytest.raises(ValueError, match="N labels"):
+                contrastive_loss(x, labels, vocab)
 
 
 class TestContrastiveGrad:
@@ -162,13 +169,13 @@ class TestContrastiveGrad:
         vocab = _two_class_vocab(rng)
         x = rng.normal(size=8)
         cid = int(rng.integers(0, 2))
-        grad = contrastive_grad((x, cid), vocab)
-        num = central_diff(lambda v: contrastive_loss([(v, cid)], vocab), x)
+        grad = contrastive_grad(x, cid, vocab)
+        num = central_diff(lambda v: contrastive_loss(v[None, :], [cid], vocab), x)
         assert np.allclose(grad, num, rtol=1e-4, atol=1e-7)
 
     def test_dominating_word_zero_grad(self):
         rng = np.random.default_rng(0)
         v0 = _fill(VocabQueue(1, 0), [_vec(100, 0)], rng)
         v1 = _fill(VocabQueue(1, 1), [_vec(0, 0.1)], rng)
-        g = contrastive_grad((_vec(1, 0), 0), {0: v0, 1: v1})
+        g = contrastive_grad(_vec(1, 0), 0, {0: v0, 1: v1})
         assert np.linalg.norm(g) < 1e-9
