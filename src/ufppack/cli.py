@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 validation error, 2 I/O or parse error. All
 diagnostics go to stderr. The UFPPACK_SEED environment variable overrides
 the seed of the `synth` spec and the `train-sim` config; `pack` and `unpack`
-draw no random numbers, and their config holds no seed.
+draw no random numbers, and their config holds no seed. `pack`, `unpack` and
+`stats` take the detections of one image: a detection file with more than
+one `image_id` fails with exit 1.
 """
 from __future__ import annotations
 
@@ -52,12 +54,20 @@ def _load_config(cls: type, path: str | None) -> Any:
         return cls.from_dict(json.load(f))
 
 
+def _one_image(path: str) -> list:
+    """The detections of a file that holds at most one ``image_id``."""
+    per_image = io.load_detections(path)
+    if len(per_image) > 1:
+        raise ValueError(f"{path}: detections of {len(per_image)} images; "
+                         f"one image per file is supported")
+    return next(iter(per_image.values()), [])
+
+
 def _cmd_pack(args: argparse.Namespace) -> int:
     if args.image and not args.out_mosaic:
         return _fail(1, "--image requires --out-mosaic")
     cfg = _load_config(PipelineConfig, args.config)
-    per_image = io.load_detections(args.detections)
-    dets = [d for img in sorted(per_image, key=str) for d in per_image[img]]
+    dets = _one_image(args.detections)
     _, layout = build_layout(dets, args.image_size, cfg)
     # Render first: a raster that does not fit the layout leaves no file.
     if args.image:
@@ -76,8 +86,8 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 def _cmd_unpack(args: argparse.Namespace) -> int:
     cfg = _load_config(PipelineConfig, args.config)
     layout = io.load_layout(args.layout)
-    fine = [d for dets in io.load_detections(args.fine).values() for d in dets]
-    coarse = [d for dets in io.load_detections(args.coarse).values() for d in dets]
+    fine = _one_image(args.fine)
+    coarse = _one_image(args.coarse)
     remapped = [m for d in fine if (m := to_source(d, layout)) is not None]
     fused = fuse(coarse, remapped, cfg.nms_iou)
     io.save_detections(fused, args.out)
@@ -92,12 +102,12 @@ def _stats_line(label: str, st) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    per_image = io.load_detections(args.boxes)
-    boxes = [d.box for dets in per_image.values() for d in dets]
-    print(_stats_line("source", scene_stats(boxes, args.image_size)))
+    boxes = [d.box for d in _one_image(args.boxes)]
+    # Everything is read and computed before the first line is printed.
+    lines = [_stats_line("source", scene_stats(boxes, args.image_size))]
     if args.layout:
-        layout = io.load_layout(args.layout)
-        print(_stats_line("mosaic", mosaic_stats(boxes, layout)))
+        lines.append(_stats_line("mosaic", mosaic_stats(boxes, io.load_layout(args.layout))))
+    print("\n".join(lines))
     return 0
 
 

@@ -197,6 +197,14 @@ def layout_from_dict(doc: dict[str, Any]) -> MosaicLayout:
             )
             for p in doc["placements"]
         ]
+        # Each placement's scaled box, dest to dest + scale * (src2 - src1),
+        # must be finite and inside the mosaic; written so that a NaN or an
+        # overflow to infinity fails the test too.
+        for i, p in enumerate(placements):
+            x2, y2 = p.dest_x + p.width, p.dest_y + p.height
+            if not (0 <= p.dest_x and x2 <= width and 0 <= p.dest_y and y2 <= height):
+                raise ValueError(f"placement {i} scaled box ({p.dest_x},{p.dest_y},{x2},{y2}) "
+                                 f"is not inside the {width:g}x{height:g} mosaic")
         return MosaicLayout(width, height, placements)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"invalid layout document: {e}") from e

@@ -46,15 +46,6 @@ class ProxyBank:
             self.weights[cid] = w
 
 
-def single_proxy_prob(w: np.ndarray, x: np.ndarray) -> float:
-    """Sigmoid(w^T x)."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(w) == 0 or np.linalg.norm(x) == 0:
-        raise ValueError("zero vector")
-    return _sigmoid(float(w @ x))
-
-
 def _logit_terms(
     bank: ProxyBank, class_id: int, X: np.ndarray
 ) -> tuple[np.ndarray, ...]:

@@ -1,35 +1,31 @@
 """Cosine cost matrices and entropic optimal-transport plans.
 
-For at most _NEWTON_MAX_K columns with exp(-C/epsilon) safely representable,
-the plan comes from a damped Newton iteration on the semi-dual (Cuturi & Peyre
-2016; Brauer, Clason, Lorenz & Wirth 2017), which converges in a few steps
-where Sinkhorn needs hundreds. Otherwise Sinkhorn scaling runs in the kernel
-domain (Cuturi 2013), or in the log domain (log-sum-exp updates) when a small
-regularization strength would underflow the kernel; the sweep is also the
-fallback of a stalled Newton solve. Zero entries in either marginal are
-legal; the corresponding plan rows/columns are identically zero.
+Two solvers share the work. Wherever exp(-C/epsilon) is safely
+representable, the plan comes from a damped Newton iteration on the
+semi-dual (Cuturi & Peyre 2016; Brauer, Clason, Lorenz & Wirth 2017), which
+converges in a few steps where Sinkhorn needs hundreds, for any number of
+columns. Otherwise, and as the fallback of a stalled Newton solve, Sinkhorn
+scaling (Cuturi 2013) runs in the log domain, with log-sum-exp updates that
+no regularization strength can underflow. Zero entries in either marginal
+are legal; the corresponding plan rows/columns are identically zero.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .proxies import _row_norms
 
-# Largest max|C|/epsilon scaled in the kernel domain: exp(-200) ~ 1e-87 leaves
-# the scalings ample float64 range before they could overflow.
+# Largest max|C|/epsilon solved by Newton: exp(-200) ~ 1e-87 leaves the
+# kernel and the scalings ample float64 range before they could underflow.
 _KERNEL_MAX_EXPONENT = 200.0
-# Iterations between marginal-violation checks.
+# Sweeps between marginal-violation checks of the log-domain sweep.
 _CHECK_EVERY = 10
-# Most columns solved by Newton. Its (K-1)x(K-1) system is solved by
-# Gaussian elimination in scalar Python, 2.5 us per call at K = 3 against
-# 14 us of checks and set-up alone in np.linalg.solve. At 16 x K, epsilon
-# 0.01 (2-core VM, NumPy 2.4.6, one BLAS thread) a converged Newton call
-# took 200-390 us for K = 3..5, against 500-810 us for a sweep capped at
-# 150 iterations. Wider problems keep the sweep.
+# Most columns whose Newton system is solved by Gaussian elimination in
+# scalar Python: 2.5 us per call at K = 3 against 14 us of checks and set-up
+# alone in np.linalg.solve. Wider systems go to np.linalg.solve.
 _NEWTON_MAX_K = 5
 # Levenberg-Marquardt damping, in units of the largest column sum: its start,
 # and the value past which a stalled Newton solve gives way to the sweep.
@@ -86,18 +82,18 @@ def sinkhorn(
 ) -> SinkhornResult:
     """Entropic-regularized plan with column marginal p and row marginal q.
 
-    With at most _NEWTON_MAX_K columns and max|C|/epsilon within
-    _KERNEL_MAX_EXPONENT, takes damped Newton steps on the semi-dual
-    (``iterations`` counts them, rejected steps included), and ``potentials``
-    holds the column log-potentials of the plan. The steps start from
-    ``init``, K column log-potentials taken up to an additive constant, such
-    as the ``potentials`` of a neighbouring problem, when it is finite on
-    every column with mass; otherwise, and without ``init``, from log p.
-    ``init`` of any other shape than (K,) raises ValueError. Otherwise the
-    Sinkhorn sweep (``_sweep``) solves it, and ``iterations`` counts its
-    sweeps. If the Newton steps stall, the sweep gets what is left of
-    max_iters, and ``iterations`` counts both. Either way
-    ``marginal_violation`` is that of the returned plan, over rows and
+    With max|C|/epsilon within _KERNEL_MAX_EXPONENT, takes damped Newton
+    steps on the semi-dual (``iterations`` counts them, rejected steps
+    included), and ``potentials`` holds the column log-potentials of the
+    plan. The steps start from ``init``, K column log-potentials taken up to
+    an additive constant, such as the ``potentials`` of a neighbouring
+    problem, when it is finite on every column with mass; otherwise, and
+    without ``init``, from log p. ``init`` of any other shape than (K,)
+    raises ValueError. If the Newton steps stall or their plan is not finite,
+    or if max|C|/epsilon is beyond _KERNEL_MAX_EXPONENT, the log-domain
+    Sinkhorn sweep (``_sweep``) gets what is left of max_iters, ``iterations``
+    counts the steps and sweeps together, and ``potentials`` is None. Either
+    way ``marginal_violation`` is that of the returned plan, over rows and
     columns, and ``converged`` says whether it is under tol.
     """
     cost = np.asarray(cost, dtype=float)
@@ -113,7 +109,7 @@ def sinkhorn(
         if init.shape != (k,):
             raise ValueError(f"init shape {init.shape} does not match cost {cost.shape}")
 
-    if k <= _NEWTON_MAX_K and np.abs(cost).max() <= _KERNEL_MAX_EXPONENT * epsilon:
+    if np.abs(cost).max() <= _KERNEL_MAX_EXPONENT * epsilon:
         P, h, steps = _newton(cost, p, q, epsilon, max_iters, tol, init)
         if P is not None:
             viol = _violation(P, np.concatenate((q, p)))
@@ -183,9 +179,11 @@ def _newton_steps(
     potentials ``init`` or, if it is None, from log p.
 
     Length-K quantities are Python lists: for K this small a NumPy call costs
-    more in dispatch than the arithmetic.
+    more in dispatch than the arithmetic. Up to _NEWTON_MAX_K columns the
+    system is solved by scalar elimination, above it by LAPACK.
     """
     m = p.size - 1
+    solve = _solve_scalar if m < _NEWTON_MAX_K else _solve_lapack
     p_list = p.tolist()
     qcol = q[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -217,7 +215,7 @@ def _newton_steps(
             M = B.T.dot(P)[:m, :m]
             cmax = max(c)
             while True:
-                step = _solve_scalar([cj + lam * cmax for cj in c[:m]], M, g[:m])
+                step = solve([cj + lam * cmax for cj in c[:m]], M, g[:m])
                 iters += 1
                 if step is not None:
                     ht = h.copy()
@@ -270,52 +268,54 @@ def _solve_scalar(d: list[float], M: np.ndarray, g: list[float]) -> list[float] 
     return x
 
 
+def _solve_lapack(d: list[float], M: np.ndarray, g: list[float]) -> np.ndarray | None:
+    """_solve_scalar by np.linalg.solve, for the wider systems."""
+    try:
+        return np.linalg.solve(np.diag(d) - M, g)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _sweep(
     cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float, max_iters: int, tol: float
 ) -> SinkhornResult:
-    """Sinkhorn scaling on checked inputs.
+    """Sinkhorn scaling on checked inputs, on log-scalings (log-sum-exp), safe
+    for any epsilon.
 
-    Scales the kernel exp(-C/epsilon) directly while max|C|/epsilon stays
-    under _KERNEL_MAX_EXPONENT; beyond that, or if a scaling stops being
-    finite, restarts in the log domain. The marginal violation is checked
-    every _CHECK_EVERY iterations and at max_iters.
+    Cuturi's u = q / (K v), v = p / (K^T u) from scalings 1, as log u and
+    log v from 0; a zero-mass row or column has log-scaling -inf throughout,
+    so its plan row or column is zero. The marginal violation of the plan is
+    checked before the first sweep, every _CHECK_EVERY sweeps and at
+    max_iters, until it falls under tol.
     """
     qp = np.concatenate((q, p))
-    viol = np.nan
-    if np.abs(cost).max() <= _KERNEL_MAX_EXPONENT * epsilon:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            P, iters, viol = _iterate(*_kernel_scaling(cost, p, q, epsilon), qp, max_iters, tol)
-    if not math.isfinite(viol):
-        P, iters, viol = _iterate(*_log_scaling(cost, p, q, epsilon), qp, max_iters, tol)
-    return SinkhornResult(
-        plan=P,
-        iterations=iters,
-        marginal_violation=viol,
-        converged=viol < tol,
-    )
-
-
-def _iterate(
-    sweep: Callable[[int], None],
-    plan: Callable[[], np.ndarray],
-    qp: np.ndarray,
-    max_iters: int,
-    tol: float,
-) -> tuple[np.ndarray, int, float]:
-    """Sweep in blocks of _CHECK_EVERY until the plan meets tol or max_iters is hit.
-
-    ``qp`` is the row marginal followed by the column marginal.
-    """
+    with np.errstate(divide="ignore"):
+        logp = np.log(p)
+        logq = np.log(q)
+    log_kernel = -cost / epsilon
+    zero_rows = q == 0
+    zero_cols = p == 0
+    u = np.where(zero_rows, -np.inf, 0.0)
+    v = np.where(zero_cols, -np.inf, 0.0)
     iters = 0
-    P = plan()
-    viol = _violation(P, qp)
-    while viol >= tol and iters < max_iters:
-        block = min(_CHECK_EVERY, max_iters - iters)
-        sweep(block)
-        iters += block
-        P = plan()
-        viol = _violation(P, qp)
-    return P, iters, viol
+    with np.errstate(invalid="ignore"):
+        while True:
+            logP = u[:, None] + log_kernel + v[None, :]
+            logP[zero_rows, :] = -np.inf
+            logP[:, zero_cols] = -np.inf
+            P = np.exp(logP)
+            viol = _violation(P, qp)
+            if not viol >= tol or iters >= max_iters:
+                break
+            block = min(_CHECK_EVERY, max_iters - iters)
+            for _ in range(block):
+                u = logq - _logsumexp(log_kernel + v[None, :], axis=1)
+                u[zero_rows] = -np.inf
+                v = logp - _logsumexp(log_kernel + u[:, None], axis=0)
+                v[zero_cols] = -np.inf
+            iters += block
+    return SinkhornResult(plan=P, iterations=iters, marginal_violation=viol,
+                          converged=viol < tol)
 
 
 def _violation(P: np.ndarray, qp: np.ndarray) -> float:
@@ -323,67 +323,6 @@ def _violation(P: np.ndarray, qp: np.ndarray) -> float:
     # The ufunc reductions are those np.sum/np.max run, minus their wrappers.
     sums = np.concatenate((np.add.reduce(P, 1), np.add.reduce(P, 0)))
     return float(np.maximum.reduce(np.abs(sums - qp)))
-
-
-def _kernel_scaling(
-    cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float
-) -> tuple[Callable[[int], None], Callable[[], np.ndarray]]:
-    """Cuturi's u = q / (K v), v = p / (K^T u); zero marginals keep zero scalings.
-
-    The products go through bound ndarray.dot methods: like ``@`` they end
-    in one BLAS gemv, with the same result bit for bit, but they skip the
-    matmul ufunc's dispatch, which costs more than these tiny products.
-    """
-    K = np.exp(-cost / epsilon)
-    Kt = K.T.copy()
-    Kdot = K.dot
-    Ktdot = Kt.dot
-    u = (q > 0).astype(float)
-    v = (p > 0).astype(float)
-
-    def sweep(count: int) -> None:
-        nonlocal u, v
-        for _ in range(count):
-            u = q / Kdot(v)
-            v = p / Ktdot(u)
-
-    def plan() -> np.ndarray:
-        return u[:, None] * K * v
-
-    return sweep, plan
-
-
-def _log_scaling(
-    cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float
-) -> tuple[Callable[[int], None], Callable[[], np.ndarray]]:
-    """The same updates on log-scalings (log-sum-exp), safe for any epsilon."""
-    with np.errstate(divide="ignore"):
-        logp = np.log(p)
-        logq = np.log(q)
-    log_kernel = -cost / epsilon
-    zero_rows = q == 0
-    zero_cols = p == 0
-    # A zero-mass row or column has scaling 0, i.e. log-scaling -inf, from the
-    # start, as in the kernel domain.
-    u = np.where(zero_rows, -np.inf, 0.0)
-    v = np.where(zero_cols, -np.inf, 0.0)
-
-    def sweep(count: int) -> None:
-        nonlocal u, v
-        with np.errstate(invalid="ignore"):
-            for _ in range(count):
-                u = logq - _logsumexp(log_kernel + v[None, :], axis=1)
-                u[zero_rows] = -np.inf
-                v = logp - _logsumexp(log_kernel + u[:, None], axis=0)
-                v[zero_cols] = -np.inf
-
-    def plan() -> np.ndarray:
-        logP = u[:, None] + log_kernel + v[None, :]
-        logP[zero_rows, :] = -np.inf
-        logP[:, zero_cols] = -np.inf
-        return np.exp(logP)
-
-    return sweep, plan
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

@@ -199,8 +199,8 @@ def sinkhorn_kernel_reference(
     scalings that are 1 on the nonzero marginal entries and 0 elsewhere. The
     largest absolute marginal error of the plan is checked before the first
     sweep and after every ``check_every`` sweeps (and at max_iters), through
-    np.sum/np.max, until it falls under tol. This is the loop the library's
-    kernel path must reproduce bit for bit.
+    np.sum/np.max, until it falls under tol. Run to a tight tol, it is the
+    fixed point the library's Newton plans are checked against.
     """
     K = np.exp(-cost / epsilon)
     Kt = K.T.copy()

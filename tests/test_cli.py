@@ -247,6 +247,62 @@ class TestRemovedConfigKeys:
         assert not out.exists()
 
 
+class TestMultiImageInput:
+    """A detection file with more than one image_id is refused, not flattened
+    into one layout: exit 1, no output."""
+
+    @pytest.mark.parametrize("command", ["pack", "unpack-coarse", "unpack-fine", "stats"])
+    def test_exit_1_without_output(self, tmp_path, capsys, three_box_file, command):
+        two = _write_detections(tmp_path / "two.json", [
+            {**_det_record(0, 0, 10, 10), "image_id": 1},
+            {**_det_record(50, 50, 10, 10), "image_id": 2},
+        ])
+        layout = tmp_path / "layout.json"
+        io.save_layout(pack([(BBox(0, 0, 50, 50), 1.0)], 100), layout)
+        out = tmp_path / "out.json"
+        args = {
+            "pack": ["pack", "--detections", two, "--image-size", "200x200",
+                     "--out-layout", str(out)],
+            "unpack-coarse": ["unpack", "--fine", three_box_file, "--layout", str(layout),
+                              "--coarse", two, "--out", str(out)],
+            "unpack-fine": ["unpack", "--fine", two, "--layout", str(layout),
+                            "--coarse", three_box_file, "--out", str(out)],
+            "stats": ["stats", "--boxes", two, "--image-size", "200x200",
+                      "--layout", str(layout)],
+        }[command]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "detections of 2 images" in captured.err
+        assert captured.out == "" and not out.exists()
+
+
+class TestLayoutOutsideMosaic:
+    """A placement whose scaled box is not finite or leaves its mosaic makes
+    the layout unreadable: exit 2, no output."""
+
+    WIDE = {"mosaic": {"width": 100, "height": 100},
+            "placements": [{"src": [0, 0, 1e308, 10], "scale": 10.0, "dest": [0, 0]}]}
+
+    def test_stats_exit_2_without_output(self, tmp_path, capsys, three_box_file):
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps(self.WIDE))
+        assert main(["stats", "--boxes", three_box_file, "--image-size", "200x200",
+                     "--layout", str(layout)]) == 2
+        captured = capsys.readouterr()
+        assert "is not inside the 100x100 mosaic" in captured.err
+        assert captured.out == ""
+
+    def test_unpack_exit_2_without_output(self, tmp_path, capsys, three_box_file):
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps(self.WIDE))
+        out = tmp_path / "fused.json"
+        assert main(["unpack", "--fine", three_box_file, "--layout", str(layout),
+                     "--coarse", three_box_file, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "is not inside the 100x100 mosaic" in captured.err
+        assert captured.out == "" and not out.exists()
+
+
 class TestStatsCommand:
     def test_fr_printout(self, tmp_path, capsys):
         boxes = _write_detections(tmp_path / "b.json", [_det_record(0, 0, 20, 20)])

@@ -106,6 +106,35 @@ class TestLayoutIO:
         with pytest.raises(io.ParseError, match="invalid layout document"):
             io.load_layout(p)
 
+    @pytest.mark.parametrize("src, scale, dest", [
+        ([0, 0, 1e308, 10], 10.0, [0, 0]),  # overflows to an infinite width
+        ([0, 0, 10, 1e308], 10.0, [0, 0]),
+        ([0, 0, 10, 10], 1.0, [95, 0]),
+        ([0, 0, 10, 10], 1.0, [0, 95]),
+        ([0, 0, 10, 10], 1.0, [-1, 0]),
+        ([0, 0, 10, 10], 1.0, [0, -1]),
+        ([0, 0, 10, 10], 10.5, [0, 0]),
+    ], ids=["infinite-width", "infinite-height", "right", "bottom", "left", "top", "scaled"])
+    def test_placement_outside_mosaic_rejected(self, tmp_path, src, scale, dest):
+        p = tmp_path / "l.json"
+        p.write_text(json.dumps({"mosaic": {"width": 100, "height": 100},
+                                 "placements": [{"src": src, "scale": scale, "dest": dest}]}))
+        with pytest.raises(io.ParseError, match="placement 0 scaled box"):
+            io.load_layout(p)
+
+    def test_placement_on_the_mosaic_edge_accepted(self):
+        doc = {"mosaic": {"width": 100, "height": 100},
+               "placements": [{"src": [0, 0, 10, 10], "scale": 1.0, "dest": [90, 90]},
+                              {"src": [5, 5, 15, 15], "scale": 10.0, "dest": [0, 0]}]}
+        assert len(io.layout_from_dict(doc).placements) == 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_packed_scene_layout_loads(self, tmp_path, seed):
+        _, coarse = generate_scene(SceneSpec(seed=seed))
+        _, lay = build_layout(coarse, SceneSpec().extent, PipelineConfig())
+        io.save_layout(lay, tmp_path / "l.json")
+        assert io.load_layout(tmp_path / "l.json") == lay
+
     def test_schema_violation(self, tmp_path):
         p = tmp_path / "l.json"
         p.write_text(json.dumps({"mosaic": {"width": 10, "height": 10}}))

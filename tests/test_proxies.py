@@ -10,7 +10,6 @@ from ufppack.proxies import (
     multi_proxy_grad,
     multi_proxy_logit,
     multi_proxy_prob,
-    single_proxy_prob,
 )
 
 
@@ -25,22 +24,6 @@ def _cosines(w, x):
 
 def _bank(W, gamma=1.0):
     return ProxyBank({0: np.asarray(W, dtype=float)}, gamma=gamma)
-
-
-class TestSingleProxy:
-    def test_midpoint(self):
-        assert single_proxy_prob(np.array([1.0, -1.0]), np.array([1.0, 1.0])) == 0.5
-
-    def test_saturation(self):
-        assert single_proxy_prob(np.array([100.0]), np.array([10.0])) == pytest.approx(1.0)
-
-    def test_scalar_example(self):
-        got = single_proxy_prob(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
-        assert got == pytest.approx(_sigmoid(2.0))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            single_proxy_prob(np.zeros(2), np.ones(2))
 
 
 class TestMultiProxy:
