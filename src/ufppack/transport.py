@@ -23,10 +23,6 @@ from .proxies import _row_norms
 _KERNEL_MAX_EXPONENT = 200.0
 # Sweeps between marginal-violation checks of the log-domain sweep.
 _CHECK_EVERY = 10
-# Most columns whose Newton system is solved by Gaussian elimination in
-# scalar Python: 2.5 us per call at K = 3 against 14 us of checks and set-up
-# alone in np.linalg.solve. Wider systems go to np.linalg.solve.
-_NEWTON_MAX_K = 5
 # Levenberg-Marquardt damping, in units of the largest column sum: its start,
 # and the value past which a stalled Newton solve gives way to the sweep.
 _DAMPING_START = 1e-2
@@ -178,12 +174,12 @@ def _newton_steps(
     """The iteration of _newton, on positive marginals, from the finite
     potentials ``init`` or, if it is None, from log p.
 
-    Length-K quantities are Python lists: for K this small a NumPy call costs
-    more in dispatch than the arithmetic. Up to _NEWTON_MAX_K columns the
-    system is solved by scalar elimination, above it by LAPACK.
+    Length-K quantities are Python lists, and the system is solved by
+    _solve_scalar: at the few columns of a training class a NumPy call costs
+    more in dispatch than the arithmetic. The elimination's Python work grows
+    as K cubed, so a call with dozens of columns takes milliseconds.
     """
     m = p.size - 1
-    solve = _solve_scalar if m < _NEWTON_MAX_K else _solve_lapack
     p_list = p.tolist()
     qcol = q[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -215,7 +211,7 @@ def _newton_steps(
             M = B.T.dot(P)[:m, :m]
             cmax = max(c)
             while True:
-                step = solve([cj + lam * cmax for cj in c[:m]], M, g[:m])
+                step = _solve_scalar([cj + lam * cmax for cj in c[:m]], M, g[:m])
                 iters += 1
                 if step is not None:
                     ht = h.copy()
@@ -266,14 +262,6 @@ def _solve_scalar(d: list[float], M: np.ndarray, g: list[float]) -> list[float] 
     except ZeroDivisionError:
         return None
     return x
-
-
-def _solve_lapack(d: list[float], M: np.ndarray, g: list[float]) -> np.ndarray | None:
-    """_solve_scalar by np.linalg.solve, for the wider systems."""
-    try:
-        return np.linalg.solve(np.diag(d) - M, g)
-    except np.linalg.LinAlgError:
-        return None
 
 
 def _sweep(

@@ -141,7 +141,6 @@ class TestTransportConverges:
         assert max(t.max_violation for t in report.transport) < 1e-6
 
     def test_eight_proxies_every_call_converged(self):
-        # Above _NEWTON_MAX_K proxies a class's system is solved by LAPACK.
         report = train_sim(TrainConfig(seed=0, **{**self.TRAIN_DEFAULT, "proxies_per_class": 8}))
         assert report.unconverged_calls == 0
         assert max(t.max_violation for t in report.transport) < 1e-6

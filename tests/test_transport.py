@@ -180,9 +180,6 @@ class TestSinkhornAgainstReference:
 class TestKernelSweepBitIdentical:
     """The log-domain sweep on train_sim shapes against the scalar log-domain
     reference, and the sweeps at which it checks the marginals.
-
-    The class is named for the kernel-domain sweep it used to pin bit for
-    bit; the name keeps the test ids.
     """
 
     @staticmethod
@@ -344,35 +341,6 @@ class TestNewton:
         assert np.array_equal(res.plan, want.plan)
         assert res.iterations == len(solves) + want.iterations <= max_iters
         assert (res.marginal_violation, res.converged) == (want.marginal_violation, want.converged)
-
-    def test_lapack_solve_agrees_with_scalar_elimination(self):
-        # Above _NEWTON_MAX_K columns the system goes to np.linalg.solve; a
-        # singular one is a failed solve there, as a zero pivot is here.
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(6, 6))
-        M, g = a @ a.T, rng.normal(size=6).tolist()
-        d = (np.diag(M) + 1.0).tolist()
-        assert np.allclose(transport._solve_lapack(d, M, g), transport._solve_scalar(d, M, g),
-                           rtol=1e-9, atol=1e-12)
-        assert transport._solve_scalar([1.0] * 6, np.eye(6), g) is None
-        assert transport._solve_lapack([1.0] * 6, np.eye(6), g) is None
-
-    def test_singular_wide_system_falls_back_to_sweep(self, monkeypatch):
-        solves = []
-
-        def singular(a, b):
-            solves.append(b)
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        rng = np.random.default_rng(8)
-        cost = rng.uniform(0, 1, (16, 8))
-        p, q = rng.dirichlet(np.ones(8)), np.full(16, 1.0 / 16)
-        res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
-        assert 0 < len(solves) < 150 and res.potentials is None
-        want = transport._sweep(cost, p, q, epsilon=0.01, max_iters=150 - len(solves), tol=1e-6)
-        assert np.array_equal(res.plan, want.plan)
-        assert res.iterations == len(solves) + want.iterations
 
     @pytest.mark.parametrize("k, epsilon", [(3, 0.001), (8, 0.001)])
     def test_sweep_outside_newton_range(self, k, epsilon):
