@@ -5,7 +5,8 @@ diagnostics go to stderr. The UFPPACK_SEED environment variable overrides
 the seed of the `synth` spec and the `train-sim` config; `pack` and `unpack`
 draw no random numbers, and their config holds no seed. `pack`, `unpack` and
 `stats` take the detections of one image: a detection file with more than
-one `image_id` fails with exit 1.
+one `image_id` fails with exit 1, and so does `unpack` with fine and coarse
+files of different ids. `unpack` writes the id of its inputs.
 """
 from __future__ import annotations
 
@@ -54,20 +55,21 @@ def _load_config(cls: type, path: str | None) -> Any:
         return cls.from_dict(json.load(f))
 
 
-def _one_image(path: str) -> list:
-    """The detections of a file that holds at most one ``image_id``."""
+def _one_image(path: str) -> tuple[Any, list]:
+    """The ``image_id`` and the detections of a file that holds at most one
+    id; the id is None for a file without detections."""
     per_image = io.load_detections(path)
     if len(per_image) > 1:
         raise ValueError(f"{path}: detections of {len(per_image)} images; "
                          f"one image per file is supported")
-    return next(iter(per_image.values()), [])
+    return next(iter(per_image.items()), (None, []))
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
     if args.image and not args.out_mosaic:
         return _fail(1, "--image requires --out-mosaic")
     cfg = _load_config(PipelineConfig, args.config)
-    dets = _one_image(args.detections)
+    _, dets = _one_image(args.detections)
     _, layout = build_layout(dets, args.image_size, cfg)
     # Render first: a raster that does not fit the layout leaves no file.
     if args.image:
@@ -86,11 +88,15 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 def _cmd_unpack(args: argparse.Namespace) -> int:
     cfg = _load_config(PipelineConfig, args.config)
     layout = io.load_layout(args.layout)
-    fine = _one_image(args.fine)
-    coarse = _one_image(args.coarse)
+    fine_id, fine = _one_image(args.fine)
+    coarse_id, coarse = _one_image(args.coarse)
+    image_id = coarse_id if fine_id is None else fine_id
+    if coarse_id is not None and coarse_id != image_id:
+        return _fail(1, f"fine detections are of image_id {fine_id!r}, "
+                        f"coarse detections of image_id {coarse_id!r}")
     remapped = [m for d in fine if (m := to_source(d, layout)) is not None]
     fused = fuse(coarse, remapped, cfg.nms_iou)
-    io.save_detections(fused, args.out)
+    io.save_detections(fused, args.out, 0 if image_id is None else image_id)
     print(f"fused {len(coarse)} coarse + {len(remapped)} remapped fine "
           f"-> {len(fused)} detections")
     return 0
@@ -102,7 +108,7 @@ def _stats_line(label: str, st) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    boxes = [d.box for d in _one_image(args.boxes)]
+    boxes = [d.box for d in _one_image(args.boxes)[1]]
     # Everything is read and computed before the first line is printed.
     lines = [_stats_line("source", scene_stats(boxes, args.image_size))]
     if args.layout:

@@ -1,13 +1,13 @@
 """Cosine cost matrices and entropic optimal-transport plans.
 
-Two solvers share the work. Wherever exp(-C/epsilon) is safely
-representable, the plan comes from a damped Newton iteration on the
-semi-dual (Cuturi & Peyre 2016; Brauer, Clason, Lorenz & Wirth 2017), which
-converges in a few steps where Sinkhorn needs hundreds, for any number of
-columns. Otherwise, and as the fallback of a stalled Newton solve, Sinkhorn
-scaling (Cuturi 2013) runs in the log domain, with log-sum-exp updates that
-no regularization strength can underflow. Zero entries in either marginal
-are legal; the corresponding plan rows/columns are identically zero.
+One solver makes every plan: a damped Newton iteration on the semi-dual
+(Cuturi & Peyre 2016; Brauer, Clason, Lorenz & Wirth 2017), which converges
+in a few steps where Sinkhorn scaling (Cuturi 2013) needs hundreds, for any
+number of columns and any regularization strength. Its kernel stays
+representable because the potentials are absorbed into it whenever they
+grow large (Schmitzer 2019), so no epsilon can underflow it. Zero entries in
+either marginal are legal; the corresponding plan rows/columns are
+identically zero.
 """
 from __future__ import annotations
 
@@ -18,13 +18,16 @@ import numpy as np
 
 from .proxies import _row_norms
 
-# Largest max|C|/epsilon solved by Newton: exp(-200) ~ 1e-87 leaves the
-# kernel and the scalings ample float64 range before they could underflow.
+# Largest max|C|/epsilon at which the steps may start from the plain kernel
+# exp(-C/epsilon): exp(-200) ~ 1e-87 leaves it and the scalings ample float64
+# range. Beyond it they start from a kernel absorbed at the start potentials.
 _KERNEL_MAX_EXPONENT = 200.0
-# Sweeps between marginal-violation checks of the log-domain sweep.
-_CHECK_EVERY = 10
+# Largest potential offset a kernel carries: a trial step past it is taken on
+# a kernel absorbed at the trial potentials. exp(+-300) stays within float64
+# range next to any kernel entry at most 1 (exp(200) for the plain kernel).
+_ABSORB = 300.0
 # Levenberg-Marquardt damping, in units of the largest column sum: its start,
-# and the value past which a stalled Newton solve gives way to the sweep.
+# and the value past which the steps have stalled.
 _DAMPING_START = 1e-2
 _DAMPING_MAX = 1e8
 # Newton keeps stepping past tol down to tol * _POLISH while its steps still
@@ -51,10 +54,9 @@ class SinkhornResult:
     iterations: int
     marginal_violation: float
     converged: bool
-    # K column log-potentials h of a Newton plan, P = diag(q / (K e^h)) K
-    # diag(e^h) with K = exp(-C/epsilon); -inf on zero-mass columns. None when
-    # the sweep produced the plan.
-    potentials: np.ndarray | None = None
+    # K column log-potentials h of the plan, P_ij = q_i softmax_j(h_j - C_ij/epsilon)
+    # over the columns with mass; -inf on zero-mass columns.
+    potentials: np.ndarray
 
 
 def _check_marginal(v: np.ndarray, name: str) -> np.ndarray:
@@ -78,19 +80,18 @@ def sinkhorn(
 ) -> SinkhornResult:
     """Entropic-regularized plan with column marginal p and row marginal q.
 
-    With max|C|/epsilon within _KERNEL_MAX_EXPONENT, takes damped Newton
-    steps on the semi-dual (``iterations`` counts them, rejected steps
-    included), and ``potentials`` holds the column log-potentials of the
-    plan. The steps start from ``init``, K column log-potentials taken up to
-    an additive constant, such as the ``potentials`` of a neighbouring
-    problem, when it is finite on every column with mass; otherwise, and
-    without ``init``, from log p. ``init`` of any other shape than (K,)
-    raises ValueError. If the Newton steps stall or their plan is not finite,
-    or if max|C|/epsilon is beyond _KERNEL_MAX_EXPONENT, the log-domain
-    Sinkhorn sweep (``_sweep``) gets what is left of max_iters, ``iterations``
-    counts the steps and sweeps together, and ``potentials`` is None. Either
-    way ``marginal_violation`` is that of the returned plan, over rows and
-    columns, and ``converged`` says whether it is under tol.
+    Takes damped Newton steps on the semi-dual (``_newton``; ``iterations``
+    counts them, rejected steps included) from ``init``, K column
+    log-potentials taken up to an additive constant, such as the
+    ``potentials`` of a neighbouring problem, when it is finite on every
+    column with mass; otherwise, and without ``init``, from log p. Zero
+    entries of p and q drop their columns and rows, which are zero in the
+    plan and get potential -inf. ``potentials`` holds the column
+    log-potentials of the returned plan: the last accepted one if the steps
+    stall or max_iters runs out. ``marginal_violation`` is that of the
+    returned plan, over rows and columns, and ``converged`` says whether it
+    is under tol. A non-finite cost, and an ``init`` of any other shape than
+    (K,), raise ValueError.
     """
     cost = np.asarray(cost, dtype=float)
     n, k = cost.shape
@@ -104,59 +105,31 @@ def sinkhorn(
         init = np.asarray(init, dtype=float)
         if init.shape != (k,):
             raise ValueError(f"init shape {init.shape} does not match cost {cost.shape}")
+    cost_max = np.abs(cost).max()
+    if not math.isfinite(cost_max):
+        raise ValueError("cost must be finite")
 
-    if np.abs(cost).max() <= _KERNEL_MAX_EXPONENT * epsilon:
-        P, h, steps = _newton(cost, p, q, epsilon, max_iters, tol, init)
-        if P is not None:
-            viol = _violation(P, np.concatenate((q, p)))
-            return SinkhornResult(plan=P, iterations=steps, marginal_violation=viol,
-                                  converged=viol < tol, potentials=h)
-        res = _sweep(cost, p, q, epsilon, max_iters - steps, tol)
-        res.iterations += steps
-        return res
-    return _sweep(cost, p, q, epsilon, max_iters, tol)
-
-
-def _newton(
-    cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float, max_iters: int, tol: float,
-    init: np.ndarray | None,
-) -> tuple[np.ndarray | None, np.ndarray, int]:
-    """(plan, column log-potentials, steps) from Newton on the semi-dual; the
-    plan is None if the steps stall or the plan is not finite.
-
-    The plan is P = diag(q / (K e^h)) K diag(e^h) with K = exp(-C/epsilon),
-    so its row sums are q by construction; the unknowns are the column
-    log-potentials h, from ``init`` (see sinkhorn) or h = log p. The concave
-    semi-dual F(h) = p.h - q.log(K e^h) has gradient p - c, c the plan's
-    column sums, and Hessian -(diag(c) - P^T diag(1/q) P). Each step solves
-    that system with the last potential held fixed (the shift gauge) and
-    lam * max(c) added to its diagonal. A step is accepted when F does not
-    drop, beyond rounding; lam then shrinks tenfold, so that the damping all
-    but vanishes in the last steps, and it grows tenfold after a rejected
-    step. Zero
-    entries of p and q drop their columns and rows, which stay zero in the
-    plan and get potential -inf. With one column left, every row of the plan
-    is its q entry from the start.
-    """
-    n, k = cost.shape
     # The marginals are nonnegative, so all() says whether all are positive.
     full = bool(q.all() and p.all())
+    pr, qr, cr = p, q, cost
     if not full:
         rows = q > 0
         cols = p > 0
-        cost = cost[rows][:, cols]
-        p = p[cols]
-        q = q[rows]
+        cr = cost[rows][:, cols]
+        pr = p[cols]
+        qr = q[rows]
         if init is not None:
             init = init[cols]
-    if init is not None:
-        # A start with no finite potential on some column with mass is no
-        # start; a finite one is shifted to a largest potential of 0, so that
-        # e^h cannot overflow.
-        init = init - init.max() if np.isfinite(init).all() else None
-    P, h, steps = _newton_steps(cost, p, q, epsilon, max_iters, tol, init)
-    if P is None:
-        return None, h, steps
+    # A start with no finite potential on some column with mass is no start;
+    # a finite one is shifted to a largest potential of 0, like log p.
+    if init is not None and np.isfinite(init).all():
+        h = init - init.max()
+        v = np.exp(h)
+    else:
+        h = np.log(pr)
+        v = pr
+    plain = cost_max <= _KERNEL_MAX_EXPONENT * epsilon and -h.min() <= _ABSORB
+    P, h, steps = _newton(cr / -epsilon, pr, qr, h, v, plain, max_iters, tol)
     if not full:
         out = np.zeros((n, k))
         out[np.ix_(rows, cols)] = P
@@ -164,15 +137,45 @@ def _newton(
         full_h = np.full(k, -np.inf)
         full_h[cols] = h
         h = full_h
-    return P, h, steps
+    viol = _violation(P, np.concatenate((q, p)))
+    return SinkhornResult(plan=P, iterations=steps, marginal_violation=viol,
+                          converged=viol < tol, potentials=h)
 
 
-def _newton_steps(
-    cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float, max_iters: int, tol: float,
-    init: np.ndarray | None,
-) -> tuple[np.ndarray | None, np.ndarray, int]:
-    """The iteration of _newton, on positive marginals, from the finite
-    potentials ``init`` or, if it is None, from log p.
+def _absorbed(log_kernel: np.ndarray, h0: np.ndarray, p: np.ndarray, q: np.ndarray
+              ) -> tuple[np.ndarray, float]:
+    """The kernel absorbed at potentials h0, exp(log_kernel + h0 - r) with r
+    its row maxima, so every row holds an entry 1; and the constant p.h0 - q.r
+    that the semi-dual value carries with it."""
+    a = log_kernel + h0
+    r = np.maximum.reduce(a, axis=1)
+    return np.exp(a - r[:, None]), p.dot(h0) - q.dot(r)
+
+
+def _newton(
+    log_kernel: np.ndarray, p: np.ndarray, q: np.ndarray, h: np.ndarray, v: np.ndarray,
+    plain: bool, max_iters: int, tol: float,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(plan, column log-potentials, steps) from Newton on the semi-dual, on
+    positive marginals, from the finite potentials h with e^h = v.
+
+    The plan is P = diag(q / (K e^h)) K diag(e^h) with K = exp(-C/epsilon),
+    so its row sums are q by construction; the unknowns are the column
+    log-potentials h. The concave semi-dual F(h) = p.h - q.log(K e^h) has
+    gradient p - c, c the plan's column sums, and Hessian
+    -(diag(c) - P^T diag(1/q) P). Each step solves that system with the last
+    potential held fixed (the shift gauge) and lam * max(c) added to its
+    diagonal. A step is accepted when F does not drop, beyond rounding; lam
+    then shrinks tenfold, so that the damping all but vanishes in the last
+    steps, and it grows tenfold after a rejected step. Past _DAMPING_MAX the
+    steps have stalled, and the last accepted plan is returned. With one
+    column, every row of the plan is its q entry from the start.
+
+    The steps run on a kernel absorbed at potentials h0 (``_absorbed``), with
+    h = h0 + d: the offset d then scales its columns, and F is evaluated with
+    the absorbed constant. When ``plain``, h0 = 0 and the kernel is K itself;
+    otherwise h0 is the start. A trial offset beyond +-_ABSORB is evaluated
+    on a kernel absorbed at the trial potentials, kept if the step is.
 
     Length-K quantities are Python lists, and the system is solved by
     _solve_scalar: at the few columns of a training class a NumPy call costs
@@ -183,16 +186,14 @@ def _newton_steps(
     p_list = p.tolist()
     qcol = q[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        K = np.exp(-cost / epsilon)
-        Kdot = K.dot
-        if init is None:
-            h = np.log(p)
-            v = p
+        if plain:
+            h0, d, const = 0.0, h, 0.0
+            K = np.exp(log_kernel)
         else:
-            h = init
-            v = np.exp(h)
-        Kv = Kdot(v)
-        F = p.dot(h) - q.dot(np.log(Kv))
+            h0, d, v = h, np.zeros_like(h), np.ones_like(h)
+            K, const = _absorbed(log_kernel, h0, p, q)
+        Kv = K.dot(v)
+        F = p.dot(d) - q.dot(np.log(Kv)) + const
         lam = _DAMPING_START
         iters = 0
         last_viol = math.inf
@@ -200,13 +201,10 @@ def _newton_steps(
             B = K * v / Kv[:, None]  # the plan's rows divided by q
             P = B * qcol
             c = q.dot(B).tolist()
-            # With q positive, a NaN or infinity anywhere in P reaches sum(c).
-            if not math.isfinite(sum(c)):
-                return None, h, iters
             g = [pj - cj for pj, cj in zip(p_list, c)]
             viol = max(map(abs, g))
             if iters >= max_iters or viol < tol * _POLISH or tol > viol >= last_viol:
-                return P, h, iters
+                return P, h0 + d, iters
             last_viol = viol
             M = B.T.dot(P)[:m, :m]
             cmax = max(c)
@@ -214,21 +212,26 @@ def _newton_steps(
                 step = _solve_scalar([cj + lam * cmax for cj in c[:m]], M, g[:m])
                 iters += 1
                 if step is not None:
-                    ht = h.copy()
-                    ht[:m] += step
-                    vt = np.exp(ht)
-                    Kvt = Kdot(vt)
-                    Ft = p.dot(ht) - q.dot(np.log(Kvt))
+                    dt = d.copy()
+                    dt[:m] += step
+                    # A step that is not finite gives, on either branch, an
+                    # Ft that fails the acceptance test below.
+                    if max(map(abs, dt.tolist())) <= _ABSORB:
+                        h0t, Kt, const_t = h0, K, const
+                        vt = np.exp(dt)
+                    else:
+                        h0t, dt, vt = h0 + dt, np.zeros_like(dt), np.ones_like(dt)
+                        Kt, const_t = _absorbed(log_kernel, h0t, p, q)
+                    Kvt = Kt.dot(vt)
+                    Ft = p.dot(dt) - q.dot(np.log(Kvt)) + const_t
                     # Accept unless F drops by more than its rounding error.
                     if F - 1e-13 * (1.0 + abs(F)) <= Ft < math.inf:
-                        h, v, Kv, F = ht, vt, Kvt, Ft
+                        h0, d, v, K, Kv, F, const = h0t, dt, vt, Kt, Kvt, Ft, const_t
                         lam /= 10.0
                         break
-                if viol < tol or iters >= max_iters:  # keep the current plan
-                    return P, h, iters
                 lam *= 10.0
-                if lam > _DAMPING_MAX:
-                    return None, h, iters
+                if viol < tol or iters >= max_iters or lam > _DAMPING_MAX:
+                    return P, h0 + d, iters
 
 
 def _solve_scalar(d: list[float], M: np.ndarray, g: list[float]) -> list[float] | None:
@@ -264,60 +267,11 @@ def _solve_scalar(d: list[float], M: np.ndarray, g: list[float]) -> list[float] 
     return x
 
 
-def _sweep(
-    cost: np.ndarray, p: np.ndarray, q: np.ndarray, epsilon: float, max_iters: int, tol: float
-) -> SinkhornResult:
-    """Sinkhorn scaling on checked inputs, on log-scalings (log-sum-exp), safe
-    for any epsilon.
-
-    Cuturi's u = q / (K v), v = p / (K^T u) from scalings 1, as log u and
-    log v from 0; a zero-mass row or column has log-scaling -inf throughout,
-    so its plan row or column is zero. The marginal violation of the plan is
-    checked before the first sweep, every _CHECK_EVERY sweeps and at
-    max_iters, until it falls under tol.
-    """
-    qp = np.concatenate((q, p))
-    with np.errstate(divide="ignore"):
-        logp = np.log(p)
-        logq = np.log(q)
-    log_kernel = -cost / epsilon
-    zero_rows = q == 0
-    zero_cols = p == 0
-    u = np.where(zero_rows, -np.inf, 0.0)
-    v = np.where(zero_cols, -np.inf, 0.0)
-    iters = 0
-    with np.errstate(invalid="ignore"):
-        while True:
-            logP = u[:, None] + log_kernel + v[None, :]
-            logP[zero_rows, :] = -np.inf
-            logP[:, zero_cols] = -np.inf
-            P = np.exp(logP)
-            viol = _violation(P, qp)
-            if not viol >= tol or iters >= max_iters:
-                break
-            block = min(_CHECK_EVERY, max_iters - iters)
-            for _ in range(block):
-                u = logq - _logsumexp(log_kernel + v[None, :], axis=1)
-                u[zero_rows] = -np.inf
-                v = logp - _logsumexp(log_kernel + u[:, None], axis=0)
-                v[zero_cols] = -np.inf
-            iters += block
-    return SinkhornResult(plan=P, iterations=iters, marginal_violation=viol,
-                          converged=viol < tol)
-
-
 def _violation(P: np.ndarray, qp: np.ndarray) -> float:
     # One reduction, so a NaN anywhere in the plan propagates to the result.
     # The ufunc reductions are those np.sum/np.max run, minus their wrappers.
     sums = np.concatenate((np.add.reduce(P, 1), np.add.reduce(P, 0)))
     return float(np.maximum.reduce(np.abs(sums - qp)))
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.maximum.reduce(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.add.reduce(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
 
 
 def transport_cost(cost: np.ndarray, plan: np.ndarray) -> float:

@@ -13,7 +13,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clustering import kmeans
-from .transport import _logsumexp
 
 
 class InsufficientVocabularyError(ValueError):
@@ -115,6 +114,13 @@ def contrastive_grad(
         raise ValueError(f"class {class_id} has an empty vocabulary")
     all_words = _stack_vocab(vocab)
     return _softmax_mean(all_words, x) - _softmax_mean(own, x)
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = np.maximum.reduce(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.add.reduce(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
 
 
 def _softmax_mean(words: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ oracle is Monte Carlo, the mosaic oracle samples each pixel through its
 placement's affine map in a scalar float64 loop, gradients
 are checked by central finite differences, exact transport comes from basis
 enumeration, the reference Sinkhorn is a scalar log-domain loop (plus the
-plain kernel-domain loop, for bit-for-bit checks of the fast one), the NMS
+plain kernel-domain loop, whose long runs give the fixed point at moderate
+epsilon), the NMS
 reference compares each candidate with every kept detection by scalar IoU
 and the layout file reference is ``json.dumps`` of the layout as a dict.
 """

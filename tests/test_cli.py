@@ -174,6 +174,37 @@ class TestUnpackCommand:
         fused = io.load_detections(out)[0]
         assert fused[0].box == BBox(100, 100, 110, 110)
 
+    @staticmethod
+    def _unpack_ids(tmp_path, fine_id, coarse_id):
+        # One fine detection remapped into the source, one coarse detection
+        # apart from it; an id of None makes that file empty.
+        layout = tmp_path / "layout.json"
+        io.save_layout(pack([(BBox(100, 100, 150, 150), 2.0)], 120), layout)
+        fine = _write_detections(tmp_path / "fine.json", [] if fine_id is None else [
+            {**_det_record(0, 0, 20, 20, 0.7), "image_id": fine_id}])
+        coarse = _write_detections(tmp_path / "coarse.json", [] if coarse_id is None else [
+            {**_det_record(0, 0, 10, 10, 0.9), "image_id": coarse_id}])
+        out = tmp_path / "fused.json"
+        rc = main(["unpack", "--fine", fine, "--layout", str(layout),
+                   "--coarse", coarse, "--out", str(out)])
+        return rc, out
+
+    @pytest.mark.parametrize("fine_id, coarse_id, want", [
+        (7, 7, 7), ("img-3", "img-3", "img-3"), (None, 9, 9), (7, None, 7), (None, None, 0)])
+    def test_writes_the_inputs_image_id(self, tmp_path, fine_id, coarse_id, want):
+        rc, out = self._unpack_ids(tmp_path, fine_id, coarse_id)
+        assert rc == 0
+        records = json.loads(out.read_text())
+        assert len(records) == (fine_id is not None) + (coarse_id is not None)
+        assert all(r["image_id"] == want for r in records)
+
+    def test_mismatched_image_ids_exit_1_without_output(self, tmp_path, capsys):
+        rc, out = self._unpack_ids(tmp_path, 7, 9)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "fine detections are of image_id 7, coarse detections of image_id 9" in captured.err
+        assert captured.out == "" and not out.exists()
+
 
     def test_out_directory_exit_2_without_temp_file(self, tmp_path, capsys, three_box_file):
         layout = tmp_path / "layout.json"

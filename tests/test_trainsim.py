@@ -145,6 +145,14 @@ class TestTransportConverges:
         assert report.unconverged_calls == 0
         assert max(t.max_violation for t in report.transport) < 1e-6
 
+    @pytest.mark.parametrize("epsilon", [0.002, 0.001])
+    def test_small_epsilon_every_call_converged(self, epsilon):
+        # Beyond the plain kernel's range (max|C|/epsilon > 200) the steps run
+        # on absorbed kernels, within the same 150-step budget.
+        report = train_sim(TrainConfig(seed=0, steps=50, sinkhorn_epsilon=epsilon))
+        assert report.unconverged_calls == 0
+        assert max(t.max_violation for t in report.transport) < 1e-6
+
     def test_train_default_warm_start_converges_and_saves_steps(self, monkeypatch):
         cfg = TrainConfig(seed=0, **self.TRAIN_DEFAULT)
         warm = train_sim(cfg)

@@ -10,6 +10,29 @@ from ufppack import transport
 from ufppack.transport import cost_matrix, sinkhorn, transport_cost
 
 
+def _train_instance(seed, zeros=False):
+    # A train_sim call: 16 unit features against 3 proxies, uniform q,
+    # descending vocabulary marginals p.
+    rng = np.random.default_rng(seed)
+    cost = cost_matrix(rng.normal(size=(16, 16)), rng.normal(size=(3, 16)))
+    p = np.sort(rng.dirichlet(np.ones(3)))[::-1].copy()
+    q = np.full(16, 1.0 / 16)
+    if zeros:
+        p[-1] = 0.0
+        q[-3:] = 0.0
+        p /= p.sum()
+        q /= q.sum()
+    return cost, p, q
+
+
+def _plan_from_potentials(cost, q, h, epsilon):
+    # P_ij = q_i softmax_j(h_j - C_ij / epsilon), in the log domain so that
+    # no epsilon underflows it.
+    a = h - cost / epsilon
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return q[:, None] * e / e.sum(axis=1, keepdims=True)
+
+
 def _random_instance(rng):
     n, k = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     cost = rng.uniform(0, 1, (n, k))
@@ -112,6 +135,13 @@ class TestSinkhorn:
         with pytest.raises(ValueError, match=f"{side} must be a probability vector"):
             sinkhorn(np.full((2, 2), 0.3), p, q)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        cost = np.full((2, 2), 0.3)
+        cost[1, 0] = bad
+        with pytest.raises(ValueError, match="cost must be finite"):
+            sinkhorn(cost, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+
     def test_nonconvergence_flagged(self):
         cost = np.random.default_rng(0).uniform(0, 1, (4, 4))
         p = q = np.full(4, 0.25)
@@ -121,8 +151,8 @@ class TestSinkhorn:
 
 
 class TestSinkhornAgainstReference:
-    """The sweep, inside and beyond Newton's range, against the scalar
-    log-domain reference."""
+    """sinkhorn(), from the plain and from the absorbed kernel, against long
+    runs of the scalar log-domain reference."""
 
     @staticmethod
     def _instance(seed, zeros=False):
@@ -139,33 +169,21 @@ class TestSinkhornAgainstReference:
             q /= q.sum()
         return cost, p, q
 
-    @pytest.mark.parametrize("epsilon, newton", [(0.05, True), (0.01, True), (0.001, False)])
+    # plain: the steps start from exp(-C/epsilon) itself, not an absorbed kernel.
+    @pytest.mark.parametrize("epsilon, plain", [(0.05, True), (0.01, True), (0.001, False)])
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("zeros", [False, True])
-    def test_plan_matches_reference(self, epsilon, newton, seed, zeros):
+    def test_plan_matches_reference(self, epsilon, plain, seed, zeros):
         cost, p, q = self._instance(seed, zeros)
-        assert (1.0 / epsilon <= transport._KERNEL_MAX_EXPONENT) == newton
-        # In Newton's range sinkhorn() takes Newton steps; the sweep is pinned here.
-        solve = transport._sweep if newton else sinkhorn
-        for max_iters in (0, 7, 23, 300):
-            res = solve(cost, p, q, epsilon=epsilon, max_iters=max_iters, tol=1e-6)
-            assert res.iterations <= max_iters
-            want = sinkhorn_reference(cost, p, q, epsilon, res.iterations)
-            assert np.max(np.abs(res.plan - want)) <= 1e-12
-            if zeros:
-                assert np.all(res.plan[-1, :] == 0.0)
-                assert np.all(res.plan[:, -1] == 0.0)
-
-    def test_underflowing_kernel_newton_gives_way_to_sweep(self, monkeypatch):
-        # With the cutoff lifted, exp(-C/0.001) underflows to zero, Newton's
-        # first plan is not finite, and the sweep gets the whole budget.
-        monkeypatch.setattr(transport, "_KERNEL_MAX_EXPONENT", np.inf)
-        cost, p, q = self._instance(0, zeros=True)
-        res = sinkhorn(cost, p, q, epsilon=0.001, max_iters=40)
-        assert res.potentials is None
-        assert np.all(np.isfinite(res.plan))
-        want = sinkhorn_reference(cost, p, q, 0.001, res.iterations)
+        assert (1.0 / epsilon <= transport._KERNEL_MAX_EXPONENT) == plain
+        res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=150, tol=1e-12)
+        assert res.converged
+        # Sweeps enough for the reference to reach its fixed point.
+        want = sinkhorn_reference(cost, p, q, epsilon, 2000 if plain else 5000)
         assert np.max(np.abs(res.plan - want)) <= 1e-12
+        if zeros:
+            assert np.all(res.plan[-1, :] == 0.0)
+            assert np.all(res.plan[:, -1] == 0.0)
 
     def test_violation_is_that_of_returned_plan(self):
         cost, p, q = self._instance(3)
@@ -177,83 +195,8 @@ class TestSinkhornAgainstReference:
             assert res.converged == (viol < 1e-12)
 
 
-class TestKernelSweepBitIdentical:
-    """The log-domain sweep on train_sim shapes against the scalar log-domain
-    reference, and the sweeps at which it checks the marginals.
-    """
-
-    @staticmethod
-    def _train_instance(seed, zeros=False):
-        # A train_sim call: 16 unit features against 3 proxies, uniform q,
-        # descending vocabulary marginals p.
-        rng = np.random.default_rng(seed)
-        cost = cost_matrix(rng.normal(size=(16, 16)), rng.normal(size=(3, 16)))
-        p = np.sort(rng.dirichlet(np.ones(3)))[::-1].copy()
-        q = np.full(16, 1.0 / 16)
-        if zeros:
-            p[-1] = 0.0
-            q[-3:] = 0.0
-            p /= p.sum()
-            q /= q.sum()
-        return cost, p, q
-
-    @staticmethod
-    def _violation(P, p, q):
-        return max(np.max(np.abs(P.sum(axis=1) - q)), np.max(np.abs(P.sum(axis=0) - p)))
-
-    @classmethod
-    def _assert_matches_reference(cls, cost, p, q, epsilon, max_iters, tol=1e-6):
-        res = transport._sweep(cost, p, q, epsilon=epsilon, max_iters=max_iters, tol=tol)
-        assert np.max(np.abs(res.plan - sinkhorn_reference(cost, p, q, epsilon,
-                                                           res.iterations))) <= 1e-12
-        assert res.marginal_violation == cls._violation(res.plan, p, q)
-        assert res.converged == (res.marginal_violation < tol)
-        # Checked before the first sweep, every _CHECK_EVERY sweeps and at
-        # max_iters: it stops at the first check under tol.
-        every = transport._CHECK_EVERY
-        assert res.iterations == max_iters or (res.converged and res.iterations % every == 0)
-        if res.iterations > 0:
-            before = (res.iterations - 1) // every * every
-            P = sinkhorn_reference(cost, p, q, epsilon, before)
-            assert cls._violation(P, p, q) >= tol
-        return res
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_train_default_shapes(self, seed):
-        cost, p, q = self._train_instance(seed)
-        self._assert_matches_reference(cost, p, q, epsilon=0.01, max_iters=150)
-
-    def test_train_default_shapes_cover_both_outcomes(self):
-        converged = {self._assert_matches_reference(*self._train_instance(seed), epsilon=0.01,
-                                       max_iters=150).converged for seed in range(12)}
-        assert converged == {True, False}
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_zero_marginals(self, seed):
-        cost, p, q = self._train_instance(seed, zeros=True)
-        res = self._assert_matches_reference(cost, p, q, epsilon=0.01, max_iters=150)
-        assert np.all(res.plan[-3:, :] == 0.0)
-        assert np.all(res.plan[:, -1] == 0.0)
-
-    @pytest.mark.parametrize("max_iters", [0, 7])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_short_budgets(self, seed, max_iters):
-        cost, p, q = self._train_instance(seed)
-        res = self._assert_matches_reference(cost, p, q, epsilon=0.01, max_iters=max_iters)
-        assert res.iterations == max_iters
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_costs_and_shapes(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 9))
-        cost = rng.uniform(0, 1, (n, k))
-        p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(n))
-        for epsilon in (0.05, 0.01):
-            self._assert_matches_reference(cost, p, q, epsilon=epsilon, max_iters=int(rng.integers(0, 300)))
-
-
 class TestNewton:
-    """sinkhorn()'s semi-dual Newton path against long-run sweeps of the oracle loop."""
+    """sinkhorn()'s semi-dual Newton steps against long-run sweeps of the oracle loop."""
 
     @staticmethod
     def _long_run(cost, p, q, epsilon):
@@ -263,14 +206,14 @@ class TestNewton:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_train_default_shapes_converge_to_fixed_point(self, seed):
-        cost, p, q = TestKernelSweepBitIdentical._train_instance(seed)
+        cost, p, q = _train_instance(seed)
         res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
         assert res.converged and res.iterations < 150
         assert np.max(np.abs(res.plan - self._long_run(cost, p, q, 0.01))) <= 1e-6
 
     @pytest.mark.parametrize("seed", range(6))
     def test_zero_marginals(self, seed):
-        cost, p, q = TestKernelSweepBitIdentical._train_instance(seed, zeros=True)
+        cost, p, q = _train_instance(seed, zeros=True)
         res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
         assert res.converged
         assert np.all(res.plan[-3:, :] == 0.0)
@@ -292,7 +235,7 @@ class TestNewton:
         # Quadratic convergence past tol: the margin that keeps a forced plan's
         # cost within rounding of the exact one (test_cost_monotone_in_epsilon).
         for seed in range(12):
-            cost, p, q = TestKernelSweepBitIdentical._train_instance(seed)
+            cost, p, q = _train_instance(seed)
             assert sinkhorn(cost, p, q, epsilon=0.01, max_iters=150).marginal_violation < 1e-8
 
     @pytest.mark.parametrize("n", [1, 5])
@@ -312,7 +255,7 @@ class TestNewton:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_zero_budget_returns_initial_plan(self, seed):
-        cost, p, q = TestKernelSweepBitIdentical._train_instance(seed)
+        cost, p, q = _train_instance(seed)
         res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=0)
         K = np.exp(-cost / 0.01)
         want = q[:, None] * K * p / (K @ p)[:, None]
@@ -327,36 +270,66 @@ class TestNewton:
         assert res.iterations == 0 and res.converged
         assert np.allclose(res.plan, np.outer(q, p), rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("max_iters", [150, 40])
-    def test_stall_falls_back_to_sweep(self, monkeypatch, max_iters):
-        # Every system solve fails, so the damping grows past _DAMPING_MAX.
-        # The sweep gets the rest of the budget, and iterations count both.
+    @pytest.mark.parametrize("good", [0, 3])
+    def test_stall_returns_last_accepted_plan(self, monkeypatch, good):
+        # Past its first `good` system solves every solve fails, so the damping
+        # grows past _DAMPING_MAX before the budget runs out. The plan and
+        # potentials are those after the steps of the good solves, which a
+        # budget of `good` steps also returns.
+        cost, p, q = _train_instance(0)
+        want = sinkhorn(cost, p, q, epsilon=0.01, max_iters=good)
         solves = []
-        monkeypatch.setattr(transport, "_solve_scalar", lambda d, M, g: solves.append(g))
-        cost, p, q = TestKernelSweepBitIdentical._train_instance(0)
-        res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=max_iters)
-        assert 0 < len(solves) < max_iters
-        want = transport._sweep(cost, p, q, epsilon=0.01, max_iters=max_iters - len(solves),
-                                tol=1e-6)
+        real = transport._solve_scalar
+        monkeypatch.setattr(transport, "_solve_scalar", lambda d, M, g: (
+            solves.append(g) or (real(d, M, g) if len(solves) <= good else None)))
+        res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
+        assert res.iterations == len(solves) < 150
         assert np.array_equal(res.plan, want.plan)
-        assert res.iterations == len(solves) + want.iterations <= max_iters
-        assert (res.marginal_violation, res.converged) == (want.marginal_violation, want.converged)
+        assert np.array_equal(res.potentials, want.potentials)
+        assert res.marginal_violation == want.marginal_violation >= 1e-6
+        assert not res.converged
 
-    @pytest.mark.parametrize("k, epsilon", [(3, 0.001), (8, 0.001)])
-    def test_sweep_outside_newton_range(self, k, epsilon):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("epsilon", [0.01, 0.001])
+    def test_non_finite_step_rejected(self, monkeypatch, bad, epsilon):
+        # The first system solve returns a step that is not finite: it is
+        # rejected, on the plain and on the absorbed kernel, and the damped
+        # steps after it converge to the plan of an undisturbed solve.
+        cost, p, q = _train_instance(2)
+        want = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=150)
+        solves = []
+        real = transport._solve_scalar
+        monkeypatch.setattr(transport, "_solve_scalar", lambda d, M, g: (
+            solves.append(g) or ([bad, 0.0] if len(solves) == 1 else real(d, M, g))))
+        res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=150)
+        assert res.converged and np.isfinite(res.potentials).all()
+        assert np.max(np.abs(res.plan - want.plan)) <= 1e-9
+
+    @pytest.mark.parametrize("k, epsilon", [(3, 0.001), (8, 0.001), (3, 1e-4)])
+    def test_small_epsilon_converges(self, k, epsilon):
         # A kernel beyond _KERNEL_MAX_EXPONENT, whatever the number of columns.
         assert 1.0 / epsilon > transport._KERNEL_MAX_EXPONENT
         rng = np.random.default_rng(k)
         cost = rng.uniform(0, 1, (10, k))
         cost[0, 0] = 1.0
         p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(10))
-        res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=300)
-        want = transport._sweep(cost, p, q, epsilon=epsilon, max_iters=300, tol=1e-6)
-        assert np.array_equal(res.plan, want.plan)
-        assert res.iterations == want.iterations
+        res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=150)
+        assert res.converged and res.iterations < 150
+        want = _plan_from_potentials(cost, q, res.potentials, epsilon)
+        assert np.max(np.abs(res.plan - want)) <= 1e-12
+
+    def test_potentials_past_absorb_bound(self):
+        # At epsilon 1e-4 the potentials move hundreds away from their start,
+        # log p, so the steps take at least one kernel absorbed at a trial point.
+        cost, p, q = _train_instance(0)
+        res = sinkhorn(cost, p, q, epsilon=1e-4, max_iters=150)
+        assert res.converged
+        assert np.max(np.abs(res.potentials - np.log(p))) > transport._ABSORB
+        want = _plan_from_potentials(cost, q, res.potentials, 1e-4)
+        assert np.max(np.abs(res.plan - want)) <= 1e-12
 
     def test_nonconvergence_flagged_at_small_budget(self):
-        cost, p, q = TestKernelSweepBitIdentical._train_instance(0)
+        cost, p, q = _train_instance(0)
         res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=2)
         assert res.iterations == 2 and not res.converged
         P = res.plan
@@ -380,16 +353,10 @@ class TestWarmStart:
                            proxies + 0.05 * rng.normal(size=proxies.shape))
         return cost_matrix(feats, proxies), near, p, q
 
-    @staticmethod
-    def _plan_from_potentials(cost, q, h, epsilon):
-        K = np.exp(-cost / epsilon)
-        v = np.exp(h)
-        return q[:, None] * K * v / (K @ v)[:, None]
-
     @pytest.mark.parametrize("shift", [0.0, 3.7, -250.0, 800.0])
     @pytest.mark.parametrize("seed", range(6))
     def test_resolve_from_own_potentials(self, seed, shift):
-        cost, p, q = TestKernelSweepBitIdentical._train_instance(seed)
+        cost, p, q = _train_instance(seed)
         cold = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
         assert cold.converged and cold.potentials.shape == (3,)
         warm = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150, init=cold.potentials + shift)
@@ -413,7 +380,7 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_zero_mass_rows_and_columns(self, seed):
-        cost, p, q = TestKernelSweepBitIdentical._train_instance(seed, zeros=True)
+        cost, p, q = _train_instance(seed, zeros=True)
         cold = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
         assert cold.potentials[-1] == -np.inf and np.isfinite(cold.potentials[:-1]).all()
         # Whatever sits on the zero-mass column is ignored.
@@ -429,7 +396,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
     @pytest.mark.parametrize("zeros", [False, True])
     def test_non_finite_start_is_cold_start(self, bad, zeros):
-        cost, p, q = TestKernelSweepBitIdentical._train_instance(3, zeros=zeros)
+        cost, p, q = _train_instance(3, zeros=zeros)
         cold = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
         init = np.array([0.1, bad, -0.2])
         warm = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150, init=init)
@@ -440,41 +407,45 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("shape", [(), (2,), (4,), (3, 1), (1, 3)])
     def test_wrong_shape_rejected(self, shape):
-        cost, p, q = TestKernelSweepBitIdentical._train_instance(0)
+        cost, p, q = _train_instance(0)
         with pytest.raises(ValueError, match="init"):
             sinkhorn(cost, p, q, epsilon=0.01, init=np.zeros(shape))
-
-    def test_wrong_shape_rejected_on_the_sweep_path(self):
-        rng = np.random.default_rng(0)
-        cost = rng.uniform(0, 1, (10, 7))
-        p, q = rng.dirichlet(np.ones(7)), rng.dirichlet(np.ones(10))
-        with pytest.raises(ValueError, match="init"):
-            sinkhorn(cost, p, q, epsilon=0.001, init=np.zeros(3))
 
     @pytest.mark.parametrize("zeros", [False, True])
     @pytest.mark.parametrize("seed", range(6))
     def test_potentials_reproduce_plan(self, seed, zeros):
-        cost, p, q = TestKernelSweepBitIdentical._train_instance(seed, zeros=zeros)
+        cost, p, q = _train_instance(seed, zeros=zeros)
         for max_iters in (0, 3, 150):
             res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=max_iters)
-            want = self._plan_from_potentials(cost, q, res.potentials, 0.01)
+            want = _plan_from_potentials(cost, q, res.potentials, 0.01)
             assert np.max(np.abs(res.plan - want)) <= 1e-12
 
     def test_cold_start_potentials_are_log_p(self):
-        cost, p, q = TestKernelSweepBitIdentical._train_instance(0)
+        cost, p, q = _train_instance(0)
         assert np.array_equal(sinkhorn(cost, p, q, epsilon=0.01, max_iters=0).potentials,
                               np.log(p))
 
     @pytest.mark.parametrize("k, epsilon", [(3, 0.001), (8, 0.001)])
-    def test_sweep_plan_has_no_potentials(self, k, epsilon):
+    def test_small_epsilon_plan_has_potentials(self, k, epsilon):
         rng = np.random.default_rng(k)
         cost = rng.uniform(0, 1, (10, k))
         cost[0, 0] = 1.0
         p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(10))
-        res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=300, init=np.zeros(k))
-        assert res.potentials is None
-        want = transport._sweep(cost, p, q, epsilon=epsilon, max_iters=300, tol=1e-6)
-        assert np.array_equal(res.plan, want.plan)
+        res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=150, init=np.zeros(k))
+        assert res.converged and res.potentials.shape == (k,)
+        want = _plan_from_potentials(cost, q, res.potentials, epsilon)
+        assert np.max(np.abs(res.plan - want)) <= 1e-12
+
+    @pytest.mark.parametrize("spread", [400.0, 5000.0])
+    def test_far_start_is_absorbed(self, spread):
+        # A start whose potentials spread past _ABSORB starts the steps from a
+        # kernel absorbed at it, and converges to the cold plan.
+        cost, p, q = _train_instance(1)
+        cold = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
+        warm = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150,
+                        init=np.array([0.0, -spread, 1.0]))
+        assert warm.converged
+        assert np.max(np.abs(warm.plan - cold.plan)) <= 1e-9
 
     @pytest.mark.parametrize("k, epsilon", [(6, 0.05), (12, 0.01)])
     def test_wide_newton_plan_has_potentials(self, k, epsilon):
@@ -484,13 +455,16 @@ class TestWarmStart:
         p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(10))
         res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=300, init=np.zeros(k))
         assert res.converged and res.potentials.shape == (k,)
-        want = self._plan_from_potentials(cost, q, res.potentials, epsilon)
+        want = _plan_from_potentials(cost, q, res.potentials, epsilon)
         assert np.max(np.abs(res.plan - want)) <= 1e-12
 
-    def test_stalled_newton_has_no_potentials(self, monkeypatch):
+    def test_stalled_newton_has_potentials(self, monkeypatch):
+        # No step is ever taken: the potentials are the start, log p.
         monkeypatch.setattr(transport, "_solve_scalar", lambda d, M, g: None)
-        cost, p, q = TestKernelSweepBitIdentical._train_instance(0)
-        assert sinkhorn(cost, p, q, epsilon=0.01, max_iters=150).potentials is None
+        cost, p, q = _train_instance(0)
+        res = sinkhorn(cost, p, q, epsilon=0.01, max_iters=150)
+        assert not res.converged
+        assert np.array_equal(res.potentials, np.log(p))
 
 
 class TestExactOt:
