@@ -6,7 +6,8 @@ the seed of the `synth` spec and the `train-sim` config; `pack` and `unpack`
 draw no random numbers, and their config holds no seed. `pack`, `unpack` and
 `stats` take the detections of one image: a detection file with more than
 one `image_id` fails with exit 1, and so does `unpack` with fine and coarse
-files of different ids. `unpack` writes the id of its inputs.
+files of different ids. Ids compare by JSON type and value: `1`, `1.0` and
+`true` are different ids. `unpack` writes the id of its inputs.
 """
 from __future__ import annotations
 
@@ -91,7 +92,7 @@ def _cmd_unpack(args: argparse.Namespace) -> int:
     fine_id, fine = _one_image(args.fine)
     coarse_id, coarse = _one_image(args.coarse)
     image_id = coarse_id if fine_id is None else fine_id
-    if coarse_id is not None and coarse_id != image_id:
+    if coarse_id is not None and (type(coarse_id), coarse_id) != (type(image_id), image_id):
         return _fail(1, f"fine detections are of image_id {fine_id!r}, "
                         f"coarse detections of image_id {coarse_id!r}")
     remapped = [m for d in fine if (m := to_source(d, layout)) is not None]

@@ -10,6 +10,7 @@ import math
 import os
 import stat
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -78,9 +79,14 @@ def _load_json(path: str | Path) -> Any:
 # -- detections (COCO results schema) ---------------------------------------
 
 def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[Any, list[Detection]]:
-    """Group COCO-style result records {image_id, bbox, score, category_id} by image."""
+    """Group COCO-style result records {image_id, bbox, score, category_id} by image.
+
+    Ids compare by JSON type and value: ``1``, ``1.0`` and ``true`` name
+    different images. Python equates them, so they cannot be keys of one dict,
+    and records that use more than one of them raise ValidationError.
+    """
     bad: list[int] = []
-    per_image: dict[Any, list[Detection]] = {}
+    per_image: dict[tuple[type, Any], list[Detection]] = {}
     for i, rec in enumerate(records):
         try:
             x, y, w, h = rec["bbox"]
@@ -100,10 +106,16 @@ def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[Any, list
         except (KeyError, TypeError, ValueError, OverflowError):
             bad.append(i)
             continue
-        per_image.setdefault(rec.get("image_id", 0), []).append(det)
+        image_id = rec.get("image_id", 0)
+        per_image.setdefault((type(image_id), image_id), []).append(det)
     if bad:
         raise ValidationError(f"invalid detection records at indices {bad}")
-    return per_image
+    by_id = {image_id: dets for (_, image_id), dets in per_image.items()}
+    if len(by_id) < len(per_image):
+        equal = Counter(image_id for _, image_id in per_image)
+        ids = ", ".join(json.dumps(i) for _, i in per_image if equal[i] > 1)
+        raise ValidationError(f"image_ids {ids} name different images but compare equal")
+    return by_id
 
 
 def load_detections(path: str | Path) -> dict[Any, list[Detection]]:

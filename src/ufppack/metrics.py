@@ -3,7 +3,10 @@
 The generator produces VisDrone-like ground truth: a configurable mixture of
 small / medium / large objects placed sparsely so the union coverage lands
 near a target foreground ratio, together with jittered "coarse detections"
-emulating an imperfect first-stage detector.
+emulating an imperfect first-stage detector. It draws and rescales the sides
+on arrays and tests each placement attempt against one ``(n, 4)`` array of
+the boxes placed so far; only the attempt loop and the jitter loop, whose
+random draws depend on what was accepted, run in Python.
 """
 from __future__ import annotations
 
@@ -69,17 +72,10 @@ def size_buckets(boxes: Sequence[BBox]) -> SizeStats:
     """COCO-style size proportions by box area."""
     if not boxes:
         return SizeStats(fr=0.0, small=0.0, medium=0.0, large=0.0, empty=True)
-    counts = [0, 0, 0]
-    for b in boxes:
-        a = area(b)
-        if a < SMALL_MAX_AREA:
-            counts[0] += 1
-        elif a < MEDIUM_MAX_AREA:
-            counts[1] += 1
-        else:
-            counts[2] += 1
-    n = len(boxes)
-    return SizeStats(fr=0.0, small=counts[0] / n, medium=counts[1] / n, large=counts[2] / n)
+    areas = np.array([area(b) for b in boxes])
+    counts = np.bincount(np.digitize(areas, (SMALL_MAX_AREA, MEDIUM_MAX_AREA)), minlength=3)
+    small, medium, large = (counts / len(boxes)).tolist()
+    return SizeStats(fr=0.0, small=small, medium=medium, large=large)
 
 
 def scene_stats(boxes: Sequence[BBox], extent: ImageExtent) -> SizeStats:
@@ -109,9 +105,10 @@ class SceneSpec:
             raise ValueError(f"target_fr must be in [0,1), got {self.target_fr}")
 
 
-# Per-bucket side ranges used by the generator. Kept narrow at the small end
-# so equalization has headroom to lift objects across the 32px threshold.
-_SIDE_RANGES = ((16.0, 30.0), (34.0, 70.0), (98.0, 150.0))
+# Per-bucket side ranges used by the generator, one (low, high) row per size
+# bucket. Kept narrow at the small end so equalization has headroom to lift
+# objects across the 32px threshold.
+_SIDE_RANGES = np.array([(16.0, 30.0), (34.0, 70.0), (98.0, 150.0)])
 
 
 def generate_scene(spec: SceneSpec) -> tuple[list[BBox], list[Detection]]:
@@ -120,69 +117,66 @@ def generate_scene(spec: SceneSpec) -> tuple[list[BBox], list[Detection]]:
     if spec.n_objects == 0:
         return [], []
     buckets = rng.choice(3, size=spec.n_objects, p=np.asarray(spec.proportions))
-    sides = np.array([rng.uniform(*_SIDE_RANGES[b]) for b in buckets])
-    aspects = rng.uniform(0.7, 1.4, size=spec.n_objects)
-    widths = sides * np.sqrt(aspects)
-    heights = sides / np.sqrt(aspects)
+    lo, hi = _SIDE_RANGES[buckets].T
+    sides = rng.uniform(lo, hi)
+    root_aspects = np.sqrt(rng.uniform(0.7, 1.4, size=spec.n_objects))
+    widths, heights = sides * root_aspects, sides / root_aspects
 
     # Rescale areas toward the target coverage, clamping sides to their
     # bucket ranges so the size mix survives the adjustment.
-    img_area = spec.extent.width * spec.extent.height
-    target_area = spec.target_fr * img_area
+    width, height = spec.extent.width, spec.extent.height
+    target_area = spec.target_fr * (width * height)
     for _ in range(8):
         cur = float(np.sum(widths * heights))
         if cur <= 0:
             break
-        ratio = np.sqrt(target_area / cur)
-        sides = np.array(
-            [np.clip(s * ratio, *_SIDE_RANGES[b]) for s, b in zip(sides, buckets)]
-        )
-        widths = sides * np.sqrt(aspects)
-        heights = sides / np.sqrt(aspects)
+        sides = np.clip(sides * np.sqrt(target_area / cur), lo, hi)
+        widths, heights = sides * root_aspects, sides / root_aspects
         if abs(np.sum(widths * heights) - target_area) / target_area < 0.02:
             break
-    achieved = float(np.sum(widths * heights)) / img_area
+    achieved = float(np.sum(widths * heights)) / (width * height)
     if abs(achieved - spec.target_fr) > 0.05 + 0.5 * spec.target_fr:
         raise InfeasibleSpecError(
             f"cannot reach foreground ratio {spec.target_fr} with "
             f"{spec.n_objects} objects of the requested sizes (got {achieved:.3f})"
         )
+    oversized = np.flatnonzero((widths > width) | (heights > height))
+    if oversized.size:
+        i = oversized[0]
+        raise InfeasibleSpecError(
+            f"object {i} is {widths[i]:.2f}x{heights[i]:.2f}, larger than "
+            f"the {width:g}x{height:g} extent"
+        )
 
-    gt: list[BBox] = []
-    for w, h in zip(widths, heights):
-        placed = None
+    # An attempt is accepted when its summed overlap with the boxes placed so
+    # far is at most a tenth of its area; after 50 rejections the last one stays.
+    gt = np.empty((spec.n_objects, 4))
+    for i, (w, h) in enumerate(zip(widths.tolist(), heights.tolist())):
         for _ in range(50):
-            x = rng.uniform(0, spec.extent.width - w)
-            y = rng.uniform(0, spec.extent.height - h)
-            cand = BBox(x, y, x + w, y + h)
-            overlap = sum(
-                _inter_area(cand, b) for b in gt if _inter_area(cand, b) > 0
-            )
-            if overlap <= 0.1 * area(cand):
-                placed = cand
+            x = rng.uniform(0, width - w)
+            y = rng.uniform(0, height - h)
+            x2, y2 = x + w, y + h
+            gt[i] = x, y, x2, y2
+            iwh = np.minimum(gt[:i, 2:], gt[i, 2:]) - np.maximum(gt[:i, :2], gt[i, :2])
+            iw, ih = np.maximum(iwh, 0.0).T
+            inter = iw * ih
+            # Added left to right in placement order, as np.float64 scalars:
+            # np.sum would add pairwise, and builtin sum compensates exact floats.
+            if sum(inter[inter > 0]) <= 0.1 * ((x2 - x) * (y2 - y)):
                 break
-        gt.append(placed if placed is not None else cand)
 
     coarse: list[Detection] = []
-    for i, b in enumerate(gt):
+    for x1, y1, x2, y2 in gt.tolist():
         if rng.uniform() < spec.drop_rate:
             continue
-        w, h = b.width, b.height
-        cx, cy = b.center
-        cx += rng.normal(0, spec.center_jitter) * w
-        cy += rng.normal(0, spec.center_jitter) * h
+        w, h = x2 - x1, y2 - y1
+        cx = 0.5 * (x1 + x2) + rng.normal(0, spec.center_jitter) * w
+        cy = 0.5 * (y1 + y2) + rng.normal(0, spec.center_jitter) * h
         w *= max(0.5, 1.0 + rng.normal(0, spec.scale_jitter))
         h *= max(0.5, 1.0 + rng.normal(0, spec.scale_jitter))
-        x1 = min(max(cx - w / 2, 0.0), spec.extent.width)
-        y1 = min(max(cy - h / 2, 0.0), spec.extent.height)
-        x2 = min(max(cx + w / 2, x1), spec.extent.width)
-        y2 = min(max(cy + h / 2, y1), spec.extent.height)
-        score = float(np.clip(rng.uniform(0.5, 1.0), 0.0, 1.0))
-        coarse.append(Detection(BBox(x1, y1, x2, y2), score, 0))
-    return gt, coarse
-
-
-def _inter_area(a: BBox, b: BBox) -> float:
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    return iw * ih if iw > 0 and ih > 0 else 0.0
+        x1 = min(max(cx - w / 2, 0.0), width)
+        y1 = min(max(cy - h / 2, 0.0), height)
+        x2 = min(max(cx + w / 2, x1), width)
+        y2 = min(max(cy + h / 2, y1), height)
+        coarse.append(Detection(BBox(x1, y1, x2, y2), rng.uniform(0.5, 1.0), 0))
+    return [BBox(*b) for b in gt.tolist()], coarse

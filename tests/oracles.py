@@ -8,8 +8,10 @@ are checked by central finite differences, exact transport comes from basis
 enumeration, the reference Sinkhorn is a scalar log-domain loop (plus the
 plain kernel-domain loop, whose long runs give the fixed point at moderate
 epsilon), the NMS
-reference compares each candidate with every kept detection by scalar IoU
-and the layout file reference is ``json.dumps`` of the layout as a dict.
+reference compares each candidate with every kept detection by scalar IoU,
+the scene reference draws one side per object and sums each placement
+attempt's overlaps in a scalar loop, and the layout file reference is
+``json.dumps`` of the layout as a dict.
 """
 from __future__ import annotations
 
@@ -162,6 +164,63 @@ def random_boxes(rng: np.random.Generator, n: int, extent: tuple[float, float]) 
         y = rng.uniform(0, extent[1] - h)
         out.append((x, y, x + w, y + h))
     return out
+
+
+def scene_reference(spec) -> tuple[list[Box], list[tuple[Box, float]]]:
+    """The scene generator with one random draw per object and a scalar
+    overlap check: ground-truth boxes and (box, score) coarse detections of a
+    feasible spec.
+
+    It makes the same draws in the same order as ``generate_scene``, and adds
+    the overlaps of each attempt one by one in placement order.
+    """
+    ranges = ((16.0, 30.0), (34.0, 70.0), (98.0, 150.0))
+    rng = np.random.default_rng(spec.seed)
+    if spec.n_objects == 0:
+        return [], []
+    buckets = rng.choice(3, size=spec.n_objects, p=np.asarray(spec.proportions))
+    sides = [rng.uniform(*ranges[k]) for k in buckets]
+    roots = [math.sqrt(a) for a in rng.uniform(0.7, 1.4, size=spec.n_objects)]
+    width, height = spec.extent.width, spec.extent.height
+    target = spec.target_fr * (width * height)
+    for _ in range(8):
+        cur = float(np.sum(np.array([(s * r) * (s / r) for s, r in zip(sides, roots)])))
+        if cur <= 0:
+            break
+        ratio = math.sqrt(target / cur)
+        sides = [min(max(s * ratio, ranges[k][0]), ranges[k][1]) for s, k in zip(sides, buckets)]
+        areas = np.array([(s * r) * (s / r) for s, r in zip(sides, roots)])
+        if abs(np.sum(areas) - target) / target < 0.02:
+            break
+    gt: list[Box] = []
+    for s, r in zip(sides, roots):
+        w, h = s * r, s / r
+        for _ in range(50):
+            x = rng.uniform(0, width - w)
+            y = rng.uniform(0, height - h)
+            cand = (x, y, x + w, y + h)
+            overlap = 0.0
+            for b in gt:
+                iw = min(cand[2], b[2]) - max(cand[0], b[0])
+                ih = min(cand[3], b[3]) - max(cand[1], b[1])
+                if iw > 0 and ih > 0:
+                    overlap += iw * ih
+            if overlap <= 0.1 * _area(cand):
+                break
+        gt.append(cand)
+    coarse = []
+    for x1, y1, x2, y2 in gt:
+        if rng.uniform() < spec.drop_rate:
+            continue
+        w, h = x2 - x1, y2 - y1
+        cx = 0.5 * (x1 + x2) + rng.normal(0, spec.center_jitter) * w
+        cy = 0.5 * (y1 + y2) + rng.normal(0, spec.center_jitter) * h
+        w *= max(0.5, 1.0 + rng.normal(0, spec.scale_jitter))
+        h *= max(0.5, 1.0 + rng.normal(0, spec.scale_jitter))
+        x1, y1 = min(max(cx - w / 2, 0.0), width), min(max(cy - h / 2, 0.0), height)
+        box = (x1, y1, min(max(cx + w / 2, x1), width), min(max(cy + h / 2, y1), height))
+        coarse.append((box, rng.uniform(0.5, 1.0)))
+    return gt, coarse
 
 
 def sinkhorn_reference(

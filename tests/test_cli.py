@@ -205,6 +205,15 @@ class TestUnpackCommand:
         assert "fine detections are of image_id 7, coarse detections of image_id 9" in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("fine_id, coarse_id", [(True, 1.0), (True, 1), (1, 1.0), (0, False)])
+    def test_ids_of_different_json_type_exit_1_without_output(self, tmp_path, capsys,
+                                                              fine_id, coarse_id):
+        rc, out = self._unpack_ids(tmp_path, fine_id, coarse_id)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert (f"fine detections are of image_id {fine_id!r}, "
+                f"coarse detections of image_id {coarse_id!r}") in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_out_directory_exit_2_without_temp_file(self, tmp_path, capsys, three_box_file):
         layout = tmp_path / "layout.json"
@@ -304,6 +313,36 @@ class TestMultiImageInput:
         assert main(args) == 1
         captured = capsys.readouterr()
         assert "detections of 2 images" in captured.err
+        assert captured.out == "" and not out.exists()
+
+
+class TestImageIdTypes:
+    """``1``, ``1.0`` and ``true`` name different images: a file that mixes
+    them exits 1 without output."""
+
+    @pytest.mark.parametrize("ids", [(1.0, 1), (1, True)])
+    @pytest.mark.parametrize("command", ["pack", "unpack-coarse", "unpack-fine", "stats"])
+    def test_mixed_file_exit_1_without_output(self, tmp_path, capsys, three_box_file,
+                                              command, ids):
+        mixed = _write_detections(tmp_path / "mixed.json", [
+            {**_det_record(0, 0, 10, 10), "image_id": ids[0]},
+            {**_det_record(50, 50, 10, 10), "image_id": ids[1]},
+        ])
+        layout = tmp_path / "layout.json"
+        io.save_layout(pack([(BBox(0, 0, 50, 50), 1.0)], 100), layout)
+        out = tmp_path / "out.json"
+        args = {
+            "pack": ["pack", "--detections", mixed, "--image-size", "200x200",
+                     "--out-layout", str(out)],
+            "unpack-coarse": ["unpack", "--fine", three_box_file, "--layout", str(layout),
+                              "--coarse", mixed, "--out", str(out)],
+            "unpack-fine": ["unpack", "--fine", mixed, "--layout", str(layout),
+                            "--coarse", three_box_file, "--out", str(out)],
+            "stats": ["stats", "--boxes", mixed, "--image-size", "200x200"],
+        }[command]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "name different images but compare equal" in captured.err
         assert captured.out == "" and not out.exists()
 
 
@@ -408,6 +447,16 @@ class TestSynthCommand:
         out = tmp_path / "scene.json"
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
         assert not out.exists()
+
+    def test_box_larger_than_extent_exit_1(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"extent": [30, 14], "n_objects": 1, "target_fr": 0.6,
+                                    "proportions": [1, 0, 0]}))
+        out = tmp_path / "scene.json"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "larger than the 30x14 extent" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         spec = tmp_path / "spec.json"

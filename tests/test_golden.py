@@ -1,5 +1,6 @@
-"""Byte-level pins on the synth -> pack -> unpack path through the CLI, and
-on one mosaic rendered at workload scale.
+"""Byte-level pins on the synth -> pack -> unpack path through the CLI, on
+one mosaic rendered at workload scale, and on the scene files of the
+generator.
 
 The layout and fused digests are those of the scalar merge, NMS and owner
 lookup, which the array forms reproduce exactly. The mosaic digests are those
@@ -102,3 +103,22 @@ def test_scene_mosaic_bytes_pinned(tmp_path):
     io.compose_mosaic(layout, source, out)
     assert len(layout.placements) > 100
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCENE_MOSAIC_SHA256
+
+
+# Scene files of the generator: four paper-default scenes and one dense
+# 1000-object scene, recorded with the scalar overlap check that the box-array
+# one replaced.
+@pytest.mark.parametrize("spec, digest", [
+    ({"seed": 0}, "69d3ebf0aac694498e0bb9ed3edce6a995e1e88bca3d8ea44a83fbab3e254ab1"),
+    ({"seed": 1}, "2ca65c0c32997cec83b94389cb5ebabe26cace838edb66fc1d67b1b1e3a3dc0c"),
+    ({"seed": 2}, "de389faf858bf7107ebada0414329ef8bd9945dcf0207252d578fc7127c3d5bc"),
+    ({"seed": 3}, "36bacda9e7f101358cd339cb986fac95d636b7cfe13c503ac83aab9344e6ceb5"),
+    ({"seed": 7, "n_objects": 1000, "target_fr": 0.3},
+     "e39b31f70c31776a8b9300d13ed240ee19274b4726b898dc19d496bc5110bc02"),
+])
+def test_scene_bytes_pinned(tmp_path, spec, digest):
+    spec = SceneSpec(**spec)
+    gt, coarse = generate_scene(spec)
+    out = tmp_path / "scene.json"
+    io.save_scene((spec.extent.width, spec.extent.height), gt, coarse, out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

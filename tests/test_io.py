@@ -29,6 +29,19 @@ class TestDetectionsIO:
         per_image = io.load_detections(p)
         assert per_image[7][0].box == BBox(10, 10, 20, 20)
 
+    @pytest.mark.parametrize("image_id", [1, 1.0, True, "1", None])
+    def test_one_id_keeps_its_json_type(self, image_id):
+        rec = {"image_id": image_id, "bbox": [0, 0, 1, 1]}
+        per_image = io.detections_from_records([rec, rec])
+        [(key, dets)] = per_image.items()
+        assert type(key) is type(image_id) and key == image_id and len(dets) == 2
+
+    def test_ids_of_equal_value_and_different_type_rejected(self):
+        records = [{"image_id": i, "bbox": [0, 0, 1, 1]} for i in (2, 1.0, 1, True)]
+        with pytest.raises(io.ValidationError,
+                           match="image_ids 1.0, 1, true name different images"):
+            io.detections_from_records(records)
+
     def test_negative_extent_named(self, tmp_path):
         p = tmp_path / "d.json"
         p.write_text(json.dumps([{"image_id": 0, "bbox": [0, 0, -1, 5], "score": 0.5,

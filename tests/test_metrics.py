@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bbox_strategy
-from oracles import random_boxes, union_area_mc
+from oracles import random_boxes, scene_reference, union_area_mc
 from ufppack.geometry import BBox, ImageExtent
 from ufppack.metrics import (
     InfeasibleSpecError,
@@ -99,9 +99,31 @@ class TestGenerateScene:
         b, _ = generate_scene(SceneSpec(seed=2))
         assert a != b
 
+    @pytest.mark.parametrize("spec", [
+        SceneSpec(seed=4),
+        SceneSpec(seed=8, n_objects=300, target_fr=0.25),
+        SceneSpec(seed=9, n_objects=20, target_fr=0.3, extent=ImageExtent(640, 480),
+                  proportions=(0.2, 0.5, 0.3), center_jitter=0.2, scale_jitter=0.4,
+                  drop_rate=0.3),
+        SceneSpec(seed=10, n_objects=3, target_fr=0.2, extent=ImageExtent(150.5, 99.25),
+                  proportions=(0.0, 1.0, 0.0)),
+    ])
+    def test_matches_scalar_reference(self, spec):
+        gt, coarse = generate_scene(spec)
+        want_gt, want_coarse = scene_reference(spec)
+        assert [(b.x1, b.y1, b.x2, b.y2) for b in gt] == want_gt
+        assert [((d.box.x1, d.box.y1, d.box.x2, d.box.y2), d.score) for d in coarse] == want_coarse
+
     def test_infeasible_spec_rejected(self):
         spec = SceneSpec(n_objects=2, target_fr=0.5, seed=0)
         with pytest.raises(InfeasibleSpecError):
+            generate_scene(spec)
+
+    def test_box_larger_than_extent_rejected(self):
+        spec = SceneSpec(extent=ImageExtent(30, 14), n_objects=1, target_fr=0.6,
+                         proportions=(1.0, 0.0, 0.0))
+        with pytest.raises(InfeasibleSpecError,
+                           match=r"object 0 is \d+\.\d\dx\d+\.\d\d, larger than the 30x14 extent"):
             generate_scene(spec)
 
     def test_boxes_within_extent(self):
