@@ -56,21 +56,17 @@ def _load_config(cls: type, path: str | None) -> Any:
         return cls.from_dict(json.load(f))
 
 
-def _one_image(path: str) -> tuple[Any, list]:
-    """The ``image_id`` and the detections of a file that holds at most one
-    id; the id is None for a file without detections."""
-    per_image = io.load_detections(path)
-    if len(per_image) > 1:
-        raise ValueError(f"{path}: detections of {len(per_image)} images; "
-                         f"one image per file is supported")
-    return next(iter(per_image.items()), (None, []))
+def _one_image(path: str) -> list:
+    """The detections of a file that holds at most one ``image_id``."""
+    _, (dets,) = io.one_image({path: io.load_detections(path)})
+    return dets
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
     if args.image and not args.out_mosaic:
         return _fail(1, "--image requires --out-mosaic")
     cfg = _load_config(PipelineConfig, args.config)
-    _, dets = _one_image(args.detections)
+    dets = _one_image(args.detections)
     _, layout = build_layout(dets, args.image_size, cfg)
     # Render first: a raster that does not fit the layout leaves no file.
     if args.image:
@@ -89,12 +85,8 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 def _cmd_unpack(args: argparse.Namespace) -> int:
     cfg = _load_config(PipelineConfig, args.config)
     layout = io.load_layout(args.layout)
-    fine_id, fine = _one_image(args.fine)
-    coarse_id, coarse = _one_image(args.coarse)
-    image_id = coarse_id if fine_id is None else fine_id
-    if coarse_id is not None and (type(coarse_id), coarse_id) != (type(image_id), image_id):
-        return _fail(1, f"fine detections are of image_id {fine_id!r}, "
-                        f"coarse detections of image_id {coarse_id!r}")
+    image_id, (fine, coarse) = io.one_image({"fine": io.load_detections(args.fine),
+                                             "coarse": io.load_detections(args.coarse)})
     remapped = [m for d in fine if (m := to_source(d, layout)) is not None]
     fused = fuse(coarse, remapped, cfg.nms_iou)
     io.save_detections(fused, args.out, 0 if image_id is None else image_id)
@@ -109,7 +101,7 @@ def _stats_line(label: str, st) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    boxes = [d.box for d in _one_image(args.boxes)[1]]
+    boxes = [d.box for d in _one_image(args.boxes)]
     # Everything is read and computed before the first line is printed.
     lines = [_stats_line("source", scene_stats(boxes, args.image_size))]
     if args.layout:

@@ -118,6 +118,25 @@ def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[Any, list
     return by_id
 
 
+def one_image(sources: dict[str, dict[Any, list[Detection]]]) -> tuple[Any, list[list[Detection]]]:
+    """The one ``image_id`` of the detections of ``sources``, groupings by
+    image under a name each, and the detections of each; the id is None when
+    they hold none. Sources that hold more than one id between them, by JSON
+    type and value, raise ValidationError."""
+    found: tuple[str, Any] | None = None
+    for name, per_image in sources.items():
+        if len(per_image) > 1:
+            raise ValidationError(f"{name}: detections of {len(per_image)} images; "
+                                  f"one image per file is supported")
+        for image_id in per_image:
+            if found is not None and (type(found[1]), found[1]) != (type(image_id), image_id):
+                raise ValidationError(f"{found[0]} detections are of image_id {found[1]!r}, "
+                                      f"{name} detections of image_id {image_id!r}")
+            found = (name, image_id)
+    image_id = None if found is None else found[1]
+    return image_id, [per_image.get(image_id, []) for per_image in sources.values()]
+
+
 def load_detections(path: str | Path) -> dict[Any, list[Detection]]:
     doc = _load_json(path)
     if isinstance(doc, dict) and "coarse" in doc:  # scene file convenience
@@ -182,14 +201,16 @@ def save_scene(
 
 
 def load_scene(path: str | Path) -> tuple[tuple[float, float], list[BBox], list[Detection]]:
+    """The extent, ground-truth boxes and coarse detections of a scene file,
+    whose records are of one ``image_id`` (``one_image``)."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or "ground_truth" not in doc:
         raise ParseError(f"{path}: expected a scene object with ground_truth")
     w, h = doc["image_size"]
-    gt_by_img = detections_from_records(doc["ground_truth"])
-    coarse_by_img = detections_from_records(doc.get("coarse", []))
-    gt = [d.box for d in gt_by_img.get(0, [])]
-    return (float(w), float(h)), gt, coarse_by_img.get(0, [])
+    _, (gt, coarse) = one_image({
+        f"{path}: ground truth": detections_from_records(doc["ground_truth"]),
+        "coarse": detections_from_records(doc.get("coarse", []))})
+    return (float(w), float(h)), [d.box for d in gt], coarse
 
 
 # -- mosaic layouts ----------------------------------------------------------

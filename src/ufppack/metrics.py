@@ -132,7 +132,7 @@ def generate_scene(spec: SceneSpec) -> tuple[list[BBox], list[Detection]]:
             break
         sides = np.clip(sides * np.sqrt(target_area / cur), lo, hi)
         widths, heights = sides * root_aspects, sides / root_aspects
-        if abs(np.sum(widths * heights) - target_area) / target_area < 0.02:
+        if target_area > 0 and abs(np.sum(widths * heights) - target_area) / target_area < 0.02:
             break
     achieved = float(np.sum(widths * heights)) / (width * height)
     if abs(achieved - spec.target_fr) > 0.05 + 0.5 * spec.target_fr:

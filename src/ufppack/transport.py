@@ -3,11 +3,11 @@
 One solver makes every plan: a damped Newton iteration on the semi-dual
 (Cuturi & Peyre 2016; Brauer, Clason, Lorenz & Wirth 2017), which converges
 in a few steps where Sinkhorn scaling (Cuturi 2013) needs hundreds, for any
-number of columns and any regularization strength. Its kernel stays
-representable because the potentials are absorbed into it whenever they
-grow large (Schmitzer 2019), so no epsilon can underflow it. Zero entries in
-either marginal are legal; the corresponding plan rows/columns are
-identically zero.
+number of columns and any regularization strength. Its kernel is always
+exp(-C/epsilon) with the potentials absorbed into it and each row divided
+by its largest entry (Schmitzer 2019), so no epsilon can underflow it. Zero
+entries in either marginal are legal; the corresponding plan rows/columns
+are identically zero.
 """
 from __future__ import annotations
 
@@ -18,13 +18,9 @@ import numpy as np
 
 from .proxies import _row_norms
 
-# Largest max|C|/epsilon at which the steps may start from the plain kernel
-# exp(-C/epsilon): exp(-200) ~ 1e-87 leaves it and the scalings ample float64
-# range. Beyond it they start from a kernel absorbed at the start potentials.
-_KERNEL_MAX_EXPONENT = 200.0
-# Largest potential offset a kernel carries: a trial step past it is taken on
-# a kernel absorbed at the trial potentials. exp(+-300) stays within float64
-# range next to any kernel entry at most 1 (exp(200) for the plain kernel).
+# Largest potential offset a kernel carries: potentials past it are evaluated
+# on a kernel absorbed at them. exp(+-300) stays within float64 range next to
+# kernel entries at most 1, and every kernel row holds an entry 1.
 _ABSORB = 300.0
 # Levenberg-Marquardt damping, in units of the largest column sum: its start,
 # and the value past which the steps have stalled.
@@ -50,6 +46,12 @@ def cost_matrix(features: np.ndarray, proxies: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SinkhornResult:
+    """A plan from ``sinkhorn``. ``marginal_violation`` is the largest gap
+    between a column sum of the plan and its p entry, as the last Newton
+    evaluation sums the columns. The row sums are q by construction, so the
+    violation recomputed from ``plan`` over rows and columns lies within
+    1e-15 of it. ``converged`` says whether it is under tol."""
+
     plan: np.ndarray  # N x K, nonnegative: N instances (rows), K proxies
     iterations: int
     marginal_violation: float
@@ -85,13 +87,15 @@ def sinkhorn(
     log-potentials taken up to an additive constant, such as the
     ``potentials`` of a neighbouring problem, when it is finite on every
     column with mass; otherwise, and without ``init``, from log p. Zero
-    entries of p and q drop their columns and rows, which are zero in the
-    plan and get potential -inf. ``potentials`` holds the column
-    log-potentials of the returned plan: the last accepted one if the steps
-    stall or max_iters runs out. ``marginal_violation`` is that of the
-    returned plan, over rows and columns, and ``converged`` says whether it
-    is under tol. A non-finite cost, and an ``init`` of any other shape than
-    (K,), raise ValueError.
+    entries of p drop their columns, which are zero in the plan and get
+    potential -inf; the rows of zero entries of q are zero in the plan by
+    construction. ``potentials`` holds the column log-potentials of the
+    returned plan: the last accepted one if the steps stall or max_iters runs
+    out. ``marginal_violation`` is the largest column-sum gap of the returned
+    plan, taken from the sums of the step that made it (the row sums are q
+    by construction), and ``converged`` says whether it is under tol. A
+    non-finite cost, and an ``init`` of any other shape than (K,), raise
+    ValueError.
     """
     cost = np.asarray(cost, dtype=float)
     n, k = cost.shape
@@ -105,39 +109,31 @@ def sinkhorn(
         init = np.asarray(init, dtype=float)
         if init.shape != (k,):
             raise ValueError(f"init shape {init.shape} does not match cost {cost.shape}")
-    cost_max = np.abs(cost).max()
-    if not math.isfinite(cost_max):
+    if not math.isfinite(np.abs(cost).max()):
         raise ValueError("cost must be finite")
 
-    # The marginals are nonnegative, so all() says whether all are positive.
-    full = bool(q.all() and p.all())
-    pr, qr, cr = p, q, cost
+    # p is nonnegative, so all() says whether all its entries are positive.
+    full = bool(p.all())
+    pr, cr = p, cost
     if not full:
-        rows = q > 0
         cols = p > 0
-        cr = cost[rows][:, cols]
-        pr = p[cols]
-        qr = q[rows]
+        cr, pr = cost[:, cols], p[cols]
         if init is not None:
             init = init[cols]
     # A start with no finite potential on some column with mass is no start;
     # a finite one is shifted to a largest potential of 0, like log p.
     if init is not None and np.isfinite(init).all():
         h = init - init.max()
-        v = np.exp(h)
     else:
         h = np.log(pr)
-        v = pr
-    plain = cost_max <= _KERNEL_MAX_EXPONENT * epsilon and -h.min() <= _ABSORB
-    P, h, steps = _newton(cr / -epsilon, pr, qr, h, v, plain, max_iters, tol)
+    P, h, steps, viol = _newton(cr / -epsilon, pr, q, h, max_iters, tol)
     if not full:
         out = np.zeros((n, k))
-        out[np.ix_(rows, cols)] = P
+        out[:, cols] = P
         P = out
         full_h = np.full(k, -np.inf)
         full_h[cols] = h
         h = full_h
-    viol = _violation(P, np.concatenate((q, p)))
     return SinkhornResult(plan=P, iterations=steps, marginal_violation=viol,
                           converged=viol < tol, potentials=h)
 
@@ -153,29 +149,31 @@ def _absorbed(log_kernel: np.ndarray, h0: np.ndarray, p: np.ndarray, q: np.ndarr
 
 
 def _newton(
-    log_kernel: np.ndarray, p: np.ndarray, q: np.ndarray, h: np.ndarray, v: np.ndarray,
-    plain: bool, max_iters: int, tol: float,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(plan, column log-potentials, steps) from Newton on the semi-dual, on
-    positive marginals, from the finite potentials h with e^h = v.
+    log_kernel: np.ndarray, p: np.ndarray, q: np.ndarray, h: np.ndarray,
+    max_iters: int, tol: float,
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """(plan, column log-potentials, steps, violation) from Newton on the
+    semi-dual, on positive p, from the finite potentials h.
 
-    The plan is P = diag(q / (K e^h)) K diag(e^h) with K = exp(-C/epsilon),
-    so its row sums are q by construction; the unknowns are the column
-    log-potentials h. The concave semi-dual F(h) = p.h - q.log(K e^h) has
-    gradient p - c, c the plan's column sums, and Hessian
-    -(diag(c) - P^T diag(1/q) P). Each step solves that system with the last
-    potential held fixed (the shift gauge) and lam * max(c) added to its
-    diagonal. A step is accepted when F does not drop, beyond rounding; lam
-    then shrinks tenfold, so that the damping all but vanishes in the last
-    steps, and it grows tenfold after a rejected step. Past _DAMPING_MAX the
-    steps have stalled, and the last accepted plan is returned. With one
-    column, every row of the plan is its q entry from the start.
+    The plan is P = diag(q) B with B = diag(1 / (K e^h)) K diag(e^h) and
+    K = exp(-C/epsilon): the rows of B sum to 1, so the row sums of P are q
+    by construction, and its rows with q_i = 0 are exactly 0. The unknowns
+    are the column log-potentials h. The concave semi-dual
+    F(h) = p.h - q.log(K e^h) has gradient p - c, c the plan's column sums,
+    and Hessian -(diag(c) - B^T diag(q) B). The violation is max|p - c| of
+    the returned plan. Each step solves that system with the last potential
+    held fixed (the shift gauge) and lam * max(c) added to its diagonal. A
+    step is accepted when F does not drop, beyond rounding; lam then shrinks
+    tenfold, so that the damping all but vanishes in the last steps, and it
+    grows tenfold after a rejected step. Past _DAMPING_MAX the steps have
+    stalled, and the last accepted plan is returned. With one column, every
+    row of the plan is its q entry from the start.
 
-    The steps run on a kernel absorbed at potentials h0 (``_absorbed``), with
-    h = h0 + d: the offset d then scales its columns, and F is evaluated with
-    the absorbed constant. When ``plain``, h0 = 0 and the kernel is K itself;
-    otherwise h0 is the start. A trial offset beyond +-_ABSORB is evaluated
-    on a kernel absorbed at the trial potentials, kept if the step is.
+    Potentials h = h0 + d are evaluated on the kernel absorbed at h0
+    (``_absorbed``), where the offset d scales its columns and F carries the
+    absorbed constant. The start takes h0 = 0. Potentials, the start's or a
+    trial step's, whose offset lies beyond +-_ABSORB are evaluated on a
+    kernel absorbed at them, kept if the step is.
 
     Length-K quantities are Python lists, and the system is solved by
     _solve_scalar: at the few columns of a training class a NumPy call costs
@@ -185,15 +183,22 @@ def _newton(
     m = p.size - 1
     p_list = p.tolist()
     qcol = q[:, None]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if plain:
-            h0, d, const = 0.0, h, 0.0
-            K = np.exp(log_kernel)
+
+    def evaluate(h0, K, const, d):
+        # (h0, d, v, K, Kv, F, const) at potentials h0 + d. A d that is not
+        # finite gives, on either branch, an F that no step accepts.
+        if max(map(abs, d.tolist())) <= _ABSORB:
+            v = np.exp(d)
         else:
-            h0, d, v = h, np.zeros_like(h), np.ones_like(h)
+            h0, d, v = h0 + d, np.zeros_like(d), np.ones_like(d)
             K, const = _absorbed(log_kernel, h0, p, q)
         Kv = K.dot(v)
-        F = p.dot(d) - q.dot(np.log(Kv)) + const
+        return h0, d, v, K, Kv, p.dot(d) - q.dot(np.log(Kv)) + const, const
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h0 = np.zeros_like(h)
+        K, const = _absorbed(log_kernel, h0, p, q)
+        h0, d, v, K, Kv, F, const = evaluate(h0, K, const, h)
         lam = _DAMPING_START
         iters = 0
         last_viol = math.inf
@@ -204,7 +209,7 @@ def _newton(
             g = [pj - cj for pj, cj in zip(p_list, c)]
             viol = max(map(abs, g))
             if iters >= max_iters or viol < tol * _POLISH or tol > viol >= last_viol:
-                return P, h0 + d, iters
+                return P, h0 + d, iters, viol
             last_viol = viol
             M = B.T.dot(P)[:m, :m]
             cmax = max(c)
@@ -214,16 +219,7 @@ def _newton(
                 if step is not None:
                     dt = d.copy()
                     dt[:m] += step
-                    # A step that is not finite gives, on either branch, an
-                    # Ft that fails the acceptance test below.
-                    if max(map(abs, dt.tolist())) <= _ABSORB:
-                        h0t, Kt, const_t = h0, K, const
-                        vt = np.exp(dt)
-                    else:
-                        h0t, dt, vt = h0 + dt, np.zeros_like(dt), np.ones_like(dt)
-                        Kt, const_t = _absorbed(log_kernel, h0t, p, q)
-                    Kvt = Kt.dot(vt)
-                    Ft = p.dot(dt) - q.dot(np.log(Kvt)) + const_t
+                    h0t, dt, vt, Kt, Kvt, Ft, const_t = evaluate(h0, K, const, dt)
                     # Accept unless F drops by more than its rounding error.
                     if F - 1e-13 * (1.0 + abs(F)) <= Ft < math.inf:
                         h0, d, v, K, Kv, F, const = h0t, dt, vt, Kt, Kvt, Ft, const_t
@@ -231,7 +227,7 @@ def _newton(
                         break
                 lam *= 10.0
                 if viol < tol or iters >= max_iters or lam > _DAMPING_MAX:
-                    return P, h0 + d, iters
+                    return P, h0 + d, iters, viol
 
 
 def _solve_scalar(d: list[float], M: np.ndarray, g: list[float]) -> list[float] | None:
@@ -265,13 +261,6 @@ def _solve_scalar(d: list[float], M: np.ndarray, g: list[float]) -> list[float] 
     except ZeroDivisionError:
         return None
     return x
-
-
-def _violation(P: np.ndarray, qp: np.ndarray) -> float:
-    # One reduction, so a NaN anywhere in the plan propagates to the result.
-    # The ufunc reductions are those np.sum/np.max run, minus their wrappers.
-    sums = np.concatenate((np.add.reduce(P, 1), np.add.reduce(P, 0)))
-    return float(np.maximum.reduce(np.abs(sums - qp)))
 
 
 def transport_cost(cost: np.ndarray, plan: np.ndarray) -> float:

@@ -523,3 +523,25 @@ class TestSceneIO:
         (w, h), gt2, coarse2 = io.load_scene(p)
         assert (w, h) == (100, 80)
         assert gt2 == gt and coarse2 == coarse
+
+    @staticmethod
+    def _scene(tmp_path, gt_id, coarse_id):
+        p = tmp_path / "scene.json"
+        p.write_text(json.dumps({
+            "image_size": [100, 80],
+            "ground_truth": [{"image_id": gt_id, "bbox": [0, 0, 10, 10]}],
+            "coarse": [{"image_id": coarse_id, "bbox": [1, 1, 8, 8], "score": 0.75}],
+        }))
+        return p
+
+    def test_scene_of_one_nonzero_id_loads(self, tmp_path):
+        _, gt, coarse = io.load_scene(self._scene(tmp_path, 5, 5))
+        assert gt == [BBox(0, 0, 10, 10)]
+        assert coarse == [Detection(BBox(1, 1, 9, 9), 0.75, 0)]
+
+    @pytest.mark.parametrize("gt_id, coarse_id", [(0, 1), (0, 0.0), (False, 0)])
+    def test_scene_of_two_ids_rejected(self, tmp_path, gt_id, coarse_id):
+        with pytest.raises(io.ValidationError,
+                           match=f"ground truth detections are of image_id {gt_id!r}, "
+                                 f"coarse detections of image_id {coarse_id!r}"):
+            io.load_scene(self._scene(tmp_path, gt_id, coarse_id))

@@ -114,6 +114,12 @@ class TestGenerateScene:
         assert [(b.x1, b.y1, b.x2, b.y2) for b in gt] == want_gt
         assert [((d.box.x1, d.box.y1, d.box.x2, d.box.y2), d.score) for d in coarse] == want_coarse
 
+    def test_zero_target_gives_smallest_sides(self):
+        # A foreground ratio of 0 clamps every side to its bucket's lower bound.
+        gt, _ = generate_scene(SceneSpec(target_fr=0.0, n_objects=2, seed=4))
+        sides = sorted(np.sqrt(b.width * b.height) for b in gt)
+        assert sides == pytest.approx([16.0, 34.0], rel=1e-12)
+
     def test_infeasible_spec_rejected(self):
         spec = SceneSpec(n_objects=2, target_fr=0.5, seed=0)
         with pytest.raises(InfeasibleSpecError):

@@ -151,8 +151,7 @@ class TestSinkhorn:
 
 
 class TestSinkhornAgainstReference:
-    """sinkhorn(), from the plain and from the absorbed kernel, against long
-    runs of the scalar log-domain reference."""
+    """sinkhorn() against long runs of the scalar log-domain reference."""
 
     @staticmethod
     def _instance(seed, zeros=False):
@@ -169,17 +168,17 @@ class TestSinkhornAgainstReference:
             q /= q.sum()
         return cost, p, q
 
-    # plain: the steps start from exp(-C/epsilon) itself, not an absorbed kernel.
-    @pytest.mark.parametrize("epsilon, plain", [(0.05, True), (0.01, True), (0.001, False)])
+    # quick: 2000 reference sweeps reach the fixed point; the smallest epsilon
+    # needs 5000.
+    @pytest.mark.parametrize("epsilon, quick", [(0.05, True), (0.01, True), (0.001, False)])
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("zeros", [False, True])
-    def test_plan_matches_reference(self, epsilon, plain, seed, zeros):
+    def test_plan_matches_reference(self, epsilon, quick, seed, zeros):
         cost, p, q = self._instance(seed, zeros)
-        assert (1.0 / epsilon <= transport._KERNEL_MAX_EXPONENT) == plain
         res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=150, tol=1e-12)
         assert res.converged
         # Sweeps enough for the reference to reach its fixed point.
-        want = sinkhorn_reference(cost, p, q, epsilon, 2000 if plain else 5000)
+        want = sinkhorn_reference(cost, p, q, epsilon, 2000 if quick else 5000)
         assert np.max(np.abs(res.plan - want)) <= 1e-12
         if zeros:
             assert np.all(res.plan[-1, :] == 0.0)
@@ -191,8 +190,40 @@ class TestSinkhornAgainstReference:
             res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=13, tol=1e-12)
             P = res.plan
             viol = max(np.max(np.abs(P.sum(axis=1) - q)), np.max(np.abs(P.sum(axis=0) - p)))
-            assert res.marginal_violation == viol
+            assert abs(res.marginal_violation - viol) <= 1e-15
             assert res.converged == (viol < 1e-12)
+
+
+class TestViolationContract:
+    """``marginal_violation`` is that of the returned plan, over rows and
+    columns, to within 1e-15, at every epsilon, start and budget."""
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.01, 0.001, 1e-4])
+    def test_violation_of_returned_plan(self, epsilon, k, zeros):
+        rng = np.random.default_rng(k)
+        feats, proxies = rng.normal(size=(12, 16)), rng.normal(size=(k, 16))
+        cost = cost_matrix(feats, proxies)
+        near = cost_matrix(feats + 0.05 * rng.normal(size=feats.shape), proxies)
+        p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(12))
+        if zeros:
+            q[[2, 7]] = 0.0
+            if k > 1:
+                p[-1] = 0.0
+            p /= p.sum()
+            q /= q.sum()
+        start = sinkhorn(near, p, q, epsilon=epsilon, max_iters=150).potentials
+        for init in (None, start):
+            for max_iters in (0, 2, 150):
+                res = sinkhorn(cost, p, q, epsilon=epsilon, max_iters=max_iters, init=init)
+                P = res.plan
+                viol = max(np.max(np.abs(P.sum(axis=1) - q)),
+                           np.max(np.abs(P.sum(axis=0) - p)))
+                assert abs(res.marginal_violation - viol) <= 1e-15
+                assert res.converged == (res.marginal_violation < 1e-6)
+                assert np.isfinite(P).all()
+                assert np.all(P[q == 0, :] == 0.0) and np.all(P[:, p == 0] == 0.0)
 
 
 class TestNewton:
@@ -307,8 +338,6 @@ class TestNewton:
 
     @pytest.mark.parametrize("k, epsilon", [(3, 0.001), (8, 0.001), (3, 1e-4)])
     def test_small_epsilon_converges(self, k, epsilon):
-        # A kernel beyond _KERNEL_MAX_EXPONENT, whatever the number of columns.
-        assert 1.0 / epsilon > transport._KERNEL_MAX_EXPONENT
         rng = np.random.default_rng(k)
         cost = rng.uniform(0, 1, (10, k))
         cost[0, 0] = 1.0
