@@ -9,6 +9,7 @@ import json
 import math
 import os
 import stat
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -27,6 +28,10 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Well-formed input with invalid record contents."""
+
+
+# The Python types of a JSON number; bool, a subclass of int, is not one.
+_NUMBER = (int, float)
 
 
 def atomic_write(path: str | Path, *parts: str | bytes | np.ndarray) -> None:
@@ -83,7 +88,9 @@ def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[Any, list
 
     Ids compare by JSON type and value: ``1``, ``1.0`` and ``true`` name
     different images. Python equates them, so they cannot be keys of one dict,
-    and records that use more than one of them raise ValidationError.
+    and records that use more than one of them raise ValidationError. A
+    ``category_id`` must be a JSON integer and a ``score`` a JSON number;
+    records with any other, a bool included, raise ValidationError by index.
     """
     bad: list[int] = []
     per_image: dict[tuple[type, Any], list[Detection]] = {}
@@ -98,11 +105,10 @@ def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[Any, list
             x2, y2 = float(x) + float(w), float(y) + float(h)
             if not (math.isfinite(x2) and math.isfinite(y2)):
                 raise ValueError("box overflows")
-            det = Detection(
-                BBox(float(x), float(y), x2, y2),
-                float(rec.get("score", 1.0)),
-                int(rec.get("category_id", 0)),
-            )
+            score, category = rec.get("score", 1.0), rec.get("category_id", 0)
+            if type(category) is not int or type(score) not in _NUMBER:
+                raise TypeError("category_id or score of the wrong JSON type")
+            det = Detection(BBox(float(x), float(y), x2, y2), float(score), category)
         except (KeyError, TypeError, ValueError, OverflowError):
             bad.append(i)
             continue
@@ -202,11 +208,18 @@ def save_scene(
 
 def load_scene(path: str | Path) -> tuple[tuple[float, float], list[BBox], list[Detection]]:
     """The extent, ground-truth boxes and coarse detections of a scene file,
-    whose records are of one ``image_id`` (``one_image``)."""
+    whose records are of one ``image_id`` (``one_image``). An ``image_size``
+    that is not a pair of finite positive numbers raises ParseError."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or "ground_truth" not in doc:
         raise ParseError(f"{path}: expected a scene object with ground_truth")
-    w, h = doc["image_size"]
+    size = doc.get("image_size")
+    # Written so that a NaN, and an integer past float range, fail it too.
+    if not (type(size) is list and len(size) == 2 and all(
+            type(v) in _NUMBER and 0 < v <= sys.float_info.max for v in size)):
+        raise ParseError(f"{path}: image_size must be a pair of finite positive numbers, "
+                         f"got {size!r}")
+    w, h = size
     _, (gt, coarse) = one_image({
         f"{path}: ground truth": detections_from_records(doc["ground_truth"]),
         "coarse": detections_from_records(doc.get("coarse", []))})

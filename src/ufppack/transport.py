@@ -3,11 +3,10 @@
 One solver makes every plan: a damped Newton iteration on the semi-dual
 (Cuturi & Peyre 2016; Brauer, Clason, Lorenz & Wirth 2017), which converges
 in a few steps where Sinkhorn scaling (Cuturi 2013) needs hundreds, for any
-number of columns and any regularization strength. Its kernel is always
-exp(-C/epsilon) with the potentials absorbed into it and each row divided
-by its largest entry (Schmitzer 2019), so no epsilon can underflow it. Zero
-entries in either marginal are legal; the corresponding plan rows/columns
-are identically zero.
+number of columns and any regularization strength. It evaluates the plan
+from its potentials in the log domain (Peyre & Cuturi 2019, sec. 4.4), so
+no epsilon can underflow it. Zero entries in either marginal are legal; the
+corresponding plan rows/columns are identically zero.
 """
 from __future__ import annotations
 
@@ -18,10 +17,6 @@ import numpy as np
 
 from .proxies import _row_norms
 
-# Largest potential offset a kernel carries: potentials past it are evaluated
-# on a kernel absorbed at them. exp(+-300) stays within float64 range next to
-# kernel entries at most 1, and every kernel row holds an entry 1.
-_ABSORB = 300.0
 # Levenberg-Marquardt damping, in units of the largest column sum: its start,
 # and the value past which the steps have stalled.
 _DAMPING_START = 1e-2
@@ -47,10 +42,10 @@ def cost_matrix(features: np.ndarray, proxies: np.ndarray) -> np.ndarray:
 @dataclass
 class SinkhornResult:
     """A plan from ``sinkhorn``. ``marginal_violation`` is the largest gap
-    between a column sum of the plan and its p entry, as the last Newton
-    evaluation sums the columns. The row sums are q by construction, so the
-    violation recomputed from ``plan`` over rows and columns lies within
-    1e-15 of it. ``converged`` says whether it is under tol."""
+    between a row or column sum of the plan and its q or p entry: the column
+    sums as the last Newton evaluation holds them, the row sums taken from
+    ``plan``, so a violation recomputed from ``plan`` lies within 1e-15 of
+    it. ``converged`` says whether it is under tol."""
 
     plan: np.ndarray  # N x K, nonnegative: N instances (rows), K proxies
     iterations: int
@@ -91,11 +86,11 @@ def sinkhorn(
     potential -inf; the rows of zero entries of q are zero in the plan by
     construction. ``potentials`` holds the column log-potentials of the
     returned plan: the last accepted one if the steps stall or max_iters runs
-    out. ``marginal_violation`` is the largest column-sum gap of the returned
-    plan, taken from the sums of the step that made it (the row sums are q
-    by construction), and ``converged`` says whether it is under tol. A
-    non-finite cost, and an ``init`` of any other shape than (K,), raise
-    ValueError.
+    out. ``marginal_violation`` is the largest row- or column-sum gap of the
+    returned plan, and ``converged`` says whether it is under tol. A
+    non-finite cost, an epsilon that is not positive or at which
+    max|C|/epsilon overflows, and an ``init`` of any other shape than (K,),
+    raise ValueError.
     """
     cost = np.asarray(cost, dtype=float)
     n, k = cost.shape
@@ -103,14 +98,17 @@ def sinkhorn(
     q = _check_marginal(q, "q")
     if p.shape != (k,) or q.shape != (n,):
         raise ValueError(f"marginal shapes {p.shape}/{q.shape} do not match cost {cost.shape}")
-    if epsilon <= 0:
+    if not epsilon > 0:  # written so that a NaN fails the test too
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if init is not None:
         init = np.asarray(init, dtype=float)
         if init.shape != (k,):
             raise ValueError(f"init shape {init.shape} does not match cost {cost.shape}")
-    if not math.isfinite(np.abs(cost).max()):
+    cmax = float(np.abs(cost).max())
+    if not math.isfinite(cmax):
         raise ValueError("cost must be finite")
+    if not math.isfinite(cmax / float(epsilon)):  # a float division: no NumPy warning
+        raise ValueError(f"epsilon {epsilon} is too small for costs up to {cmax}")
 
     # p is nonnegative, so all() says whether all its entries are positive.
     full = bool(p.all())
@@ -127,6 +125,8 @@ def sinkhorn(
     else:
         h = np.log(pr)
     P, h, steps, viol = _newton(cr / -epsilon, pr, q, h, max_iters, tol)
+    # The log-sum-exps leave the row sums q only up to rounding.
+    viol = max(viol, *map(abs, (np.add.reduce(P, axis=1) - q).tolist()))
     if not full:
         out = np.zeros((n, k))
         out[:, cols] = P
@@ -138,16 +138,6 @@ def sinkhorn(
                           converged=viol < tol, potentials=h)
 
 
-def _absorbed(log_kernel: np.ndarray, h0: np.ndarray, p: np.ndarray, q: np.ndarray
-              ) -> tuple[np.ndarray, float]:
-    """The kernel absorbed at potentials h0, exp(log_kernel + h0 - r) with r
-    its row maxima, so every row holds an entry 1; and the constant p.h0 - q.r
-    that the semi-dual value carries with it."""
-    a = log_kernel + h0
-    r = np.maximum.reduce(a, axis=1)
-    return np.exp(a - r[:, None]), p.dot(h0) - q.dot(r)
-
-
 def _newton(
     log_kernel: np.ndarray, p: np.ndarray, q: np.ndarray, h: np.ndarray,
     max_iters: int, tol: float,
@@ -155,25 +145,24 @@ def _newton(
     """(plan, column log-potentials, steps, violation) from Newton on the
     semi-dual, on positive p, from the finite potentials h.
 
-    The plan is P = diag(q) B with B = diag(1 / (K e^h)) K diag(e^h) and
-    K = exp(-C/epsilon): the rows of B sum to 1, so the row sums of P are q
-    by construction, and its rows with q_i = 0 are exactly 0. The unknowns
-    are the column log-potentials h. The concave semi-dual
-    F(h) = p.h - q.log(K e^h) has gradient p - c, c the plan's column sums,
-    and Hessian -(diag(c) - B^T diag(q) B). The violation is max|p - c| of
-    the returned plan. Each step solves that system with the last potential
-    held fixed (the shift gauge) and lam * max(c) added to its diagonal. A
-    step is accepted when F does not drop, beyond rounding; lam then shrinks
-    tenfold, so that the damping all but vanishes in the last steps, and it
-    grows tenfold after a rejected step. Past _DAMPING_MAX the steps have
-    stalled, and the last accepted plan is returned. With one column, every
-    row of the plan is its q entry from the start.
+    The plan is P = diag(q) B with B_ij = softmax_j(h_j + L_ij) and
+    L = log_kernel = -C/epsilon: the rows of B sum to 1, so the row sums of P
+    are q up to rounding, and its rows with q_i = 0 are exactly 0. The
+    unknowns are the column log-potentials h. The concave semi-dual
+    F(h) = p.h - q.lse(L + h), lse the row-wise log-sum-exp, has gradient
+    p - c, c the plan's column sums, and Hessian -(diag(c) - B^T diag(q) B).
+    Each step solves that system with the last potential held fixed (the
+    shift gauge) and lam * max(c) added to its diagonal. A step is accepted
+    when F does not drop, beyond rounding; lam then shrinks tenfold, so that
+    the damping all but vanishes in the last steps, and it grows tenfold
+    after a rejected step. Past _DAMPING_MAX the steps have stalled, and the
+    last accepted plan is returned. With one column, every row of the plan
+    is its q entry from the start.
 
-    Potentials h = h0 + d are evaluated on the kernel absorbed at h0
-    (``_absorbed``), where the offset d scales its columns and F carries the
-    absorbed constant. The start takes h0 = 0. Potentials, the start's or a
-    trial step's, whose offset lies beyond +-_ABSORB are evaluated on a
-    kernel absorbed at them, kept if the step is.
+    Every point is evaluated from its potentials alone, in the log domain
+    (Peyre & Cuturi 2019, sec. 4.4), on L shifted to a largest entry of 0 in
+    each row, which leaves the plan as it is. The violation is the largest
+    column gap max|p - c| of the returned plan.
 
     Length-K quantities are Python lists, and the system is solved by
     _solve_scalar: at the few columns of a training class a NumPy call costs
@@ -183,33 +172,28 @@ def _newton(
     m = p.size - 1
     p_list = p.tolist()
     qcol = q[:, None]
+    log_kernel = log_kernel - np.maximum.reduce(log_kernel, axis=1)[:, None]
 
-    def evaluate(h0, K, const, d):
-        # (h0, d, v, K, Kv, F, const) at potentials h0 + d. A d that is not
-        # finite gives, on either branch, an F that no step accepts.
-        if max(map(abs, d.tolist())) <= _ABSORB:
-            v = np.exp(d)
-        else:
-            h0, d, v = h0 + d, np.zeros_like(d), np.ones_like(d)
-            K, const = _absorbed(log_kernel, h0, p, q)
-        Kv = K.dot(v)
-        return h0, d, v, K, Kv, p.dot(d) - q.dot(np.log(Kv)) + const, const
+    def evaluate(h):
+        # (a, lse, F) at potentials h. An h that is not finite gives an F
+        # that no step accepts.
+        a = log_kernel + h
+        lse = np.logaddexp.reduce(a, axis=1)
+        return a, lse, p.dot(h) - q.dot(lse)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        h0 = np.zeros_like(h)
-        K, const = _absorbed(log_kernel, h0, p, q)
-        h0, d, v, K, Kv, F, const = evaluate(h0, K, const, h)
+        a, lse, F = evaluate(h)
         lam = _DAMPING_START
         iters = 0
         last_viol = math.inf
         while True:
-            B = K * v / Kv[:, None]  # the plan's rows divided by q
+            B = np.exp(a - lse[:, None])  # the plan's rows divided by q
             P = B * qcol
             c = q.dot(B).tolist()
             g = [pj - cj for pj, cj in zip(p_list, c)]
             viol = max(map(abs, g))
             if iters >= max_iters or viol < tol * _POLISH or tol > viol >= last_viol:
-                return P, h0 + d, iters, viol
+                return P, h, iters, viol
             last_viol = viol
             M = B.T.dot(P)[:m, :m]
             cmax = max(c)
@@ -217,17 +201,17 @@ def _newton(
                 step = _solve_scalar([cj + lam * cmax for cj in c[:m]], M, g[:m])
                 iters += 1
                 if step is not None:
-                    dt = d.copy()
-                    dt[:m] += step
-                    h0t, dt, vt, Kt, Kvt, Ft, const_t = evaluate(h0, K, const, dt)
+                    ht = h.copy()
+                    ht[:m] += step
+                    at, lset, Ft = evaluate(ht)
                     # Accept unless F drops by more than its rounding error.
                     if F - 1e-13 * (1.0 + abs(F)) <= Ft < math.inf:
-                        h0, d, v, K, Kv, F, const = h0t, dt, vt, Kt, Kvt, Ft, const_t
+                        h, a, lse, F = ht, at, lset, Ft
                         lam /= 10.0
                         break
                 lam *= 10.0
                 if viol < tol or iters >= max_iters or lam > _DAMPING_MAX:
-                    return P, h0 + d, iters, viol
+                    return P, h, iters, viol
 
 
 def _solve_scalar(d: list[float], M: np.ndarray, g: list[float]) -> list[float] | None:

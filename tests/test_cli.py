@@ -68,6 +68,21 @@ class TestPackCommand:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [
+        {"category_id": 1.7}, {"category_id": "2"}, {"category_id": True},
+        {"score": "0.5"}, {"score": True},
+    ])
+    def test_wrong_json_type_exit_1_without_output(self, tmp_path, capsys, bad):
+        records = [_det_record(0, 0, 10, 10), {**_det_record(20, 0, 10, 10), **bad}]
+        dets = _write_detections(tmp_path / "bad.json", records)
+        out = tmp_path / "layout.json"
+        rc = main(["pack", "--detections", dets, "--image-size", "100x100",
+                   "--out-layout", str(out)])
+        assert rc == 1 and not out.exists()
+        captured = capsys.readouterr()
+        assert "invalid detection records at indices [1]" in captured.err
+        assert captured.out == ""
+
     def test_nan_record_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"
         bad.write_text('[{"image_id": 0, "bbox": [NaN, 0, 10, 10], "score": 0.9}]')

@@ -61,6 +61,23 @@ class TestDetectionsIO:
         with pytest.raises(io.ValidationError, match=r"\[1\]"):
             io.detections_from_records([good, {**good, **bad}])
 
+    @pytest.mark.parametrize("bad", [
+        {"category_id": 1.7}, {"category_id": 1.0}, {"category_id": "2"},
+        {"category_id": True}, {"category_id": None}, {"score": "0.5"}, {"score": True},
+        {"score": None}, {"score": [0.5]},
+    ])
+    def test_wrong_json_type_rejected(self, bad):
+        good = {"image_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5, "category_id": 0}
+        with pytest.raises(io.ValidationError, match=r"indices \[1\]$"):
+            io.detections_from_records([good, {**good, **bad}])
+
+    def test_json_numbers_accepted(self):
+        records = [{"bbox": [0, 0, 1, 1], "score": s, "category_id": 3} for s in (0, 1, 0.5)]
+        records.append({"bbox": [0, 0, 1, 1]})
+        dets = io.detections_from_records(records)[0]
+        assert [(d.score, d.category) for d in dets] == [(0.0, 3), (1.0, 3), (0.5, 3), (1.0, 0)]
+        assert all(type(d.score) is float and type(d.category) is int for d in dets)
+
     def test_malformed_json_position(self, tmp_path):
         p = tmp_path / "d.json"
         p.write_text('[{"bbox": [0, 0, 1')
@@ -545,3 +562,24 @@ class TestSceneIO:
                            match=f"ground truth detections are of image_id {gt_id!r}, "
                                  f"coarse detections of image_id {coarse_id!r}"):
             io.load_scene(self._scene(tmp_path, gt_id, coarse_id))
+
+    @pytest.mark.parametrize("size", [
+        None, [100], [100, 80, 3], "100x80", {"w": 100, "h": 80}, [math.nan, 80],
+        [100, math.inf], [0, 80], [100, -1.5], ["100", 80], [True, 80], [10**400, 80],
+    ])
+    def test_bad_image_size_rejected(self, tmp_path, size):
+        p = self._scene(tmp_path, 0, 0)
+        doc = json.loads(p.read_text())
+        if size is None:
+            del doc["image_size"]
+        else:
+            doc["image_size"] = size
+        p.write_text(json.dumps(doc))
+        with pytest.raises(io.ParseError, match="image_size must be a pair of finite positive"):
+            io.load_scene(p)
+
+    def test_float_image_size_loads(self, tmp_path):
+        p = self._scene(tmp_path, 0, 0)
+        p.write_text(p.read_text().replace("[100, 80]", "[100.5, 1e-3]"))
+        (w, h), _, _ = io.load_scene(p)
+        assert (w, h) == (100.5, 1e-3) and type(w) is float
