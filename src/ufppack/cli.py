@@ -8,11 +8,15 @@ draw no random numbers, and their config holds no seed. `pack`, `unpack` and
 one `image_id` fails with exit 1, and so does `unpack` with fine and coarse
 files of different ids. Ids compare by JSON type and value: `1`, `1.0` and
 `true` are different ids. `unpack` writes the id of its inputs.
+
+A scene file written by `synth` may stand in for a detection file: `pack
+--detections` and `unpack --coarse` take its coarse records, and `stats
+--boxes` its ground truth. `pack` and `stats` refuse an `--image-size` other
+than the scene's `image_size` with exit 1.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -52,13 +56,27 @@ def _load_config(cls: type, path: str | None) -> Any:
     """A PipelineConfig or TrainConfig from its JSON file; the defaults without one."""
     if path is None:
         return cls()
-    with open(path) as f:
-        return cls.from_dict(json.load(f))
+    return cls.from_dict(io.read_json(path, dict, "a config object"))
 
 
-def _one_image(path: str) -> list:
-    """The detections of a file that holds at most one ``image_id``."""
-    _, (dets,) = io.one_image({path: io.load_detections(path)})
+def _records(path: str, part: str, image_size: ImageExtent | None = None) -> dict[Any, list]:
+    """The detections of a detection file by ``image_id``; or of a scene file,
+    its ``part`` ("coarse" or "ground_truth") under the scene's id. A scene
+    whose image_size is not ``image_size``, when given, raises ValueError."""
+    found = io.load_detections_or_scene(path)
+    if not isinstance(found, io.Scene):
+        return found
+    if image_size is not None and found.image_size != (image_size.width, image_size.height):
+        raise ValueError(f"{path}: scene image_size {found.image_size[0]:g}x"
+                         f"{found.image_size[1]:g} differs from --image-size "
+                         f"{image_size.width:g}x{image_size.height:g}")
+    # A scene of no records names no image, as an empty detection file does.
+    return {found.image_id: getattr(found, part)} if found.ground_truth or found.coarse else {}
+
+
+def _one_image(path: str, part: str, image_size: ImageExtent) -> list:
+    """``_records`` of a file that holds at most one ``image_id``."""
+    _, (dets,) = io.one_image({path: _records(path, part, image_size)})
     return dets
 
 
@@ -66,7 +84,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     if args.image and not args.out_mosaic:
         return _fail(1, "--image requires --out-mosaic")
     cfg = _load_config(PipelineConfig, args.config)
-    dets = _one_image(args.detections)
+    dets = _one_image(args.detections, "coarse", args.image_size)
     _, layout = build_layout(dets, args.image_size, cfg)
     # Render first: a raster that does not fit the layout leaves no file.
     if args.image:
@@ -86,7 +104,7 @@ def _cmd_unpack(args: argparse.Namespace) -> int:
     cfg = _load_config(PipelineConfig, args.config)
     layout = io.load_layout(args.layout)
     image_id, (fine, coarse) = io.one_image({"fine": io.load_detections(args.fine),
-                                             "coarse": io.load_detections(args.coarse)})
+                                             "coarse": _records(args.coarse, "coarse")})
     remapped = [m for d in fine if (m := to_source(d, layout)) is not None]
     fused = fuse(coarse, remapped, cfg.nms_iou)
     io.save_detections(fused, args.out, 0 if image_id is None else image_id)
@@ -101,7 +119,7 @@ def _stats_line(label: str, st) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    boxes = [d.box for d in _one_image(args.boxes)]
+    boxes = [d.box for d in _one_image(args.boxes, "ground_truth", args.image_size)]
     # Everything is read and computed before the first line is printed.
     lines = [_stats_line("source", scene_stats(boxes, args.image_size))]
     if args.layout:
@@ -127,8 +145,7 @@ def _cmd_train_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    with open(args.spec) as f:
-        doc = json.load(f)
+    doc = io.read_json(args.spec, dict, "a scene spec object")
     extent = doc.pop("extent", None)
     if extent is not None:
         doc["extent"] = ImageExtent(*extent)

@@ -1,5 +1,8 @@
 """File formats: detection JSON, layout JSON, scene JSON, JSONL reports, PPM.
 
+Every JSON input is read by ``read_json``, and each format has one parser:
+``detections_from_records``, ``_scene`` and ``layout_from_dict``.
+
 All writes go through a temp file and an atomic rename so a failed run never
 leaves a partial output behind.
 """
@@ -13,7 +16,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,12 +76,18 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
-def _load_json(path: str | Path) -> Any:
+def read_json(path: str | Path, top: type | tuple[type, ...], what: str) -> Any:
+    """The JSON document of a file, the one reader of every JSON input. Invalid
+    JSON, or a top level that is not a ``top``, raises ParseError naming the
+    path; ``what`` names the expected document in its message."""
     try:
         with open(path) as f:
-            return json.load(f)
+            doc = json.load(f)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from e
+    if not isinstance(doc, top):
+        raise ParseError(f"{path}: expected {what}")
+    return doc
 
 
 # -- detections (COCO results schema) ---------------------------------------
@@ -144,12 +153,7 @@ def one_image(sources: dict[str, dict[Any, list[Detection]]]) -> tuple[Any, list
 
 
 def load_detections(path: str | Path) -> dict[Any, list[Detection]]:
-    doc = _load_json(path)
-    if isinstance(doc, dict) and "coarse" in doc:  # scene file convenience
-        doc = doc["coarse"]
-    if not isinstance(doc, list):
-        raise ParseError(f"{path}: expected an array of detection records")
-    return detections_from_records(doc)
+    return detections_from_records(read_json(path, list, "an array of detection records"))
 
 
 def detections_to_records(
@@ -206,24 +210,45 @@ def save_scene(
     atomic_write(path, json.dumps(doc, indent=1, allow_nan=False))
 
 
-def load_scene(path: str | Path) -> tuple[tuple[float, float], list[BBox], list[Detection]]:
-    """The extent, ground-truth boxes and coarse detections of a scene file,
-    whose records are of one ``image_id`` (``one_image``). An ``image_size``
-    that is not a pair of finite positive numbers raises ParseError."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "ground_truth" not in doc:
-        raise ParseError(f"{path}: expected a scene object with ground_truth")
-    size = doc.get("image_size")
+class Scene(NamedTuple):
+    """A scene file's extent, its ground-truth and coarse detection records,
+    and their one ``image_id``, None when it has no records."""
+
+    image_size: tuple[float, float]
+    ground_truth: list[Detection]
+    coarse: list[Detection]
+    image_id: Any
+
+
+def _scene(doc: dict[str, Any], path: str | Path) -> Scene:
+    """The scene of a scene document, the only parser of one. Its records must
+    be of one ``image_id`` (``one_image``); an ``image_size`` that is not a
+    pair of finite positive numbers, or a ``ground_truth`` or ``coarse`` that
+    is not an array, raises ParseError."""
+    size, gt, coarse = doc.get("image_size"), doc.get("ground_truth"), doc.get("coarse", [])
+    if type(gt) is not list or type(coarse) is not list:
+        raise ParseError(f"{path}: expected a scene object with a ground_truth array "
+                         f"and an optional coarse array")
     # Written so that a NaN, and an integer past float range, fail it too.
     if not (type(size) is list and len(size) == 2 and all(
             type(v) in _NUMBER and 0 < v <= sys.float_info.max for v in size)):
         raise ParseError(f"{path}: image_size must be a pair of finite positive numbers, "
                          f"got {size!r}")
-    w, h = size
-    _, (gt, coarse) = one_image({
-        f"{path}: ground truth": detections_from_records(doc["ground_truth"]),
-        "coarse": detections_from_records(doc.get("coarse", []))})
-    return (float(w), float(h)), [d.box for d in gt], coarse
+    image_id, (gt, coarse) = one_image({
+        f"{path}: ground truth": detections_from_records(gt),
+        "coarse": detections_from_records(coarse)})
+    return Scene((float(size[0]), float(size[1])), gt, coarse, image_id)
+
+
+def load_scene(path: str | Path) -> Scene:
+    return _scene(read_json(path, dict, "a scene object"), path)
+
+
+def load_detections_or_scene(path: str | Path) -> dict[Any, list[Detection]] | Scene:
+    """What ``load_detections`` reads from a file that holds a JSON array, or
+    ``load_scene`` from one that holds an object, with one read."""
+    doc = read_json(path, (list, dict), "an array of detection records or a scene object")
+    return _scene(doc, path) if isinstance(doc, dict) else detections_from_records(doc)
 
 
 # -- mosaic layouts ----------------------------------------------------------
@@ -277,10 +302,7 @@ def save_layout(layout: MosaicLayout, path: str | Path) -> None:
 
 
 def load_layout(path: str | Path) -> MosaicLayout:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a layout object")
-    return layout_from_dict(doc)
+    return layout_from_dict(read_json(path, dict, "a layout object"))
 
 
 # -- JSONL metric reports ----------------------------------------------------
@@ -289,20 +311,6 @@ def save_jsonl(records: Iterable[dict[str, Any]], path: str | Path) -> None:
     """One JSON object per line; a NaN or infinity raises ValueError, since
     standard JSON has no spelling for them."""
     atomic_write(path, "".join(json.dumps(r, allow_nan=False) + "\n" for r in records))
-
-
-def load_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    out = []
-    with open(path) as f:
-        for i, line in enumerate(f):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{i + 1}: invalid JSON line") from e
-    return out
 
 
 # -- PPM rasters and mosaic composition --------------------------------------

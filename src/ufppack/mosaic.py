@@ -45,9 +45,6 @@ class Placement:
     def height(self) -> float:
         return self.scale * self.source.height
 
-    def dest_box(self) -> BBox:
-        return BBox(self.dest_x, self.dest_y, self.dest_x + self.width, self.dest_y + self.height)
-
 
 @dataclass
 class MosaicLayout:

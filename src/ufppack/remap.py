@@ -29,7 +29,7 @@ class Detection:
 
 
 def _owner_by_dest(layout: MosaicLayout, x: float, y: float) -> Optional[Placement]:
-    # The bounds are Placement.dest_box() written out, without building a BBox.
+    # The bounds of the placement's scaled box, written out without building a BBox.
     for p in layout.placements:
         if (p.dest_x <= x <= p.dest_x + p.scale * (p.source.x2 - p.source.x1)
                 and p.dest_y <= y <= p.dest_y + p.scale * (p.source.y2 - p.source.y1)):

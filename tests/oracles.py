@@ -11,18 +11,20 @@ epsilon), the NMS
 reference compares each candidate with every kept detection by scalar IoU,
 the scene reference draws one side per object and sums each placement
 attempt's overlaps in a scalar loop, and the layout file reference is
-``json.dumps`` of the layout as a dict.
+``json.dumps`` of the layout as a dict. The JSONL reader and a placement's
+destination box are here too: only tests need them.
 """
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ufppack.geometry import iou
+from ufppack.geometry import BBox, iou
 
 Box = tuple[float, float, float, float]
 
@@ -120,6 +122,17 @@ def layout_to_dict(layout) -> dict:
             for p in layout.placements
         ],
     }
+
+
+def dest_box(p) -> BBox:
+    """A placement's scaled box in the mosaic."""
+    return BBox(p.dest_x, p.dest_y, p.dest_x + p.width, p.dest_y + p.height)
+
+
+def load_jsonl(path) -> list[dict]:
+    """The records of a JSONL report, one JSON object per non-blank line."""
+    with open(path) as f:
+        return [json.loads(line) for line in f if line.strip()]
 
 
 def compose_affine_reference(layout, source_image: np.ndarray) -> np.ndarray:

@@ -276,7 +276,10 @@ def test_criterion_11_determinism_and_serialization(tmp_path):
         assert cli_main(["synth", "--spec", str(spec), "--out", str(scene)]) == 0
         assert cli_main(["pack", "--detections", str(scene),
                          "--image-size", "1000x800", "--out-layout", str(layout)]) == 0
-        assert cli_main(["unpack", "--fine", str(scene), "--layout", str(layout),
+        # The coarse records stand in for fine ones; --fine takes only an array.
+        fine = tmp_path / f"fine_{tag}.json"
+        io.save_detections(io.load_scene(scene).coarse, fine)
+        assert cli_main(["unpack", "--fine", str(fine), "--layout", str(layout),
                          "--coarse", str(scene), "--out", str(fused)]) == 0
         files[tag] = (scene.read_bytes(), layout.read_bytes(), fused.read_bytes())
     assert files["a"] == files["b"]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ufppack
+from oracles import load_jsonl
 from ufppack import io
 from ufppack.cli import main
 from ufppack.geometry import BBox
@@ -408,6 +409,16 @@ class TestStatsCommand:
         assert lines[0].startswith("source: FR 4.00%")
         assert lines[1] == "mosaic: FR 16.00%  small 0.00%  medium 100.00%  large 0.00%"
 
+    def test_scene_file_takes_ground_truth(self, tmp_path, capsys):
+        # The 180 ground-truth boxes of the seed-0 scene, not its 177 coarse
+        # detections, which give FR 9.57%.
+        spec, scene = tmp_path / "spec.json", tmp_path / "scene.json"
+        spec.write_text(json.dumps({"seed": 0}))
+        assert main(["synth", "--spec", str(spec), "--out", str(scene)]) == 0
+        capsys.readouterr()
+        assert main(["stats", "--boxes", str(scene), "--image-size", "2000x1500"]) == 0
+        assert capsys.readouterr().out.startswith("source: FR 9.99%  ")
+
     def test_nan_mosaic_size_exit_2(self, tmp_path, capsys):
         boxes = _write_detections(tmp_path / "b.json", [_det_record(0, 0, 20, 20)])
         layout = tmp_path / "layout.json"
@@ -429,13 +440,97 @@ class TestStatsCommand:
         assert f"expected WxH, got {size!r}" in captured.err and captured.out == ""
 
 
+class TestSceneFileInput:
+    """A scene file given for detections is read as ``load_scene`` reads it:
+    one that it refuses, one given to ``unpack --fine``, or one whose
+    image_size is not ``--image-size``, leaves no output."""
+
+    @pytest.mark.parametrize("command, edit, code, message", [
+        pytest.param("pack", {"image_size": [200]}, 2,
+                     "image_size must be a pair of finite positive", id="pack-size-of-one"),
+        pytest.param("pack", {"image_size": "200x200"}, 2,
+                     "image_size must be a pair of finite positive", id="pack-size-string"),
+        pytest.param("pack", {"ground_truth": None}, 2,
+                     "expected a scene object with a ground_truth array", id="pack-no-truth"),
+        pytest.param("pack", {"ground_truth": [{**_det_record(0, 0, 10, 10), "image_id": 1}]}, 1,
+                     "ground truth detections are of image_id 1, coarse detections of "
+                     "image_id 0", id="pack-two-ids"),
+        pytest.param("pack-400", {}, 1,
+                     "scene image_size 200x200 differs from --image-size 400x400",
+                     id="pack-other-size"),
+        pytest.param("unpack-coarse", {"ground_truth": None}, 2,
+                     "expected a scene object with a ground_truth array", id="unpack-no-truth"),
+        pytest.param("unpack-fine", {}, 2, "expected an array of detection records",
+                     id="unpack-fine-scene"),
+        pytest.param("stats", {"image_size": [200, 0]}, 2,
+                     "image_size must be a pair of finite positive", id="stats-zero-height"),
+        pytest.param("stats-400", {}, 1,
+                     "scene image_size 200x200 differs from --image-size 400x400",
+                     id="stats-other-size"),
+    ])
+    def test_refused_without_output(self, tmp_path, capsys, three_box_file,
+                                    command, edit, code, message):
+        doc = {"image_size": [200, 200], "ground_truth": [_det_record(0, 0, 10, 10, 1.0)],
+               "coarse": [_det_record(1, 1, 8, 8)], **edit}
+        scene = _write_detections(tmp_path / "scene.json",
+                                  {k: v for k, v in doc.items() if v is not None})
+        layout = tmp_path / "layout.json"
+        io.save_layout(pack([(BBox(0, 0, 50, 50), 1.0)], 100), layout)
+        out = tmp_path / "out.json"
+        args = {
+            "pack": ["pack", "--detections", scene, "--image-size", "200x200",
+                     "--out-layout", str(out)],
+            "pack-400": ["pack", "--detections", scene, "--image-size", "400x400",
+                         "--out-layout", str(out)],
+            "unpack-coarse": ["unpack", "--fine", three_box_file, "--layout", str(layout),
+                              "--coarse", scene, "--out", str(out)],
+            "unpack-fine": ["unpack", "--fine", scene, "--layout", str(layout),
+                            "--coarse", three_box_file, "--out", str(out)],
+            "stats": ["stats", "--boxes", scene, "--image-size", "200x200"],
+            "stats-400": ["stats", "--boxes", scene, "--image-size", "400x400"],
+        }[command]
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == "" and not out.exists()
+
+
+class TestMalformedJsonFile:
+    """A config or spec file that is not JSON, or whose top level is not an
+    object, fails as a parse error naming the file: exit 2, no output."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "invalid JSON at line 1 column 2"), ("[]", "expected a"), ("3", "expected a"),
+    ], ids=["invalid", "array", "number"])
+    @pytest.mark.parametrize("command", ["pack", "unpack", "train-sim", "synth"])
+    def test_exit_2_without_output(self, tmp_path, capsys, three_box_file,
+                                   command, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        layout = tmp_path / "layout.json"
+        io.save_layout(pack([(BBox(0, 0, 50, 50), 1.0)], 100), layout)
+        out = tmp_path / "out.json"
+        args = {
+            "pack": ["pack", "--detections", three_box_file, "--image-size", "200x200",
+                     "--out-layout", str(out), "--config", str(bad)],
+            "unpack": ["unpack", "--fine", three_box_file, "--layout", str(layout),
+                       "--coarse", three_box_file, "--out", str(out), "--config", str(bad)],
+            "train-sim": ["train-sim", "--config", str(bad), "--out", str(out)],
+            "synth": ["synth", "--spec", str(bad), "--out", str(out)],
+        }[command]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: {message}")
+        assert captured.out == "" and not out.exists()
+
+
 class TestSynthCommand:
     def test_generates_scene(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"seed": 1, "n_objects": 40, "target_fr": 0.05}))
         out = tmp_path / "scene.json"
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
-        (w, h), gt, coarse = io.load_scene(out)
+        _, gt, coarse, _ = io.load_scene(out)
         assert len(gt) == 40 and len(coarse) > 0
 
     def test_module_entry_point(self, tmp_path):
@@ -492,7 +587,7 @@ class TestTrainSimCommand:
         cfg.write_text(json.dumps({"steps": 3, "seed": 0, "use_ot": False}))
         out = tmp_path / "report.jsonl"
         assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 0
-        records = io.load_jsonl(out)
+        records = load_jsonl(out)
         assert len(records) == 4
         assert records[-1]["step"] == 3
 

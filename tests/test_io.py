@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import compose_affine_reference, layout_to_dict
+from oracles import compose_affine_reference, layout_to_dict, load_jsonl
 from ufppack import io
 from ufppack.config import PipelineConfig
 from ufppack.geometry import BBox
@@ -529,7 +529,7 @@ class TestJsonl:
         target = tmp_path / "r.jsonl"
         io.save_jsonl([{"a": None, "b": 0.5}], target)
         assert target.read_text() == '{"a": null, "b": 0.5}\n'
-        assert io.load_jsonl(target) == [{"a": None, "b": 0.5}]
+        assert load_jsonl(target) == [{"a": None, "b": 0.5}]
 
 class TestSceneIO:
     def test_roundtrip(self, tmp_path):
@@ -537,9 +537,9 @@ class TestSceneIO:
         coarse = [Detection(BBox(1, 1, 9, 9), 0.75, 0)]
         p = tmp_path / "scene.json"
         io.save_scene((100, 80), gt, coarse, p)
-        (w, h), gt2, coarse2 = io.load_scene(p)
-        assert (w, h) == (100, 80)
-        assert gt2 == gt and coarse2 == coarse
+        (w, h), gt2, coarse2, image_id = io.load_scene(p)
+        assert (w, h) == (100, 80) and image_id == 0
+        assert [d.box for d in gt2] == gt and coarse2 == coarse
 
     @staticmethod
     def _scene(tmp_path, gt_id, coarse_id):
@@ -552,9 +552,30 @@ class TestSceneIO:
         return p
 
     def test_scene_of_one_nonzero_id_loads(self, tmp_path):
-        _, gt, coarse = io.load_scene(self._scene(tmp_path, 5, 5))
-        assert gt == [BBox(0, 0, 10, 10)]
+        _, gt, coarse, image_id = io.load_scene(self._scene(tmp_path, 5, 5))
+        assert image_id == 5 and gt == [Detection(BBox(0, 0, 10, 10), 1.0, 0)]
         assert coarse == [Detection(BBox(1, 1, 9, 9), 0.75, 0)]
+
+    def test_one_parser_behind_both_readers(self, tmp_path):
+        p = self._scene(tmp_path, 5, 5)
+        assert io.load_detections_or_scene(p) == io.load_scene(p)
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps(json.loads(p.read_text())["coarse"]))
+        assert io.load_detections_or_scene(dets) == io.load_detections(dets)
+
+    def test_detection_reader_refuses_scene(self, tmp_path):
+        with pytest.raises(io.ParseError, match="expected an array of detection records"):
+            io.load_detections(self._scene(tmp_path, 0, 0))
+
+    @pytest.mark.parametrize("records", [
+        {"ground_truth": None}, {"ground_truth": {"bbox": [0, 0, 1, 1]}}, {"coarse": 3},
+        {"coarse": {}}])
+    def test_records_not_an_array_rejected(self, tmp_path, records):
+        p = self._scene(tmp_path, 0, 0)
+        doc = {**json.loads(p.read_text()), **records}
+        p.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+        with pytest.raises(io.ParseError, match="ground_truth array and an optional coarse"):
+            io.load_scene(p)
 
     @pytest.mark.parametrize("gt_id, coarse_id", [(0, 1), (0, 0.0), (False, 0)])
     def test_scene_of_two_ids_rejected(self, tmp_path, gt_id, coarse_id):
@@ -581,5 +602,5 @@ class TestSceneIO:
     def test_float_image_size_loads(self, tmp_path):
         p = self._scene(tmp_path, 0, 0)
         p.write_text(p.read_text().replace("[100, 80]", "[100.5, 1e-3]"))
-        (w, h), _, _ = io.load_scene(p)
+        (w, h), _, _, _ = io.load_scene(p)
         assert (w, h) == (100.5, 1e-3) and type(w) is float

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dest_box
 from ufppack.geometry import BBox, area
 from ufppack.mosaic import (
     MosaicLayout,
@@ -109,7 +110,7 @@ def _random_pack(seed):
 
 
 def check_layout_sound(lay: MosaicLayout, tol: float = 1e-9) -> None:
-    rects = [p.dest_box() for p in lay.placements]
+    rects = [dest_box(p) for p in lay.placements]
     for r in rects:
         assert r.x1 >= -tol and r.y1 >= -tol
         assert r.x2 <= lay.mosaic_width + tol
