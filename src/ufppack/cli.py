@@ -1,13 +1,14 @@
 """Command line driver for the packing pipeline and the training simulation.
 
 Exit codes: 0 success, 1 validation error, 2 I/O or parse error. All
-diagnostics go to stderr. The UFPPACK_SEED environment variable overrides
-the seed of the `synth` spec and the `train-sim` config; `pack` and `unpack`
-draw no random numbers, and their config holds no seed. `pack`, `unpack` and
-`stats` take the detections of one image: a detection file with more than
-one `image_id` fails with exit 1, and so does `unpack` with fine and coarse
-files of different ids. Ids compare by JSON type and value: `1`, `1.0` and
-`true` are different ids. `unpack` writes the id of its inputs.
+diagnostics go to stderr. `synth` and `train-sim` take their seed from their
+spec or config file; `pack` and `unpack` draw no random numbers, and their
+config holds no seed. An unknown key in a config or spec file fails with
+exit 1. `pack`, `unpack` and `stats` take the detections of one image: a
+detection file with more than one `image_id` fails with exit 1, and so does
+`unpack` with fine and coarse files of different ids. An `image_id` must be a
+JSON integer or string; a record with any other id fails with exit 1 and its
+index. `unpack` writes the id of its inputs.
 
 A scene file written by `synth` may stand in for a detection file: `pack
 --detections` and `unpack --coarse` take its coarse records, and `stats
@@ -17,7 +18,6 @@ than the scene's `image_size` with exit 1.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -42,14 +42,6 @@ def _parse_size(s: str) -> ImageExtent:
         return ImageExtent(float(w), float(h))
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"expected WxH, got {s!r}") from e
-
-
-def _env_seeded(obj: Any) -> Any:
-    """Apply the UFPPACK_SEED override, when set, to an object with a seed."""
-    env_seed = os.environ.get("UFPPACK_SEED")
-    if env_seed is not None:
-        obj.seed = int(env_seed)
-    return obj
 
 
 def _load_config(cls: type, path: str | None) -> Any:
@@ -129,7 +121,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_sim(args: argparse.Namespace) -> int:
-    cfg = _env_seeded(_load_config(TrainConfig, args.config))
+    cfg = _load_config(TrainConfig, args.config)
     report = train_sim(cfg)
     io.save_jsonl(report.records, args.out)
     min_dist = report.final_min_proxy_distance
@@ -146,10 +138,9 @@ def _cmd_train_sim(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     doc = io.read_json(args.spec, dict, "a scene spec object")
-    extent = doc.pop("extent", None)
-    if extent is not None:
-        doc["extent"] = ImageExtent(*extent)
-    spec = _env_seeded(SceneSpec(**doc))
+    if "extent" in doc:
+        doc["extent"] = ImageExtent(*doc["extent"])
+    spec = SceneSpec.from_dict(doc)
     gt, coarse = generate_scene(spec)
     io.save_scene((spec.extent.width, spec.extent.height), gt, coarse, args.out)
     print(f"generated {len(gt)} objects, {len(coarse)} coarse detections")

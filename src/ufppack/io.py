@@ -1,7 +1,9 @@
 """File formats: detection JSON, layout JSON, scene JSON, JSONL reports, PPM.
 
 Every JSON input is read by ``read_json``, and each format has one parser:
-``detections_from_records``, ``_scene`` and ``layout_from_dict``.
+``detections_from_records``, ``_scene`` and ``layout_from_dict``. An
+``image_id`` is a JSON integer or string (``_is_image_id``), in the files
+read and in the files written.
 
 All writes go through a temp file and an atomic rename so a failed run never
 leaves a partial output behind.
@@ -14,7 +16,6 @@ import os
 import stat
 import sys
 import tempfile
-from collections import Counter
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -35,6 +36,12 @@ class ValidationError(ValueError):
 
 # The Python types of a JSON number; bool, a subclass of int, is not one.
 _NUMBER = (int, float)
+
+
+def _is_image_id(v: Any) -> bool:
+    """Whether ``v`` is an ``image_id``: a JSON integer (not a bool) or a JSON
+    string. Between these two types Python's ``==`` is JSON equality."""
+    return type(v) is int or type(v) is str
 
 
 def atomic_write(path: str | Path, *parts: str | bytes | np.ndarray) -> None:
@@ -77,12 +84,14 @@ def _json_array(items: list[str], indent: str) -> str:
 
 
 def read_json(path: str | Path, top: type | tuple[type, ...], what: str) -> Any:
-    """The JSON document of a file, the one reader of every JSON input. Invalid
-    JSON, or a top level that is not a ``top``, raises ParseError naming the
-    path; ``what`` names the expected document in its message."""
+    """The JSON document of a file, the one reader of every JSON input. A file
+    that is not UTF-8 text or not JSON, or a top level that is not a ``top``,
+    raises ParseError naming the path; ``what`` names the expected document in
+    its message."""
     try:
-        with open(path) as f:
-            doc = json.load(f)
+        doc = json.loads(Path(path).read_bytes().decode())
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text at byte {e.start}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from e
     if not isinstance(doc, top):
@@ -92,17 +101,15 @@ def read_json(path: str | Path, top: type | tuple[type, ...], what: str) -> Any:
 
 # -- detections (COCO results schema) ---------------------------------------
 
-def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[Any, list[Detection]]:
+def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[int | str, list[Detection]]:
     """Group COCO-style result records {image_id, bbox, score, category_id} by image.
 
-    Ids compare by JSON type and value: ``1``, ``1.0`` and ``true`` name
-    different images. Python equates them, so they cannot be keys of one dict,
-    and records that use more than one of them raise ValidationError. A
-    ``category_id`` must be a JSON integer and a ``score`` a JSON number;
-    records with any other, a bool included, raise ValidationError by index.
+    An ``image_id`` must be a JSON integer or string, a ``category_id`` a JSON
+    integer and a ``score`` a JSON number; records with any other, a bool
+    included, raise ValidationError by index.
     """
     bad: list[int] = []
-    per_image: dict[tuple[type, Any], list[Detection]] = {}
+    per_image: dict[int | str, list[Detection]] = {}
     for i, rec in enumerate(records):
         try:
             x, y, w, h = rec["bbox"]
@@ -114,37 +121,33 @@ def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[Any, list
             x2, y2 = float(x) + float(w), float(y) + float(h)
             if not (math.isfinite(x2) and math.isfinite(y2)):
                 raise ValueError("box overflows")
+            image_id = rec.get("image_id", 0)
             score, category = rec.get("score", 1.0), rec.get("category_id", 0)
-            if type(category) is not int or type(score) not in _NUMBER:
-                raise TypeError("category_id or score of the wrong JSON type")
+            if not (_is_image_id(image_id) and type(category) is int
+                    and type(score) in _NUMBER):
+                raise TypeError("image_id, category_id or score of the wrong JSON type")
             det = Detection(BBox(float(x), float(y), x2, y2), float(score), category)
         except (KeyError, TypeError, ValueError, OverflowError):
             bad.append(i)
             continue
-        image_id = rec.get("image_id", 0)
-        per_image.setdefault((type(image_id), image_id), []).append(det)
+        per_image.setdefault(image_id, []).append(det)
     if bad:
         raise ValidationError(f"invalid detection records at indices {bad}")
-    by_id = {image_id: dets for (_, image_id), dets in per_image.items()}
-    if len(by_id) < len(per_image):
-        equal = Counter(image_id for _, image_id in per_image)
-        ids = ", ".join(json.dumps(i) for _, i in per_image if equal[i] > 1)
-        raise ValidationError(f"image_ids {ids} name different images but compare equal")
-    return by_id
+    return per_image
 
 
 def one_image(sources: dict[str, dict[Any, list[Detection]]]) -> tuple[Any, list[list[Detection]]]:
     """The one ``image_id`` of the detections of ``sources``, groupings by
     image under a name each, and the detections of each; the id is None when
-    they hold none. Sources that hold more than one id between them, by JSON
-    type and value, raise ValidationError."""
+    they hold none. Sources that hold more than one id between them raise
+    ValidationError."""
     found: tuple[str, Any] | None = None
     for name, per_image in sources.items():
         if len(per_image) > 1:
             raise ValidationError(f"{name}: detections of {len(per_image)} images; "
                                   f"one image per file is supported")
         for image_id in per_image:
-            if found is not None and (type(found[1]), found[1]) != (type(image_id), image_id):
+            if found is not None and found[1] != image_id:
                 raise ValidationError(f"{found[0]} detections are of image_id {found[1]!r}, "
                                       f"{name} detections of image_id {image_id!r}")
             found = (name, image_id)
@@ -152,12 +155,12 @@ def one_image(sources: dict[str, dict[Any, list[Detection]]]) -> tuple[Any, list
     return image_id, [per_image.get(image_id, []) for per_image in sources.values()]
 
 
-def load_detections(path: str | Path) -> dict[Any, list[Detection]]:
+def load_detections(path: str | Path) -> dict[int | str, list[Detection]]:
     return detections_from_records(read_json(path, list, "an array of detection records"))
 
 
 def detections_to_records(
-    dets: Sequence[Detection], image_id: Any = 0
+    dets: Sequence[Detection], image_id: int | str = 0
 ) -> list[dict[str, Any]]:
     return [
         {
@@ -174,23 +177,23 @@ _DETECTION = (' {\n  "image_id": %s,\n  "bbox": [\n   %s,\n   %s,\n   %s,\n   %s
               '\n  "score": %s,\n  "category_id": %s\n }')
 
 
-def _detections_json(dets: Sequence[Detection], image_id: Any) -> str:
+def _detections_json(dets: Sequence[Detection], image_id: int | str) -> str:
     """``json.dumps(detections_to_records(dets, image_id), indent=1)``, one
     template per record; the C-accelerated encoder has no indented mode.
 
-    A non-finite number or an ``image_id`` that is not a JSON scalar raises
-    ValueError.
+    A non-finite number or an ``image_id`` that is not a JSON integer or
+    string raises ValueError.
     """
-    if not (image_id is None or isinstance(image_id, (str, int, float))):
-        raise ValueError(f"image_id must be a JSON scalar, got {image_id!r}")
-    ident = json.dumps(image_id, allow_nan=False)
+    if not _is_image_id(image_id):
+        raise ValueError(f"image_id must be a JSON integer or string, got {image_id!r}")
+    ident = json.dumps(image_id)
     items = [_DETECTION % (ident, _num(d.box.x1), _num(d.box.y1), _num(d.box.width),
                            _num(d.box.height), _num(d.score), _num(d.category))
              for d in dets]
     return _json_array(items, "")
 
 
-def save_detections(dets: Sequence[Detection], path: str | Path, image_id: Any = 0) -> None:
+def save_detections(dets: Sequence[Detection], path: str | Path, image_id: int | str = 0) -> None:
     atomic_write(path, _detections_json(dets, image_id))
 
 
@@ -217,7 +220,7 @@ class Scene(NamedTuple):
     image_size: tuple[float, float]
     ground_truth: list[Detection]
     coarse: list[Detection]
-    image_id: Any
+    image_id: int | str | None
 
 
 def _scene(doc: dict[str, Any], path: str | Path) -> Scene:
@@ -244,7 +247,7 @@ def load_scene(path: str | Path) -> Scene:
     return _scene(read_json(path, dict, "a scene object"), path)
 
 
-def load_detections_or_scene(path: str | Path) -> dict[Any, list[Detection]] | Scene:
+def load_detections_or_scene(path: str | Path) -> dict[int | str, list[Detection]] | Scene:
     """What ``load_detections`` reads from a file that holds a JSON array, or
     ``load_scene`` from one that holds an object, with one read."""
     doc = read_json(path, (list, dict), "an array of detection records or a scene object")

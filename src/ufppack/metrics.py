@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import DictConfig
 from .geometry import BBox, ImageExtent, area
 from .remap import Detection
 
@@ -85,7 +86,7 @@ def scene_stats(boxes: Sequence[BBox], extent: ImageExtent) -> SizeStats:
 
 
 @dataclass
-class SceneSpec:
+class SceneSpec(DictConfig):
     extent: ImageExtent = field(default_factory=lambda: ImageExtent(2000, 1500))
     n_objects: int = 180
     proportions: tuple[float, float, float] = (0.6856, 0.2868, 0.0276)

@@ -33,7 +33,6 @@ class TrainConfig(DictConfig):
     gamma: float = 5.0
     seed: int = 0
     use_ot: bool = True
-    proxy_init: str = "kmeans"  # or "random"
     vocab_capacity: int = 64
     vocab_insert: int = 8
     marginal_cadence: int = 200
@@ -56,8 +55,6 @@ class TrainConfig(DictConfig):
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not math.isfinite(self.mode_noise):
             raise ValueError(f"mode_noise must be finite, got {self.mode_noise}")
-        if self.proxy_init not in ("kmeans", "random"):
-            raise ValueError(f"unknown proxy_init {self.proxy_init!r}")
         if not 1 <= self.vocab_insert <= self.batch_size:
             raise ValueError(f"vocab_insert must be between 1 and batch_size "
                              f"({self.batch_size}), got {self.vocab_insert}")
@@ -124,11 +121,8 @@ class _FeatureModel:
 def _init_proxies(cfg: TrainConfig, model: _FeatureModel, rng: np.random.Generator) -> ProxyBank:
     weights: dict[int, np.ndarray] = {}
     for cid in range(cfg.n_classes):
-        if cfg.proxy_init == "random":
-            w = rng.normal(size=(cfg.proxies_per_class, cfg.feature_dim))
-        else:
-            sample = model.sample(cid, max(8 * cfg.proxies_per_class, 32), rng)
-            _, w = kmeans(sample, cfg.proxies_per_class, rng)
+        sample = model.sample(cid, max(8 * cfg.proxies_per_class, 32), rng)
+        _, w = kmeans(sample, cfg.proxies_per_class, rng)
         weights[cid] = w / _row_norms(w)[:, None]
     return ProxyBank(weights=weights, gamma=cfg.gamma)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,9 @@ from ufppack.remap import Detection
 
 
 def _write_detections(path, records):
-    path.write_text(json.dumps(records))
+    # JSON has no infinity; an infinite float is written as 1e400, a number
+    # that a JSON reader overflows to infinity.
+    path.write_text(json.dumps(records).replace("Infinity", "1e400"))
     return str(path)
 
 
@@ -71,7 +74,8 @@ class TestPackCommand:
 
     @pytest.mark.parametrize("bad", [
         {"category_id": 1.7}, {"category_id": "2"}, {"category_id": True},
-        {"score": "0.5"}, {"score": True},
+        {"score": "0.5"}, {"score": True}, {"image_id": None}, {"image_id": 1.0},
+        {"image_id": True}, {"image_id": [1]}, {"image_id": math.inf},
     ])
     def test_wrong_json_type_exit_1_without_output(self, tmp_path, capsys, bad):
         records = [_det_record(0, 0, 10, 10), {**_det_record(20, 0, 10, 10), **bad}]
@@ -227,8 +231,7 @@ class TestUnpackCommand:
         rc, out = self._unpack_ids(tmp_path, fine_id, coarse_id)
         assert rc == 1
         captured = capsys.readouterr()
-        assert (f"fine detections are of image_id {fine_id!r}, "
-                f"coarse detections of image_id {coarse_id!r}") in captured.err
+        assert "invalid detection records at indices [0]" in captured.err
         assert captured.out == "" and not out.exists()
 
     def test_out_directory_exit_2_without_temp_file(self, tmp_path, capsys, three_box_file):
@@ -282,7 +285,7 @@ class TestOverflowingBox:
 
 
 class TestRemovedConfigKeys:
-    """Keys of settings that pack and unpack never read fail loudly."""
+    """Keys of settings that no command reads fail loudly."""
 
     @pytest.mark.parametrize("key", ["seed", "sinkhorn_epsilon", "dbscan_eps"])
     @pytest.mark.parametrize("command", ["pack", "unpack"])
@@ -301,6 +304,18 @@ class TestRemovedConfigKeys:
         assert main(args + ["--config", str(cfg)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [("train-sim", "proxy_init"), ("synth", "bogus")])
+    def test_train_config_or_spec_exit_1_without_output(self, tmp_path, capsys, command, key):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"steps": 3, key: "kmeans"} if command == "train-sim"
+                                  else {"n_objects": 10, key: 1}))
+        out = tmp_path / "out.json"
+        flag = "--config" if command == "train-sim" else "--spec"
+        assert main([command, flag, str(doc), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"unknown config keys: [{key!r}]" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestMultiImageInput:
@@ -333,10 +348,10 @@ class TestMultiImageInput:
 
 
 class TestImageIdTypes:
-    """``1``, ``1.0`` and ``true`` name different images: a file that mixes
-    them exits 1 without output."""
+    """An ``image_id`` is a JSON integer or string: a record with any other
+    id exits 1 with its index, without output."""
 
-    @pytest.mark.parametrize("ids", [(1.0, 1), (1, True)])
+    @pytest.mark.parametrize("ids", [(1.0, 1), (1, True), (1, None), (1, [1]), (1, math.inf)])
     @pytest.mark.parametrize("command", ["pack", "unpack-coarse", "unpack-fine", "stats"])
     def test_mixed_file_exit_1_without_output(self, tmp_path, capsys, three_box_file,
                                               command, ids):
@@ -358,7 +373,8 @@ class TestImageIdTypes:
         }[command]
         assert main(args) == 1
         captured = capsys.readouterr()
-        assert "name different images but compare equal" in captured.err
+        index = 0 if isinstance(ids[0], float) else 1
+        assert f"invalid detection records at indices [{index}]" in captured.err
         assert captured.out == "" and not out.exists()
 
 
@@ -497,7 +513,8 @@ class TestSceneFileInput:
 
 class TestMalformedJsonFile:
     """A config or spec file that is not JSON, or whose top level is not an
-    object, fails as a parse error naming the file: exit 2, no output."""
+    object, and any JSON input that is not UTF-8 text, fails as a parse error
+    naming the file: exit 2, no output."""
 
     @pytest.mark.parametrize("text, message", [
         ("{bad", "invalid JSON at line 1 column 2"), ("[]", "expected a"), ("3", "expected a"),
@@ -523,6 +540,19 @@ class TestMalformedJsonFile:
         assert captured.err.startswith(f"error: {bad}: {message}")
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--detections", "--config"])
+    def test_not_utf8_exit_2_without_output(self, tmp_path, capsys, three_box_file, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe[]")
+        out = tmp_path / "out.json"
+        args = ["pack", "--image-size", "200x200", "--out-layout", str(out), flag, str(bad)]
+        if flag == "--config":
+            args += ["--detections", three_box_file]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: not UTF-8 text at byte 0\n"
+        assert captured.out == "" and not out.exists()
+
 
 class TestSynthCommand:
     def test_generates_scene(self, tmp_path):
@@ -540,7 +570,6 @@ class TestSynthCommand:
         out = tmp_path / "scene.json"
         src = str(Path(ufppack.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        env.pop("UFPPACK_SEED", None)
         ok = subprocess.run([sys.executable, "-m", "ufppack.cli", "synth", "--spec", str(spec),
                              "--out", str(out)], env=env, capture_output=True, text=True,
                             timeout=120)
@@ -567,18 +596,6 @@ class TestSynthCommand:
         captured = capsys.readouterr()
         assert "larger than the 30x14 extent" in captured.err
         assert captured.out == "" and not out.exists()
-
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"seed": 1, "n_objects": 30, "target_fr": 0.05}))
-        out_a = tmp_path / "a.json"
-        out_b = tmp_path / "b.json"
-        monkeypatch.setenv("UFPPACK_SEED", "99")
-        assert main(["synth", "--spec", str(spec), "--out", str(out_a)]) == 0
-        monkeypatch.delenv("UFPPACK_SEED")
-        spec.write_text(json.dumps({"seed": 99, "n_objects": 30, "target_fr": 0.05}))
-        assert main(["synth", "--spec", str(spec), "--out", str(out_b)]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
 
 
 class TestTrainSimCommand:
@@ -653,21 +670,6 @@ class TestTrainSimCommand:
         assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 1
         assert "vocab_insert" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"steps": 3, "seed": 0, "use_ot": False}))
-        out_a = tmp_path / "a.jsonl"
-        out_b = tmp_path / "b.jsonl"
-        monkeypatch.setenv("UFPPACK_SEED", "7")
-        assert main(["train-sim", "--config", str(cfg), "--out", str(out_a)]) == 0
-        monkeypatch.delenv("UFPPACK_SEED")
-        cfg.write_text(json.dumps({"steps": 3, "seed": 7, "use_ot": False}))
-        assert main(["train-sim", "--config", str(cfg), "--out", str(out_b)]) == 0
-        cfg.write_text(json.dumps({"steps": 3, "seed": 0, "use_ot": False}))
-        out_c = tmp_path / "c.jsonl"
-        assert main(["train-sim", "--config", str(cfg), "--out", str(out_c)]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes() != out_c.read_bytes()
 
 
 class TestDeterminism:

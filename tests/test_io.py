@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,15 +32,19 @@ class TestDetectionsIO:
 
     @pytest.mark.parametrize("image_id", [1, 1.0, True, "1", None])
     def test_one_id_keeps_its_json_type(self, image_id):
+        """A JSON integer or string keys its records; any other id is refused."""
         rec = {"image_id": image_id, "bbox": [0, 0, 1, 1]}
+        if image_id is None or isinstance(image_id, (bool, float)):
+            with pytest.raises(io.ValidationError, match=r"indices \[0, 1\]$"):
+                io.detections_from_records([rec, rec])
+            return
         per_image = io.detections_from_records([rec, rec])
         [(key, dets)] = per_image.items()
         assert type(key) is type(image_id) and key == image_id and len(dets) == 2
 
     def test_ids_of_equal_value_and_different_type_rejected(self):
         records = [{"image_id": i, "bbox": [0, 0, 1, 1]} for i in (2, 1.0, 1, True)]
-        with pytest.raises(io.ValidationError,
-                           match="image_ids 1.0, 1, true name different images"):
+        with pytest.raises(io.ValidationError, match=r"indices \[1, 3\]$"):
             io.detections_from_records(records)
 
     def test_negative_extent_named(self, tmp_path):
@@ -82,6 +87,13 @@ class TestDetectionsIO:
         p = tmp_path / "d.json"
         p.write_text('[{"bbox": [0, 0, 1')
         with pytest.raises(io.ParseError, match="line"):
+            io.load_detections(p)
+
+    def test_not_utf8_named(self, tmp_path):
+        p = tmp_path / "d.json"
+        p.write_bytes(b'[{"bbox": [0, 0, 1, 1], "category_id": 0}, "\xe9"]')
+        message = f"^{re.escape(str(p))}: not UTF-8 text at byte 44$"
+        with pytest.raises(io.ParseError, match=message):
             io.load_detections(p)
 
     def test_roundtrip(self, tmp_path):
@@ -211,6 +223,11 @@ class TestTemplateJsonWriters:
             dets = [Detection(self._box(rng), float(rng.choice([0.0, 1.0, rng.random()])),
                               int(rng.integers(0, 5)))
                     for _ in range(n)]
+            if image_id is None or isinstance(image_id, float):
+                with pytest.raises(ValueError, match="image_id must be a JSON integer"):
+                    io.save_detections(dets, tmp_path / "d.json", image_id=image_id)
+                assert list(tmp_path.iterdir()) == []
+                continue
             io.save_detections(dets, tmp_path / "d.json", image_id=image_id)
             want = json.dumps(io.detections_to_records(dets, image_id), indent=1)
             assert (tmp_path / "d.json").read_text() == want
@@ -225,7 +242,7 @@ class TestTemplateJsonWriters:
         good = [Detection(BBox(1.0, 2.0, 3.0, 4.0), 0.5, 1)]
         for dets, image_id in [([Detection(BBox(1.0, 2.0, float("inf"), 4.0), 0.5, 1)], 3),
                                (good, [1, 2]), (good, {"a": 1}), (good, float("nan")),
-                               ([], (1,))]:
+                               (good, True), ([], (1,))]:
             with pytest.raises(ValueError):
                 io.save_detections(dets, out, image_id=image_id)
             assert list(tmp_path.iterdir()) == []
@@ -579,9 +596,12 @@ class TestSceneIO:
 
     @pytest.mark.parametrize("gt_id, coarse_id", [(0, 1), (0, 0.0), (False, 0)])
     def test_scene_of_two_ids_rejected(self, tmp_path, gt_id, coarse_id):
-        with pytest.raises(io.ValidationError,
-                           match=f"ground truth detections are of image_id {gt_id!r}, "
-                                 f"coarse detections of image_id {coarse_id!r}"):
+        if type(gt_id) is type(coarse_id):
+            message = (f"ground truth detections are of image_id {gt_id!r}, "
+                       f"coarse detections of image_id {coarse_id!r}")
+        else:  # the id that is not a JSON integer is refused by its record
+            message = r"invalid detection records at indices \[0\]"
+        with pytest.raises(io.ValidationError, match=message):
             io.load_scene(self._scene(tmp_path, gt_id, coarse_id))
 
     @pytest.mark.parametrize("size", [

@@ -3,9 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import central_diff
 from ufppack import trainsim
 from ufppack.proxies import _row_norms
-from ufppack.trainsim import TrainConfig, TrainReport, _FeatureModel, train_sim
+from ufppack.trainsim import TrainConfig, TrainReport, _FeatureModel, _ot_grad, train_sim
+from ufppack.transport import cost_matrix, transport_cost
 
 
 class TestTrainConfig:
@@ -20,8 +22,6 @@ class TestTrainConfig:
     def test_invalid_settings_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(proxy_init="xavier")
         with pytest.raises(ValueError):
             TrainConfig(vocab_insert=99, batch_size=8)
 
@@ -93,10 +93,6 @@ class TestTrainSim:
         report = train_sim(TrainConfig(steps=2, seed=0, use_ot=False))
         assert all(r["loss_ot"] == 0.0 for r in report.records)
 
-    def test_random_init_supported(self):
-        report = train_sim(TrainConfig(steps=2, seed=0, proxy_init="random"))
-        assert len(report.records) == 3
-
     def test_transport_stats_one_per_step(self):
         report = train_sim(TrainConfig(steps=5, seed=0))
         assert len(report.transport) == len(report.records)
@@ -127,6 +123,24 @@ class TestFeatureModel:
                     size=(n, cfg.feature_dim))
                 assert np.array_equal(got, x / _row_norms(x)[:, None])
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestOtGrad:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_central_diff_of_transport_cost(self, seed):
+        """The gradient of tr(C(F, W)^T P) in the proxies W, P held fixed, also
+        for proxies that are not of unit norm."""
+        rng = np.random.default_rng(seed)
+        n, k, dim = 16, 3, 8
+        feats = rng.normal(size=(n, dim))
+        w = rng.normal(size=(k, dim)) * rng.uniform(0.5, 2.0, size=(k, 1))
+        plan = rng.random((n, k))
+        plan /= plan.sum()
+        num = central_diff(
+            lambda flat: transport_cost(cost_matrix(feats, flat.reshape(k, dim)), plan),
+            w.ravel(),
+        ).reshape(k, dim)
+        assert np.allclose(_ot_grad(feats, w, plan), num, rtol=1e-4, atol=1e-7)
 
 
 class TestTransportConverges:
