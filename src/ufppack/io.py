@@ -1,18 +1,18 @@
 """File formats: detection JSON, layout JSON, scene JSON, JSONL reports, PPM.
 
 Every JSON input is read by ``read_json``, and each format has one parser:
-``detections_from_records``, ``_scene`` and ``layout_from_dict``. An
-``image_id`` is a JSON integer or string (``_is_image_id``), in the files
-read and in the files written.
-
-All writes go through a temp file and an atomic rename so a failed run never
-leaves a partial output behind.
+``detections_from_records``, ``_scene`` and ``layout_from_dict``. Detection
+records have one writer, ``_detections_json``, whose per-record template a
+scene file nests one level deeper. An ``image_id`` is a JSON integer or string
+(``_is_image_id``), in the files read and written. All writes go through a
+temp file and an atomic rename so a failed run never leaves a partial output.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -86,14 +86,17 @@ def _json_array(items: list[str], indent: str) -> str:
 def read_json(path: str | Path, top: type | tuple[type, ...], what: str) -> Any:
     """The JSON document of a file, the one reader of every JSON input. A file
     that is not UTF-8 text or not JSON, or a top level that is not a ``top``,
-    raises ParseError naming the path; ``what`` names the expected document in
-    its message."""
+    raises ParseError naming the path, as does an integer too long for
+    ``int`` to read; ``what`` names the expected document in its message."""
     try:
         doc = json.loads(Path(path).read_bytes().decode())
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text at byte {e.start}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from e
+    except ValueError as e:  # the only other: an integer past sys.get_int_max_str_digits()
+        raise ParseError(f"{path}: integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from e
     if not isinstance(doc, top):
         raise ParseError(f"{path}: expected {what}")
     return doc
@@ -159,27 +162,17 @@ def load_detections(path: str | Path) -> dict[int | str, list[Detection]]:
     return detections_from_records(read_json(path, list, "an array of detection records"))
 
 
-def detections_to_records(
-    dets: Sequence[Detection], image_id: int | str = 0
-) -> list[dict[str, Any]]:
-    return [
-        {
-            "image_id": image_id,
-            "bbox": [d.box.x1, d.box.y1, d.box.width, d.box.height],
-            "score": d.score,
-            "category_id": d.category,
-        }
-        for d in dets
-    ]
-
-
 _DETECTION = (' {\n  "image_id": %s,\n  "bbox": [\n   %s,\n   %s,\n   %s,\n   %s\n  ],'
               '\n  "score": %s,\n  "category_id": %s\n }')
+# The same record one nesting level deeper, in an array of a scene object.
+_SCENE_DETECTION = " " + _DETECTION.replace("\n", "\n ")
 
 
-def _detections_json(dets: Sequence[Detection], image_id: int | str) -> str:
-    """``json.dumps(detections_to_records(dets, image_id), indent=1)``, one
-    template per record; the C-accelerated encoder has no indented mode.
+def _detections_json(dets: Sequence[Detection], image_id: int | str,
+                     template: str = _DETECTION, indent: str = "") -> str:
+    """The records {image_id, bbox, score, category_id} of ``dets`` as
+    ``json.dumps(..., indent=1)`` spells them in an array at ``indent``, one
+    ``template`` per record; the C-accelerated encoder has no indented mode.
 
     A non-finite number or an ``image_id`` that is not a JSON integer or
     string raises ValueError.
@@ -187,10 +180,10 @@ def _detections_json(dets: Sequence[Detection], image_id: int | str) -> str:
     if not _is_image_id(image_id):
         raise ValueError(f"image_id must be a JSON integer or string, got {image_id!r}")
     ident = json.dumps(image_id)
-    items = [_DETECTION % (ident, _num(d.box.x1), _num(d.box.y1), _num(d.box.width),
-                           _num(d.box.height), _num(d.score), _num(d.category))
+    items = [template % (ident, _num(d.box.x1), _num(d.box.y1), _num(d.box.width),
+                         _num(d.box.height), _num(d.score), _num(d.category))
              for d in dets]
-    return _json_array(items, "")
+    return _json_array(items, indent)
 
 
 def save_detections(dets: Sequence[Detection], path: str | Path, image_id: int | str = 0) -> None:
@@ -199,18 +192,21 @@ def save_detections(dets: Sequence[Detection], path: str | Path, image_id: int |
 
 # -- synthetic scene files ---------------------------------------------------
 
+_SCENE = '{\n "image_size": [\n  %s,\n  %s\n ],\n "ground_truth": %s,\n "coarse": %s\n}'
+
+
 def save_scene(
     extent_wh: tuple[float, float],
     gt_boxes: Sequence[BBox],
     coarse: Sequence[Detection],
     path: str | Path,
 ) -> None:
-    doc = {
-        "image_size": [extent_wh[0], extent_wh[1]],
-        "ground_truth": detections_to_records([Detection(b, 1.0, 0) for b in gt_boxes]),
-        "coarse": detections_to_records(coarse),
-    }
-    atomic_write(path, json.dumps(doc, indent=1, allow_nan=False))
+    """The scene object ``load_scene`` reads, all its records of ``image_id``
+    0; a non-finite number raises ValueError."""
+    gt = [Detection(b, 1.0, 0) for b in gt_boxes]
+    atomic_write(path, _SCENE % (_num(extent_wh[0]), _num(extent_wh[1]),
+                                 _detections_json(gt, 0, _SCENE_DETECTION, " "),
+                                 _detections_json(coarse, 0, _SCENE_DETECTION, " ")))
 
 
 class Scene(NamedTuple):
@@ -227,7 +223,8 @@ def _scene(doc: dict[str, Any], path: str | Path) -> Scene:
     """The scene of a scene document, the only parser of one. Its records must
     be of one ``image_id`` (``one_image``); an ``image_size`` that is not a
     pair of finite positive numbers, or a ``ground_truth`` or ``coarse`` that
-    is not an array, raises ParseError."""
+    is not an array, raises ParseError; a ValidationError of a record names
+    the array it is in."""
     size, gt, coarse = doc.get("image_size"), doc.get("ground_truth"), doc.get("coarse", [])
     if type(gt) is not list or type(coarse) is not list:
         raise ParseError(f"{path}: expected a scene object with a ground_truth array "
@@ -237,9 +234,14 @@ def _scene(doc: dict[str, Any], path: str | Path) -> Scene:
             type(v) in _NUMBER and 0 < v <= sys.float_info.max for v in size)):
         raise ParseError(f"{path}: image_size must be a pair of finite positive numbers, "
                          f"got {size!r}")
-    image_id, (gt, coarse) = one_image({
-        f"{path}: ground truth": detections_from_records(gt),
-        "coarse": detections_from_records(coarse)})
+    named = {}
+    for key, records in (("ground_truth", gt), ("coarse", coarse)):
+        try:
+            named[key] = detections_from_records(records)
+        except ValidationError as e:
+            raise ValidationError(f"{path}: {key}: {e}") from e
+    image_id, (gt, coarse) = one_image({f"{path}: ground truth": named["ground_truth"],
+                                        "coarse": named["coarse"]})
     return Scene((float(size[0]), float(size[1])), gt, coarse, image_id)
 
 
@@ -318,30 +320,12 @@ def save_jsonl(records: Iterable[dict[str, Any]], path: str | Path) -> None:
 
 # -- PPM rasters and mosaic composition --------------------------------------
 
-_PPM_SPACE = b" \t\n\r\x0b\x0c"
+# Magic, width, height and maxval, each after whitespace and "#...\n" comments
+# and ended by one whitespace byte. A token is any run up to whitespace, so
+# bytes fail to match only where a header would run past them, and a header
+# cut at a read boundary cannot match early.
+_PPM_HEADER = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]\S*)\s" * 4)
 _PPM_FIRST_READ = 1024
-
-
-def _ppm_header(data: bytes) -> tuple[list[bytes], int] | None:
-    """The four P6 header tokens and the offset of the pixel data, or None if
-    ``data`` ends before the single whitespace byte that follows maxval."""
-    tokens: list[bytes] = []
-    pos, n = 0, len(data)
-    while len(tokens) < 4:
-        while pos < n and data[pos] in _PPM_SPACE:
-            pos += 1
-        if pos < n and data[pos] == ord("#"):
-            pos = data.find(b"\n", pos)
-            if pos < 0:
-                return None
-            continue
-        start = pos
-        while pos < n and data[pos] not in _PPM_SPACE:
-            pos += 1
-        if pos == n:  # the token may go on in bytes not read yet
-            return None
-        tokens.append(data[start:pos])
-    return tokens, pos + 1
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
@@ -353,12 +337,12 @@ def read_ppm(path: str | Path) -> np.ndarray:
     """
     with open(path, "rb") as f:
         data = b""
-        while (header := _ppm_header(data)) is None:
+        while (header := _PPM_HEADER.match(data)) is None:
             more = f.read(max(len(data), _PPM_FIRST_READ))
             if not more:
                 raise ParseError(f"{path}: truncated PPM header")
             data += more
-        (magic, *fields), offset = header
+        (magic, *fields), offset = header.groups(), header.end()
         if magic != b"P6":
             raise ParseError(f"{path}: not a P6 PPM")
         try:

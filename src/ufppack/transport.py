@@ -153,11 +153,15 @@ def _newton(
     p - c, c the plan's column sums, and Hessian -(diag(c) - B^T diag(q) B).
     Each step solves that system with the last potential held fixed (the
     shift gauge) and lam * max(c) added to its diagonal. A step is accepted
-    when F does not drop, beyond rounding; lam then shrinks tenfold, so that
-    the damping all but vanishes in the last steps, and it grows tenfold
-    after a rejected step. Past _DAMPING_MAX the steps have stalled, and the
-    last accepted plan is returned. With one column, every row of the plan
-    is its q entry from the start.
+    when F does not drop, beyond rounding. lam then follows Nielsen's gain
+    ratio rule (IMM-REP-1999-05): rho, the rise of F over the rise
+    0.5 * x.(g + lam * max(c) * x) that the damped quadratic model predicts,
+    clamped to [0, 1] since a step accepted within rounding makes it noise,
+    scales lam by max(1/3, 1 - (2 rho - 1)^3), so that the damping all but
+    vanishes in the last steps; after a rejected step lam grows by nu, which
+    doubles with each rejection in a row. Past _DAMPING_MAX the steps have
+    stalled, and the last accepted plan is returned. With one column, every
+    row of the plan is its q entry from the start.
 
     Every point is evaluated from its potentials alone, in the log domain
     (Peyre & Cuturi 2019, sec. 4.4), on L shifted to a largest entry of 0 in
@@ -183,7 +187,7 @@ def _newton(
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a, lse, F = evaluate(h)
-        lam = _DAMPING_START
+        lam, nu = _DAMPING_START, 2.0
         iters = 0
         last_viol = math.inf
         while True:
@@ -198,7 +202,8 @@ def _newton(
             M = B.T.dot(P)[:m, :m]
             cmax = max(c)
             while True:
-                step = _solve_scalar([cj + lam * cmax for cj in c[:m]], M, g[:m])
+                damp = lam * cmax
+                step = _solve_scalar([cj + damp for cj in c[:m]], M, g[:m])
                 iters += 1
                 if step is not None:
                     ht = h.copy()
@@ -206,10 +211,15 @@ def _newton(
                     at, lset, Ft = evaluate(ht)
                     # Accept unless F drops by more than its rounding error.
                     if F - 1e-13 * (1.0 + abs(F)) <= Ft < math.inf:
+                        # The gain ratio rho; pred > 0 unless the step is zero.
+                        pred = 0.5 * sum(x * (gj + damp * x) for x, gj in zip(step, g))
+                        rho = min(max((Ft - F) / pred, 0.0), 1.0) if pred > 0 else 0.0
                         h, a, lse, F = ht, at, lset, Ft
-                        lam /= 10.0
+                        lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                        nu = 2.0
                         break
-                lam *= 10.0
+                lam *= nu
+                nu *= 2.0
                 if viol < tol or iters >= max_iters or lam > _DAMPING_MAX:
                     return P, h, iters, viol
 

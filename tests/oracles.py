@@ -10,9 +10,9 @@ plain kernel-domain loop, whose long runs give the fixed point at moderate
 epsilon), the NMS
 reference compares each candidate with every kept detection by scalar IoU,
 the scene reference draws one side per object and sums each placement
-attempt's overlaps in a scalar loop, and the layout file reference is
-``json.dumps`` of the layout as a dict. The JSONL reader and a placement's
-destination box are here too: only tests need them.
+attempt's overlaps in a scalar loop, and the layout, detection and scene file
+references are ``json.dumps`` of them as dicts. The JSONL reader and a
+placement's destination box are here too: only tests need them.
 """
 from __future__ import annotations
 
@@ -122,6 +122,21 @@ def layout_to_dict(layout) -> dict:
             for p in layout.placements
         ],
     }
+
+
+def detections_to_records(dets, image_id=0) -> list[dict]:
+    """Detections as COCO-style result records; ``json.dumps`` of them, alone
+    or in a scene dict, with ``indent=1`` is the byte-for-byte reference for
+    ``io.save_detections`` and ``io.save_scene``."""
+    return [
+        {
+            "image_id": image_id,
+            "bbox": [d.box.x1, d.box.y1, d.box.width, d.box.height],
+            "score": d.score,
+            "category_id": d.category,
+        }
+        for d in dets
+    ]
 
 
 def dest_box(p) -> BBox:

@@ -518,7 +518,8 @@ class TestMalformedJsonFile:
 
     @pytest.mark.parametrize("text, message", [
         ("{bad", "invalid JSON at line 1 column 2"), ("[]", "expected a"), ("3", "expected a"),
-    ], ids=["invalid", "array", "number"])
+        ('{"seed": 1' + "0" * 5000 + "}", f"integer of more than {sys.get_int_max_str_digits()}"),
+    ], ids=["invalid", "array", "number", "long-integer"])
     @pytest.mark.parametrize("command", ["pack", "unpack", "train-sim", "synth"])
     def test_exit_2_without_output(self, tmp_path, capsys, three_box_file,
                                    command, text, message):
@@ -538,6 +539,17 @@ class TestMalformedJsonFile:
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {bad}: {message}")
+        assert captured.out == "" and not out.exists()
+
+    def test_long_integer_id_exit_2_without_output(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('[{"image_id": 1' + "0" * 5000 + ', "bbox": [0, 0, 10, 10]}]')
+        out = tmp_path / "out.json"
+        assert main(["pack", "--detections", str(bad), "--image-size", "200x200",
+                     "--out-layout", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {bad}: integer of more than "
+                                f"{sys.get_int_max_str_digits()} digits\n")
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("flag", ["--detections", "--config"])

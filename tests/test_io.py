@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import compose_affine_reference, layout_to_dict, load_jsonl
+from oracles import compose_affine_reference, detections_to_records, layout_to_dict, load_jsonl
 from ufppack import io
 from ufppack.config import PipelineConfig
 from ufppack.geometry import BBox
@@ -185,8 +185,8 @@ class TestLayoutIO:
 
 
 class TestTemplateJsonWriters:
-    """save_layout and save_detections write the bytes of json.dumps(...,
-    indent=1), which they build from per-record templates."""
+    """save_layout, save_detections and save_scene write the bytes of
+    json.dumps(..., indent=1), which they build from per-record templates."""
 
     SPECIAL = [0, 7, 2**70, -0.0, 0.0, 1e-300, 5e-324, 1e300, 0.1, np.float64(2.5),
                np.float64(-0.0), np.float64(1e-300), np.float64(1 / 3)]
@@ -229,8 +229,30 @@ class TestTemplateJsonWriters:
                 assert list(tmp_path.iterdir()) == []
                 continue
             io.save_detections(dets, tmp_path / "d.json", image_id=image_id)
-            want = json.dumps(io.detections_to_records(dets, image_id), indent=1)
+            want = json.dumps(detections_to_records(dets, image_id), indent=1)
             assert (tmp_path / "d.json").read_text() == want
+
+    def test_scene_bytes_equal_json_dumps(self, tmp_path):
+        rng = np.random.default_rng(53)
+        for n_gt, n_coarse in [(0, 0), (1, 0), (3, 1), (40, 25)]:
+            extent = (self._value(rng), self._value(rng))
+            gt = [self._box(rng) for _ in range(n_gt)]
+            coarse = [Detection(self._box(rng), float(rng.choice([0.0, 1.0, rng.random()])),
+                                int(rng.integers(0, 5)))
+                      for _ in range(n_coarse)]
+            io.save_scene(extent, gt, coarse, tmp_path / "s.json")
+            want = json.dumps({
+                "image_size": list(extent),
+                "ground_truth": detections_to_records([Detection(b, 1.0, 0) for b in gt]),
+                "coarse": detections_to_records(coarse),
+            }, indent=1)
+            assert (tmp_path / "s.json").read_text() == want
+        # Integer and special extents, and no coarse records.
+        gt_records = detections_to_records([Detection(BBox(0, 0, 10, 10), 1.0, 0)])
+        for extent in [(100, 80), *zip(self.SPECIAL, self.SPECIAL[::-1])]:
+            io.save_scene(extent, [BBox(0, 0, 10, 10)], [], tmp_path / "s.json")
+            assert (tmp_path / "s.json").read_text() == json.dumps({
+                "image_size": list(extent), "ground_truth": gt_records, "coarse": []}, indent=1)
 
     def test_non_finite_and_unusual_values_are_rejected_without_a_file(self, tmp_path):
         out = tmp_path / "out.json"
@@ -278,6 +300,12 @@ class TestPpm:
         p.write_bytes(b"P6\n# a comment\n2 2\n255\n" + pixels)
         img = io.read_ppm(p)
         assert img.shape == (2, 2, 3)
+
+    def test_whitespace_and_comment_before_magic(self, tmp_path):
+        p = tmp_path / "img.ppm"
+        pixels = bytes(range(12))
+        p.write_bytes(b" \n\t# made by hand\n  P6 2 2 255\n" + pixels)
+        assert io.read_ppm(p).tobytes() == pixels
 
     def test_truncated_rejected(self, tmp_path):
         p = tmp_path / "img.ppm"
@@ -603,6 +631,14 @@ class TestSceneIO:
             message = r"invalid detection records at indices \[0\]"
         with pytest.raises(io.ValidationError, match=message):
             io.load_scene(self._scene(tmp_path, gt_id, coarse_id))
+
+    @pytest.mark.parametrize("gt_id, coarse_id, array", [
+        (False, 0, "ground_truth"), (0, 0.0, "coarse")])
+    def test_bad_record_names_its_array(self, tmp_path, gt_id, coarse_id, array):
+        p = self._scene(tmp_path, gt_id, coarse_id)
+        with pytest.raises(io.ValidationError) as e:
+            io.load_scene(p)
+        assert str(e.value) == f"{p}: {array}: invalid detection records at indices [0]"
 
     @pytest.mark.parametrize("size", [
         None, [100], [100, 80, 3], "100x80", {"w": 100, "h": 80}, [math.nan, 80],

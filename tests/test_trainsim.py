@@ -159,11 +159,11 @@ class TestTransportConverges:
         assert report.unconverged_calls == 0
         assert max(t.max_violation for t in report.transport) < 1e-6
 
-    @pytest.mark.parametrize("epsilon", [0.002, 0.001])
+    # 200 steps reach the call at 0.001 and at 0.0003 on which a damping that
+    # only shrinks or grows tenfold oscillates and runs out of its budget.
+    @pytest.mark.parametrize("epsilon", [0.002, 0.001, 0.0003])
     def test_small_epsilon_every_call_converged(self, epsilon):
-        # Beyond the plain kernel's range (max|C|/epsilon > 200) the steps run
-        # on absorbed kernels, within the same 150-step budget.
-        report = train_sim(TrainConfig(seed=0, steps=50, sinkhorn_epsilon=epsilon))
+        report = train_sim(TrainConfig(seed=0, steps=200, sinkhorn_epsilon=epsilon))
         assert report.unconverged_calls == 0
         assert max(t.max_violation for t in report.transport) < 1e-6
 
