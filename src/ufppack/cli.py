@@ -73,8 +73,8 @@ def _one_image(path: str, part: str, image_size: ImageExtent) -> list:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
-    if args.image and not args.out_mosaic:
-        return _fail(1, "--image requires --out-mosaic")
+    if bool(args.image) != bool(args.out_mosaic):
+        return _fail(1, "--image and --out-mosaic must be given together")
     cfg = _load_config(PipelineConfig, args.config)
     dets = _one_image(args.detections, "coarse", args.image_size)
     _, layout = build_layout(dets, args.image_size, cfg)
@@ -137,10 +137,7 @@ def _cmd_train_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    doc = io.read_json(args.spec, dict, "a scene spec object")
-    if "extent" in doc:
-        doc["extent"] = ImageExtent(*doc["extent"])
-    spec = SceneSpec.from_dict(doc)
+    spec = SceneSpec.from_dict(io.read_json(args.spec, dict, "a scene spec object"))
     gt, coarse = generate_scene(spec)
     io.save_scene((spec.extent.width, spec.extent.height), gt, coarse, args.out)
     print(f"generated {len(gt)} objects, {len(coarse)} coarse detections")

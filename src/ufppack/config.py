@@ -2,9 +2,41 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import typing
 from dataclasses import dataclass
 from typing import Any
+
+# The Python types of the JSON values a scalar field takes; a bool is no number.
+_JSON_SCALARS = {
+    bool: ("true or false", (bool,)),
+    int: ("a JSON integer", (int,)),
+    float: ("a JSON number", (int, float)),
+}
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, Any]:
+    """The field types of a dataclass, its string annotations evaluated once."""
+    return typing.get_type_hints(cls)
+
+
+def _from_json(name: str, value: Any, hint: Any) -> Any:
+    """The JSON ``value`` of field ``name`` as its type ``hint`` takes it: a
+    scalar as is, a tuple or a dataclass from an array of its items. A value
+    of another JSON type raises TypeError naming the field."""
+    if hint in _JSON_SCALARS:
+        what, types = _JSON_SCALARS[hint]
+        if type(value) not in types:
+            raise TypeError(f"{name} must be {what}, got {value!r}")
+        return value
+    if dataclasses.is_dataclass(hint):
+        return hint(*_from_json(name, value, tuple[tuple(_field_types(hint).values())]))
+    items = typing.get_args(hint)  # a tuple[...] field
+    if type(value) is not list or len(value) != len(items):
+        raise TypeError(f"{name} must be an array of {len(items)} values, got {value!r}")
+    return tuple(_from_json(f"{name}[{i}]", v, t) for i, (v, t) in enumerate(zip(value, items)))
 
 
 class DictConfig:
@@ -15,12 +47,13 @@ class DictConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> Any:
-        """The config from its dict form; an unknown key raises ValueError."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        """The config from its dict form, each value checked against its
+        field's type by ``_from_json``; an unknown key raises ValueError."""
+        types = _field_types(cls)
+        unknown = set(d) - types.keys()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**{k: _from_json(k, v, types[k]) for k, v in d.items()})
 
 
 @dataclass

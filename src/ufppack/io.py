@@ -35,7 +35,7 @@ class ValidationError(ValueError):
 
 
 # The Python types of a JSON number; bool, a subclass of int, is not one.
-_NUMBER = (int, float)
+_NUMBER = frozenset((int, float))
 
 
 def _is_image_id(v: Any) -> bool:
@@ -108,14 +108,19 @@ def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[int | str
     """Group COCO-style result records {image_id, bbox, score, category_id} by image.
 
     An ``image_id`` must be a JSON integer or string, a ``category_id`` a JSON
-    integer and a ``score`` a JSON number; records with any other, a bool
-    included, raise ValidationError by index.
+    integer and a ``score`` and each ``bbox`` entry a JSON number; records with
+    any other, a bool included, raise ValidationError by index.
     """
     bad: list[int] = []
     per_image: dict[int | str, list[Detection]] = {}
     for i, rec in enumerate(records):
         try:
             x, y, w, h = rec["bbox"]
+            image_id = rec.get("image_id", 0)
+            score, category = rec.get("score", 1.0), rec.get("category_id", 0)
+            if not (_is_image_id(image_id) and type(category) is int
+                    and {type(score), type(x), type(y), type(w), type(h)} <= _NUMBER):
+                raise TypeError("image_id, category_id, score or bbox of the wrong JSON type")
             if not (math.isfinite(x) and math.isfinite(y)
                     and math.isfinite(w) and math.isfinite(h)):
                 raise ValueError("non-finite coordinate")
@@ -124,11 +129,6 @@ def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[int | str
             x2, y2 = float(x) + float(w), float(y) + float(h)
             if not (math.isfinite(x2) and math.isfinite(y2)):
                 raise ValueError("box overflows")
-            image_id = rec.get("image_id", 0)
-            score, category = rec.get("score", 1.0), rec.get("category_id", 0)
-            if not (_is_image_id(image_id) and type(category) is int
-                    and type(score) in _NUMBER):
-                raise TypeError("image_id, category_id or score of the wrong JSON type")
             det = Detection(BBox(float(x), float(y), x2, y2), float(score), category)
         except (KeyError, TypeError, ValueError, OverflowError):
             bad.append(i)
@@ -260,19 +260,23 @@ def load_detections_or_scene(path: str | Path) -> dict[int | str, list[Detection
 
 def layout_from_dict(doc: dict[str, Any]) -> MosaicLayout:
     try:
-        width, height = float(doc["mosaic"]["width"]), float(doc["mosaic"]["height"])
+        width, height = doc["mosaic"]["width"], doc["mosaic"]["height"]
+        if not {type(width), type(height)} <= _NUMBER:
+            raise TypeError(f"mosaic width and height must be JSON numbers, "
+                            f"got {width!r} and {height!r}")
+        width, height = float(width), float(height)
         # Written so that a NaN fails the test too.
         if not (0 <= width < math.inf and 0 <= height < math.inf):
             raise ValueError(f"mosaic size {width}x{height} is not finite and nonnegative")
-        placements = [
-            Placement(
-                BBox(*(float(v) for v in p["src"])),
-                float(p["scale"]),
-                float(p["dest"][0]),
-                float(p["dest"][1]),
-            )
-            for p in doc["placements"]
-        ]
+        placements = []
+        for i, p in enumerate(doc["placements"]):
+            src, scale, dest = p["src"], p["scale"], p["dest"]
+            if not (type(src) is list and len(src) == 4 and type(dest) is list and len(dest) == 2
+                    and {type(scale), *map(type, src), *map(type, dest)} <= _NUMBER):
+                raise TypeError(f"placement {i} src, scale and dest must be 4, 1 and 2 "
+                                f"JSON numbers, got {src!r}, {scale!r} and {dest!r}")
+            placements.append(Placement(BBox(*map(float, src)), float(scale),
+                                        float(dest[0]), float(dest[1])))
         # Each placement's scaled box, dest to dest + scale * (src2 - src1),
         # must be finite and inside the mosaic; written so that a NaN or an
         # overflow to infinity fails the test too.

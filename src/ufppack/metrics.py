@@ -30,13 +30,9 @@ class InfeasibleSpecError(ValueError):
 def union_area(boxes: Sequence[BBox]) -> float:
     """Exact area of the union, by x-sweep slab decomposition."""
     boxes = [b for b in boxes if area(b) > 0]
-    if not boxes:
-        return 0.0
     xs = sorted({b.x1 for b in boxes} | {b.x2 for b in boxes})
     total = 0.0
     for x0, x1 in zip(xs, xs[1:]):
-        if x1 <= x0:
-            continue
         spans = sorted(
             (b.y1, b.y2) for b in boxes if b.x1 <= x0 and b.x2 >= x1
         )
@@ -66,23 +62,21 @@ class SizeStats:
     small: float
     medium: float
     large: float
-    empty: bool = False
 
 
-def size_buckets(boxes: Sequence[BBox]) -> SizeStats:
-    """COCO-style size proportions by box area."""
-    if not boxes:
-        return SizeStats(fr=0.0, small=0.0, medium=0.0, large=0.0, empty=True)
+def size_stats(boxes: Sequence[BBox], width: float, height: float) -> SizeStats:
+    """Foreground ratio over a width x height image and COCO-style size
+    proportions by box area; all zeros when there are no boxes or no area."""
+    if not boxes or width * height <= 0:
+        return SizeStats(fr=0.0, small=0.0, medium=0.0, large=0.0)
     areas = np.array([area(b) for b in boxes])
     counts = np.bincount(np.digitize(areas, (SMALL_MAX_AREA, MEDIUM_MAX_AREA)), minlength=3)
     small, medium, large = (counts / len(boxes)).tolist()
-    return SizeStats(fr=0.0, small=small, medium=medium, large=large)
+    return SizeStats(union_area(boxes) / (width * height), small, medium, large)
 
 
 def scene_stats(boxes: Sequence[BBox], extent: ImageExtent) -> SizeStats:
-    stats = size_buckets(boxes)
-    stats.fr = foreground_ratio(boxes, extent)
-    return stats
+    return size_stats(boxes, extent.width, extent.height)
 
 
 @dataclass

@@ -9,7 +9,7 @@ from typing import Sequence
 
 from .config import PipelineConfig
 from .geometry import BBox, ImageExtent
-from .metrics import SizeStats, size_buckets, union_area
+from .metrics import SizeStats, size_stats
 from .mosaic import MosaicLayout, equalize, pack
 from .regions import RegionSet, expand_and_merge
 from .remap import Detection, to_mosaic
@@ -32,8 +32,4 @@ def mosaic_stats(gt_boxes: Sequence[BBox], layout: MosaicLayout) -> SizeStats:
     not appear in the mosaic and are excluded.
     """
     mapped = [m for b in gt_boxes if (m := to_mosaic(b, layout)) is not None]
-    if not mapped or layout.mosaic_height <= 0:
-        return SizeStats(fr=0.0, small=0.0, medium=0.0, large=0.0, empty=True)
-    stats = size_buckets(mapped)
-    stats.fr = union_area(mapped) / (layout.mosaic_width * layout.mosaic_height)
-    return stats
+    return size_stats(mapped, layout.mosaic_width, layout.mosaic_height)

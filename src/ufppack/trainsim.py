@@ -92,26 +92,25 @@ class TrainReport:
 
 
 class _FeatureModel:
-    """Per-class mixture of unit-sphere modes with geometrically decaying weights."""
+    """Per-class mixture of unit-sphere modes; every class has the same
+    geometrically decaying mode weights."""
 
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.centers = {}
-        self.weights = {}
-        self.cdfs = {}
         for cid in range(cfg.n_classes):
             c = rng.normal(size=(cfg.modes_per_class, cfg.feature_dim))
             self.centers[cid] = c / _row_norms(c)[:, None]
-            w = 0.45 ** np.arange(cfg.modes_per_class)
-            self.weights[cid] = w / w.sum()
-            # rng.choice(modes, p=w) cumulates and normalizes p this way on
-            # every call, after validating it.
-            cdf = np.cumsum(self.weights[cid])
-            self.cdfs[cid] = cdf / cdf[-1]
+        w = 0.45 ** np.arange(cfg.modes_per_class)
+        self.weights = w / w.sum()
+        # rng.choice(modes, p=w) cumulates and normalizes p this way on every
+        # call, after validating it.
+        cdf = np.cumsum(self.weights)
+        self.cdf = cdf / cdf[-1]
 
     def sample(self, cid: int, n: int, rng: np.random.Generator) -> np.ndarray:
         # The draws and generator state of rng.choice(modes, n, p=weights).
-        modes = self.cdfs[cid].searchsorted(rng.random(n), side="right")
+        modes = self.cdf.searchsorted(rng.random(n), side="right")
         x = self.centers[cid][modes] + self.cfg.mode_noise * rng.normal(
             size=(n, self.cfg.feature_dim)
         )

@@ -90,30 +90,43 @@ def contrastive_loss(
     for class_id in dict.fromkeys(labels.tolist()):
         if len(vocab[class_id]) == 0:
             raise ValueError(f"class {class_id} has an empty vocabulary")
-    words = {cid: q.snapshot() for cid, q in vocab.items() if len(q) > 0}
-    # One affinity matrix against every word; each class's own words are a
-    # column block of it.
-    s = x @ np.concatenate(list(words.values())).T
+    s, _, blocks = _affinities(x, vocab)
     total = float(np.add.reduce(_logsumexp(s, axis=1)))
-    start = 0
-    for class_id, own in words.items():
+    for class_id, own in blocks.items():
         rows = labels == class_id
         if rows.any():
-            total -= float(np.add.reduce(_logsumexp(s[rows, start : start + len(own)], axis=1)))
-        start += len(own)
+            total -= float(np.add.reduce(_logsumexp(s[rows, own], axis=1)))
     return total / len(x)
 
 
 def contrastive_grad(
     x: np.ndarray, class_id: int, vocab: Mapping[int, VocabQueue]
 ) -> np.ndarray:
-    """Analytic gradient of the single-instance contrastive term w.r.t. x."""
+    """Analytic gradient of the single-instance contrastive term w.r.t. x:
+    the softmax-weighted mean of all words less that of the own words."""
     x = np.asarray(x, dtype=float)
-    own = vocab[class_id].snapshot()
-    if own.size == 0:
+    if len(vocab[class_id]) == 0:
         raise ValueError(f"class {class_id} has an empty vocabulary")
-    all_words = _stack_vocab(vocab)
-    return _softmax_mean(all_words, x) - _softmax_mean(own, x)
+    s, words, blocks = _affinities(x, vocab)
+    own = blocks[class_id]
+    return (np.exp(s - _logsumexp(s, axis=0)) @ words
+            - np.exp(s[own] - _logsumexp(s[own], axis=0)) @ words[own])
+
+
+def _affinities(
+    x: np.ndarray, vocab: Mapping[int, VocabQueue]
+) -> tuple[np.ndarray, np.ndarray, dict[int, slice]]:
+    """The affinities ``x @ words.T`` against the words of every nonempty
+    vocabulary stacked in order, the stacked words, and each class's column
+    block of them."""
+    parts = {cid: q.snapshot() for cid, q in vocab.items() if len(q) > 0}
+    blocks = {}
+    start = 0
+    for class_id, own in parts.items():
+        blocks[class_id] = slice(start, start + len(own))
+        start += len(own)
+    words = np.concatenate(list(parts.values()))
+    return x @ words.T, words, blocks
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -121,17 +134,3 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
         return np.log(np.add.reduce(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-
-
-def _softmax_mean(words: np.ndarray, x: np.ndarray) -> np.ndarray:
-    s = words @ x
-    w = np.exp(s - np.max(s))
-    w /= w.sum()
-    return w @ words
-
-
-def _stack_vocab(vocab: Mapping[int, VocabQueue]) -> np.ndarray:
-    parts = [q.snapshot() for q in vocab.values() if len(q) > 0]
-    if not parts:
-        raise ValueError("all vocabularies are empty")
-    return np.concatenate(parts)

@@ -76,6 +76,7 @@ class TestPackCommand:
         {"category_id": 1.7}, {"category_id": "2"}, {"category_id": True},
         {"score": "0.5"}, {"score": True}, {"image_id": None}, {"image_id": 1.0},
         {"image_id": True}, {"image_id": [1]}, {"image_id": math.inf},
+        {"bbox": [True, 10, 20, 20]}, {"bbox": [20, 0, "10", 10]},
     ])
     def test_wrong_json_type_exit_1_without_output(self, tmp_path, capsys, bad):
         records = [_det_record(0, 0, 10, 10), {**_det_record(20, 0, 10, 10), **bad}]
@@ -108,6 +109,16 @@ class TestPackCommand:
             "--out-layout", str(out), "--image", str(image),
         ])
         assert rc == 1 and not out.exists()
+
+    def test_out_mosaic_without_image_writes_nothing(self, tmp_path, capsys, three_box_file):
+        out, mosaic = tmp_path / "layout.json", tmp_path / "mosaic.ppm"
+        rc = main([
+            "pack", "--detections", three_box_file, "--image-size", "200x200",
+            "--out-layout", str(out), "--out-mosaic", str(mosaic),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and "--image and --out-mosaic" in captured.err
+        assert captured.out == "" and not out.exists() and not mosaic.exists()
 
     def test_raster_smaller_than_image_size_writes_nothing(self, tmp_path, capsys):
         dets = _write_detections(tmp_path / "dets.json", [
@@ -245,7 +256,7 @@ class TestUnpackCommand:
         assert "error:" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before and not any(out.iterdir())
 
-    @pytest.mark.parametrize("height", ["NaN", "Infinity", "-1"])
+    @pytest.mark.parametrize("height", ["NaN", "Infinity", "-1", '"100"', "true"])
     def test_unusable_mosaic_size_exit_2_without_output(self, tmp_path, capsys,
                                                         three_box_file, height):
         layout = tmp_path / "layout.json"
@@ -315,6 +326,54 @@ class TestRemovedConfigKeys:
         assert main([command, flag, str(doc), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert f"unknown config keys: [{key!r}]" in captured.err
+        assert captured.out == "" and not out.exists()
+
+
+class TestWrongJsonTypeConfig:
+    """A config or spec value of the wrong JSON type fails with exit 1 and
+    its field: an int field takes an integer, a float field a number, a bool
+    field true or false, and a bool is no number."""
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"beta": True}, "beta must be a JSON number, got True"),
+        ({"padding": "2"}, "padding must be a JSON number, got '2'"),
+        ({"nms_iou": None}, "nms_iou must be a JSON number, got None"),
+    ])
+    @pytest.mark.parametrize("command", ["pack", "unpack"])
+    def test_pipeline_config_exit_1_without_output(self, tmp_path, capsys, three_box_file,
+                                                   command, bad, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        out = tmp_path / "out.json"
+        if command == "pack":
+            args = ["pack", "--detections", three_box_file, "--image-size", "200x200",
+                    "--out-layout", str(out)]
+        else:
+            layout = tmp_path / "layout.json"
+            io.save_layout(pack([(BBox(0, 0, 50, 50), 1.0)], 100), layout)
+            args = ["unpack", "--fine", three_box_file, "--layout", str(layout),
+                    "--coarse", three_box_file, "--out", str(out)]
+        assert main(args + ["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"seed": True}, "seed must be a JSON integer, got True"),
+        ({"n_objects": 10.0}, "n_objects must be a JSON integer, got 10.0"),
+        ({"extent": "2000x1500"}, "extent must be an array of 2 values, got '2000x1500'"),
+        ({"extent": [2000, 1500, 3]}, "extent must be an array of 2 values, got [2000, 1500, 3]"),
+        ({"extent": [2000, "1500"]}, "extent[1] must be a JSON number, got '1500'"),
+        ({"proportions": [True, False, False]}, "proportions[0] must be a JSON number, got True"),
+        ({"target_fr": False}, "target_fr must be a JSON number, got False"),
+    ])
+    def test_synth_spec_exit_1_without_output(self, tmp_path, capsys, bad, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_objects": 10, **bad}))
+        out = tmp_path / "scene.json"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
         assert captured.out == "" and not out.exists()
 
 
@@ -424,6 +483,18 @@ class TestStatsCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("source: FR 4.00%")
         assert lines[1] == "mosaic: FR 16.00%  small 0.00%  medium 100.00%  large 0.00%"
+
+    def test_mosaic_of_no_area_prints_zeros(self, tmp_path, capsys):
+        # A zero-width placement in a zero-width mosaic still owns the
+        # zero-width box at its centre.
+        boxes = _write_detections(tmp_path / "b.json", [_det_record(5, 5, 0, 3)])
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps({"mosaic": {"width": 0, "height": 10}, "placements": [
+            {"src": [5, 5, 5, 8], "scale": 1.0, "dest": [0, 0]}]}))
+        assert main(["stats", "--boxes", boxes, "--image-size", "100x100",
+                     "--layout", str(layout)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "mosaic: FR 0.00%  small 0.00%  medium 0.00%  large 0.00%"
 
     def test_scene_file_takes_ground_truth(self, tmp_path, capsys):
         # The 180 ground-truth boxes of the seed-0 scene, not its 177 coarse
@@ -665,6 +736,8 @@ class TestTrainSimCommand:
         {"mode_noise": float("nan")}, {"mode_noise": float("inf")},
         {"steps": -1}, {"batch_size": 0}, {"lr": 0.0}, {"n_classes": 0},
         {"proxies_per_class": 0}, {"feature_dim": 1}, {"modes_per_class": 0},
+        {"use_ot": "false"}, {"use_ot": 0}, {"steps": True}, {"steps": 3.0},
+        {"lr": "0.1"}, {"lr": True}, {"seed": None},
     ])
     def test_invalid_config_exit_1_without_records(self, tmp_path, capsys, bad):
         cfg = tmp_path / "cfg.json"

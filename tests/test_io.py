@@ -69,7 +69,8 @@ class TestDetectionsIO:
     @pytest.mark.parametrize("bad", [
         {"category_id": 1.7}, {"category_id": 1.0}, {"category_id": "2"},
         {"category_id": True}, {"category_id": None}, {"score": "0.5"}, {"score": True},
-        {"score": None}, {"score": [0.5]},
+        {"score": None}, {"score": [0.5]}, {"bbox": [True, 0, 1, 1]}, {"bbox": [0, 0, 1, False]},
+        {"bbox": [0, "0", 1, 1]}, {"bbox": {"x": 0, "y": 0, "w": 1, "h": 1}},
     ])
     def test_wrong_json_type_rejected(self, bad):
         good = {"image_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5, "category_id": 0}
@@ -140,12 +141,29 @@ class TestLayoutIO:
 
     @pytest.mark.parametrize("width,height", [
         (100, float("nan")), (float("inf"), 100), (100, -1.0), (-0.5, 100), (10**400, 100),
-    ], ids=["nan-height", "inf-width", "negative-height", "negative-width", "huge-width"])
+        ("100", 100), (100, True), (None, 100),
+    ], ids=["nan-height", "inf-width", "negative-height", "negative-width", "huge-width",
+            "string-width", "bool-height", "null-width"])
     def test_unusable_mosaic_size_rejected(self, tmp_path, width, height):
         p = tmp_path / "l.json"
         p.write_text(json.dumps({"mosaic": {"width": width, "height": height},
                                  "placements": []}))
         with pytest.raises(io.ParseError, match="invalid layout document"):
+            io.load_layout(p)
+
+    @pytest.mark.parametrize("field, value", [
+        ("src", ["0", 0, "10", 10]), ("src", [0, 0, 10]), ("src", [0, 0, 10, 10, 5]),
+        ("scale", True), ("scale", "1.0"), ("dest", [0, 0, 0]), ("dest", [False, 0]),
+        ("dest", None),
+    ])
+    def test_wrong_json_type_rejected(self, tmp_path, field, value):
+        placement = {"src": [0, 0, 10, 10], "scale": 1.0, "dest": [0, 0], field: value}
+        p = tmp_path / "l.json"
+        p.write_text(json.dumps({"mosaic": {"width": 100, "height": 100},
+                                 "placements": [placement]}))
+        message = ("placement 0 src, scale and dest must be 4, 1 and 2 JSON numbers, "
+                   f"got {placement['src']!r}, {placement['scale']!r} and {placement['dest']!r}")
+        with pytest.raises(io.ParseError, match=re.escape(message)):
             io.load_layout(p)
 
     @pytest.mark.parametrize("src, scale, dest", [

@@ -14,7 +14,7 @@ from ufppack.metrics import (
     foreground_ratio,
     generate_scene,
     scene_stats,
-    size_buckets,
+    size_stats,
     union_area,
 )
 
@@ -51,29 +51,29 @@ class TestForegroundRatio:
 
 class TestSizeBuckets:
     def test_small(self):
-        st_ = size_buckets([BBox(0, 0, 16, 16)])
+        st_ = size_stats([BBox(0, 0, 16, 16)], 1000, 1000)
         assert st_.small == 1.0
 
     def test_medium(self):
-        st_ = size_buckets([BBox(0, 0, 64, 64)])
+        st_ = size_stats([BBox(0, 0, 64, 64)], 1000, 1000)
         assert st_.medium == 1.0
 
     def test_large(self):
-        st_ = size_buckets([BBox(0, 0, 128, 128)])
+        st_ = size_stats([BBox(0, 0, 128, 128)], 1000, 1000)
         assert st_.large == 1.0
 
     def test_boundaries(self):
-        assert size_buckets([BBox(0, 0, 32, 32)]).medium == 1.0
-        assert size_buckets([BBox(0, 0, 96, 96)]).large == 1.0
+        assert size_stats([BBox(0, 0, 32, 32)], 1000, 1000).medium == 1.0
+        assert size_stats([BBox(0, 0, 96, 96)], 1000, 1000).large == 1.0
 
     def test_empty(self):
-        st_ = size_buckets([])
-        assert st_.empty and st_.small == 0.0
+        st_ = size_stats([], 1000, 1000)
+        assert (st_.fr, st_.small, st_.medium, st_.large) == (0.0, 0.0, 0.0, 0.0)
 
     def test_proportions_sum_to_one(self):
         rng = np.random.default_rng(0)
         boxes = [BBox(*b) for b in random_boxes(rng, 40, (500, 500))]
-        st_ = size_buckets(boxes)
+        st_ = size_stats(boxes, 1000, 1000)
         assert st_.small + st_.medium + st_.large == pytest.approx(1.0)
 
 

@@ -118,7 +118,7 @@ class TestFeatureModel:
                 got_rng = np.random.default_rng(seed)
                 want_rng = np.random.default_rng(seed)
                 got = model.sample(cid, n, got_rng)
-                picks = want_rng.choice(modes, size=n, p=model.weights[cid])
+                picks = want_rng.choice(modes, size=n, p=model.weights)
                 x = model.centers[cid][picks] + cfg.mode_noise * want_rng.normal(
                     size=(n, cfg.feature_dim))
                 assert np.array_equal(got, x / _row_norms(x)[:, None])
