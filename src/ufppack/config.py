@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
+import sys
 import typing
 from dataclasses import dataclass
 from typing import Any
@@ -15,11 +15,19 @@ _JSON_SCALARS = {
     float: ("a JSON number", (int, float)),
 }
 
+_FLOAT_MAX = sys.float_info.max  # NaN, ±inf and too-large ints are not within ±_FLOAT_MAX
+
 
 @functools.cache
 def _field_types(cls: type) -> dict[str, Any]:
     """The field types of a dataclass, its string annotations evaluated once."""
     return typing.get_type_hints(cls)
+
+
+@functools.cache
+def _real_fields(cls: type) -> tuple[str, ...]:
+    """The fields of a dataclass that hold a float, alone or in a tuple."""
+    return tuple(k for k, t in _field_types(cls).items() if float in (t, *typing.get_args(t)))
 
 
 def _from_json(name: str, value: Any, hint: Any) -> Any:
@@ -40,10 +48,19 @@ def _from_json(name: str, value: Any, hint: Any) -> Any:
 
 
 class DictConfig:
-    """The dict form of a dataclass config, as its JSON file holds it."""
+    """The dict form of a dataclass config, and the check that its real values are finite."""
+
+    def __post_init__(self) -> None:
+        for name in _real_fields(type(self)):
+            value = getattr(self, name)
+            for v in value if type(value) is tuple else (value,):
+                if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+                    raise ValueError(f"{name} must be finite, got {value}")
 
     def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
+        """The dict ``from_dict`` reads, each tuple or dataclass field as a list."""
+        return {k: list(v) if type(v) is tuple else v
+                for k, v in zip(_field_types(type(self)), dataclasses.astuple(self))}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> Any:
@@ -67,10 +84,7 @@ class PipelineConfig(DictConfig):
     nms_iou: float = 0.5
 
     def __post_init__(self) -> None:
-        for name, value in dataclasses.asdict(self).items():
-            # A NaN or infinity from JSON would reach the layout file as is.
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        super().__post_init__()
         if self.beta < 1.0:
             raise ValueError(f"beta must be >= 1, got {self.beta}")
         if self.fixed_size <= 0 or self.mosaic_width <= 0:

@@ -1,13 +1,15 @@
 """Axis-aligned box arithmetic shared by every pipeline stage."""
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
+
+_FLOAT_MAX = sys.float_info.max  # NaN, ±inf and too-large ints are not within ±_FLOAT_MAX
 
 
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned box in pixel coordinates, corners (x1, y1) <= (x2, y2)."""
+    """Axis-aligned box in pixel coordinates, finite corners (x1, y1) <= (x2, y2)."""
 
     x1: float
     y1: float
@@ -15,9 +17,9 @@ class BBox:
     y2: float
 
     def __post_init__(self) -> None:
-        # Written so that a NaN coordinate fails the test too.
-        if not (self.x1 <= self.x2 and self.y1 <= self.y2):
-            raise ValueError(f"degenerate box: ({self.x1},{self.y1},{self.x2},{self.y2})")
+        if not (-_FLOAT_MAX <= self.x1 <= self.x2 <= _FLOAT_MAX
+                and -_FLOAT_MAX <= self.y1 <= self.y2 <= _FLOAT_MAX):
+            raise ValueError(f"box corners must be finite with (x1, y1) <= (x2, y2), got {self}")
 
     @property
     def width(self) -> float:
@@ -49,8 +51,7 @@ class ImageExtent:
     height: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.width) and math.isfinite(self.height)
-                and self.width > 0 and self.height > 0):
+        if not (0 < self.width <= _FLOAT_MAX and 0 < self.height <= _FLOAT_MAX):
             raise ValueError(f"extent must be positive and finite, got {self.width}x{self.height}")
 
 
@@ -76,16 +77,3 @@ def expand(box: BBox, beta: float, extent: ImageExtent) -> BBox:
 def enclosing(a: BBox, b: BBox) -> BBox:
     """Smallest box containing both inputs."""
     return BBox(min(a.x1, b.x1), min(a.y1, b.y1), max(a.x2, b.x2), max(a.y2, b.y2))
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union; 0 for disjoint or both-degenerate boxes."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = area(a) + area(b) - inter
-    if union <= 0:
-        return 0.0
-    return inter / union

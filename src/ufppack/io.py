@@ -121,15 +121,12 @@ def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[int | str
             if not (_is_image_id(image_id) and type(category) is int
                     and {type(score), type(x), type(y), type(w), type(h)} <= _NUMBER):
                 raise TypeError("image_id, category_id, score or bbox of the wrong JSON type")
-            if not (math.isfinite(x) and math.isfinite(y)
-                    and math.isfinite(w) and math.isfinite(h)):
-                raise ValueError("non-finite coordinate")
+            # BBox refuses a non-finite or reversed corner, but a negative w
+            # or h smaller than half an ulp of x or y rounds to a valid box.
             if w < 0 or h < 0:
                 raise ValueError("negative extent")
-            x2, y2 = float(x) + float(w), float(y) + float(h)
-            if not (math.isfinite(x2) and math.isfinite(y2)):
-                raise ValueError("box overflows")
-            det = Detection(BBox(float(x), float(y), x2, y2), float(score), category)
+            x, y = float(x), float(y)
+            det = Detection(BBox(x, y, x + float(w), y + float(h)), float(score), category)
         except (KeyError, TypeError, ValueError, OverflowError):
             bad.append(i)
             continue

@@ -92,12 +92,18 @@ class SceneSpec(DictConfig):
     drop_rate: float = 0.03
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if abs(sum(self.proportions) - 1.0) > 1e-6:
             raise ValueError(f"proportions must sum to 1, got {self.proportions}")
         if self.n_objects < 0:
             raise ValueError("n_objects must be nonnegative")
         if not 0.0 <= self.target_fr < 1.0:
             raise ValueError(f"target_fr must be in [0,1), got {self.target_fr}")
+        if not 0.0 <= self.drop_rate <= 1.0:
+            raise ValueError(f"drop_rate must be in [0,1], got {self.drop_rate}")
+        for name in ("center_jitter", "scale_jitter"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 # Per-bucket side ranges used by the generator, one (low, high) row per size

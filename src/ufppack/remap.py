@@ -93,7 +93,7 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     that survives is kept and suppresses every later detection of its category
     whose IoU with it exceeds the threshold, so a detection is kept exactly
     when its IoU with every kept one of its category is <= the threshold. The
-    IoU row repeats ``geometry.iou``'s arithmetic elementwise.
+    IoU is intersection over union, 0 for disjoint boxes or a zero union.
     """
     order = sorted(
         range(len(dets)), key=lambda i: (-dets[i].score, dets[i].category, i)

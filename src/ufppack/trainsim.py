@@ -8,7 +8,6 @@ feature modes instead of drifting toward a common mean.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,20 +40,16 @@ class TrainConfig(DictConfig):
     sinkhorn_tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         for name, least in (("n_classes", 1), ("proxies_per_class", 1), ("feature_dim", 2),
                             ("modes_per_class", 1), ("steps", 0), ("batch_size", 1),
                             ("vocab_capacity", 1), ("marginal_cadence", 1),
                             ("sinkhorn_max_iters", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        # `not x > 0` also rejects NaN.
-        for name in ("gamma", "sinkhorn_epsilon", "sinkhorn_tol"):
-            if not getattr(self, name) > 0:
+        for name in ("lr", "gamma", "sinkhorn_epsilon", "sinkhorn_tol"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if not math.isfinite(self.mode_noise):
-            raise ValueError(f"mode_noise must be finite, got {self.mode_noise}")
         if not 1 <= self.vocab_insert <= self.batch_size:
             raise ValueError(f"vocab_insert must be between 1 and batch_size "
                              f"({self.batch_size}), got {self.vocab_insert}")

@@ -8,7 +8,8 @@ are checked by central finite differences, exact transport comes from basis
 enumeration, the reference Sinkhorn is a scalar log-domain loop (plus the
 plain kernel-domain loop, whose long runs give the fixed point at moderate
 epsilon), the NMS
-reference compares each candidate with every kept detection by scalar IoU,
+reference compares each candidate with every kept detection by scalar IoU
+(``iou``, which only tests use),
 the scene reference draws one side per object and sums each placement
 attempt's overlaps in a scalar loop, and the layout, detection and scene file
 references are ``json.dumps`` of them as dicts. The JSONL reader and a
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ufppack.geometry import BBox, iou
+from ufppack.geometry import BBox
 
 Box = tuple[float, float, float, float]
 
@@ -68,6 +69,19 @@ def merge_oracle(boxes: Sequence[Box], single_pass: bool = False) -> list[Box]:
                 break
         merged.append(a)
     return merged
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """Intersection over union; 0 for disjoint or both-degenerate boxes."""
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = a.width * a.height + b.width * b.height - inter
+    if union <= 0:
+        return 0.0
+    return inter / union
 
 
 def nms_reference(dets: Sequence, iou_threshold: float) -> list:

@@ -148,6 +148,7 @@ class TestPackCommand:
     @pytest.mark.parametrize("bad", [
         '{"mosaic_width": Infinity}', '{"mosaic_width": NaN}', '{"fixed_size": NaN}',
         '{"beta": NaN}', '{"beta": Infinity}',
+        pytest.param('{"padding": %d}' % 10**400, id="padding-past-the-float-range"),
     ])
     def test_non_finite_config_exit_1_without_output(self, tmp_path, capsys,
                                                      three_box_file, bad):
@@ -332,7 +333,8 @@ class TestRemovedConfigKeys:
 class TestWrongJsonTypeConfig:
     """A config or spec value of the wrong JSON type fails with exit 1 and
     its field: an int field takes an integer, a float field a number, a bool
-    field true or false, and a bool is no number."""
+    field true or false, and a bool is no number. A spec value that is not
+    finite or is out of its range fails the same way."""
 
     @pytest.mark.parametrize("bad, message", [
         ({"beta": True}, "beta must be a JSON number, got True"),
@@ -366,6 +368,20 @@ class TestWrongJsonTypeConfig:
         ({"extent": [2000, "1500"]}, "extent[1] must be a JSON number, got '1500'"),
         ({"proportions": [True, False, False]}, "proportions[0] must be a JSON number, got True"),
         ({"target_fr": False}, "target_fr must be a JSON number, got False"),
+        ({"scale_jitter": math.nan}, "scale_jitter must be finite, got nan"),
+        ({"center_jitter": math.inf}, "center_jitter must be finite, got inf"),
+        ({"drop_rate": math.nan}, "drop_rate must be finite, got nan"),
+        ({"target_fr": -math.inf}, "target_fr must be finite, got -inf"),
+        ({"proportions": [0.5, math.nan, 0.5]}, "proportions must be finite, got (0.5, nan, 0.5)"),
+        ({"drop_rate": 2.0}, "drop_rate must be in [0,1], got 2.0"),
+        ({"drop_rate": -1}, "drop_rate must be in [0,1], got -1"),
+        ({"center_jitter": -0.1}, "center_jitter must be nonnegative, got -0.1"),
+        ({"scale_jitter": -0.1}, "scale_jitter must be nonnegative, got -0.1"),
+        pytest.param({"target_fr": 10**400}, f"target_fr must be finite, got {10**400}",
+                     id="target_fr-past-the-float-range"),
+        pytest.param({"extent": [10**400, 100]},
+                     f"extent must be positive and finite, got {10**400}x100",
+                     id="extent-past-the-float-range"),
     ])
     def test_synth_spec_exit_1_without_output(self, tmp_path, capsys, bad, message):
         spec = tmp_path / "spec.json"
@@ -738,6 +754,8 @@ class TestTrainSimCommand:
         {"proxies_per_class": 0}, {"feature_dim": 1}, {"modes_per_class": 0},
         {"use_ot": "false"}, {"use_ot": 0}, {"steps": True}, {"steps": 3.0},
         {"lr": "0.1"}, {"lr": True}, {"seed": None},
+        {"gamma": float("inf")}, {"sinkhorn_epsilon": float("inf")},
+        {"sinkhorn_tol": float("inf")}, {"lr": 10**400},
     ])
     def test_invalid_config_exit_1_without_records(self, tmp_path, capsys, bad):
         cfg = tmp_path / "cfg.json"

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 
 from conftest import bbox_strategy
-from ufppack.geometry import BBox, ImageExtent, area, enclosing, expand, iou
+from oracles import iou
+from ufppack.geometry import BBox, ImageExtent, area, enclosing, expand
 
 
 class TestBBox:
@@ -25,6 +26,9 @@ class TestBBox:
     @pytest.mark.parametrize("coords", [
         (float("nan"), 0, 1, 1), (0, float("nan"), 1, 1),
         (0, 0, float("nan"), 1), (0, 0, 1, float("nan")),
+        # a non-finite corner, and an int past the float range
+        (0, 0, float("inf"), 1), (0, 0, 1, float("inf")), (float("-inf"), 0, 1, 1),
+        (0, float("-inf"), 1, 1), (float("inf"), 0, float("inf"), 1), (0, 0, 10**400, 1),
     ])
     def test_nan_rejected(self, coords):
         with pytest.raises(ValueError):
@@ -34,6 +38,7 @@ class TestBBox:
 class TestImageExtent:
     @pytest.mark.parametrize("wh", [
         (float("inf"), 10), (10, float("inf")), (float("nan"), 10), (10, float("nan")),
+        (10**400, 10),
     ])
     def test_non_finite_rejected(self, wh):
         with pytest.raises(ValueError):

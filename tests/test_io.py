@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -10,11 +11,12 @@ import pytest
 from oracles import compose_affine_reference, detections_to_records, layout_to_dict, load_jsonl
 from ufppack import io
 from ufppack.config import PipelineConfig
-from ufppack.geometry import BBox
+from ufppack.geometry import BBox, ImageExtent
 from ufppack.metrics import SceneSpec, generate_scene
 from ufppack.mosaic import MosaicLayout, Placement, pack
 from ufppack.pipeline import build_layout
 from ufppack.remap import Detection, to_mosaic
+from ufppack.trainsim import TrainConfig
 
 
 class TestDetectionsIO:
@@ -65,6 +67,15 @@ class TestDetectionsIO:
         good = {"image_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5, "category_id": 0}
         with pytest.raises(io.ValidationError, match=r"\[1\]"):
             io.detections_from_records([good, {**good, **bad}])
+
+    def test_negative_extent_below_an_ulp_rejected(self):
+        """x + w rounds to x when -w is below half an ulp of x, a valid box;
+        the sign of w is checked before the corners are added."""
+        assert 1e20 + -1.0 == 1e20
+        good = {"image_id": 0, "bbox": [0, 0, 1, 1]}
+        with pytest.raises(io.ValidationError, match=r"indices \[1, 2\]$"):
+            io.detections_from_records([good, {"bbox": [1e20, 0, -1, 1]},
+                                        {"bbox": [0, 1e20, 1, -1]}])
 
     @pytest.mark.parametrize("bad", [
         {"category_id": 1.7}, {"category_id": 1.0}, {"category_id": "2"},
@@ -274,14 +285,11 @@ class TestTemplateJsonWriters:
 
     def test_non_finite_and_unusual_values_are_rejected_without_a_file(self, tmp_path):
         out = tmp_path / "out.json"
-        for lay in [MosaicLayout(40.0, float("inf"), []),
-                    MosaicLayout(40.0, 8.0, [Placement(BBox(0, 0, float("inf"), 4), 1.0, 0, 0)])]:
-            with pytest.raises(ValueError, match="finite"):
-                io.save_layout(lay, out)
-            assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match="finite"):
+            io.save_layout(MosaicLayout(40.0, float("inf"), []), out)
+        assert list(tmp_path.iterdir()) == []
         good = [Detection(BBox(1.0, 2.0, 3.0, 4.0), 0.5, 1)]
-        for dets, image_id in [([Detection(BBox(1.0, 2.0, float("inf"), 4.0), 0.5, 1)], 3),
-                               (good, [1, 2]), (good, {"a": 1}), (good, float("nan")),
+        for dets, image_id in [(good, [1, 2]), (good, {"a": 1}), (good, float("nan")),
                                (good, True), ([], (1,))]:
             with pytest.raises(ValueError):
                 io.save_detections(dets, out, image_id=image_id)
@@ -292,6 +300,20 @@ class TestConfigRoundtrip:
     def test_identity(self):
         cfg = PipelineConfig(beta=1.7, padding=9.0)
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("cfg", [
+        PipelineConfig(beta=1.7, padding=9.0), TrainConfig(steps=5, lr=0.2, use_ot=False),
+        SceneSpec(extent=ImageExtent(640, 480.5), proportions=(0.5, 0.25, 0.25), seed=3),
+    ])
+    def test_json_roundtrip(self, cfg):
+        """``to_dict`` gives what a JSON config file holds: a tuple or a
+        dataclass field as an array, which ``from_dict`` reads back."""
+        assert type(cfg).from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @pytest.mark.parametrize("cfg", [PipelineConfig(), TrainConfig(seed=7)])
+    def test_flat_config_dict_unchanged(self, cfg):
+        """A config of scalar fields writes the bytes ``dataclasses.asdict`` did."""
+        assert json.dumps(cfg.to_dict()) == json.dumps(dataclasses.asdict(cfg))
 
     def test_unknown_key(self):
         with pytest.raises(ValueError):

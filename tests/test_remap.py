@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import nms_reference
-from ufppack.geometry import BBox, iou
+from oracles import iou, nms_reference
+from ufppack.geometry import BBox
 from ufppack.mosaic import MosaicLayout, Placement, pack
 from ufppack.remap import Detection, fuse, nms, to_mosaic, to_source
 

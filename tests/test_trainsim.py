@@ -30,6 +30,8 @@ class TestTrainConfig:
         {"sinkhorn_epsilon": 0.0}, {"sinkhorn_epsilon": -0.01}, {"sinkhorn_epsilon": float("nan")},
         {"sinkhorn_tol": 0.0}, {"sinkhorn_tol": -1.0}, {"sinkhorn_max_iters": -1},
         {"gamma": 0.0}, {"gamma": -5.0}, {"vocab_capacity": 0},
+        {"gamma": float("inf")}, {"sinkhorn_epsilon": float("inf")},
+        {"sinkhorn_tol": float("inf")},
     ])
     def test_invalid_transport_and_vocab_settings_rejected(self, bad):
         with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
@@ -38,6 +40,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("n_classes", 0), ("proxies_per_class", 0), ("feature_dim", 1), ("modes_per_class", 0),
         ("steps", -1), ("batch_size", 0), ("lr", 0.0), ("lr", -0.1), ("lr", float("inf")),
+        pytest.param("lr", 10**400, id="lr-past-the-float-range"),
     ])
     def test_message_names_the_rejected_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
