@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import sys
 import typing
 from dataclasses import dataclass
 from typing import Any
+
+from .geometry import _FLOAT_MAX
 
 # The Python types of the JSON values a scalar field takes; a bool is no number.
 _JSON_SCALARS = {
@@ -14,8 +15,6 @@ _JSON_SCALARS = {
     int: ("a JSON integer", (int,)),
     float: ("a JSON number", (int, float)),
 }
-
-_FLOAT_MAX = sys.float_info.max  # NaN, ±inf and too-large ints are not within ±_FLOAT_MAX
 
 
 @functools.cache

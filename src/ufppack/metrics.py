@@ -93,6 +93,8 @@ class SceneSpec(DictConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if min(self.proportions) < 0:
+            raise ValueError(f"proportions must be nonnegative, got {self.proportions}")
         if abs(sum(self.proportions) - 1.0) > 1e-6:
             raise ValueError(f"proportions must sum to 1, got {self.proportions}")
         if self.n_objects < 0:

@@ -46,6 +46,16 @@ class ProxyBank:
             self.weights[cid] = w
 
 
+def _aggregate(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(agg, dagg_ds) for the N x K proxy cosines s: each row's
+    softmax(s)-weighted mean of its cosines, and its derivative in s."""
+    alpha = np.exp(s - np.maximum.reduce(s, axis=1, keepdims=True))
+    alpha /= np.add.reduce(alpha, axis=1, keepdims=True)
+    agg = np.add.reduce(alpha * s, axis=1)
+    # d(agg)/d(s_k) = alpha_k * (1 + s_k - agg)
+    return agg, alpha * (1.0 + s - agg[:, None])
+
+
 def _logit_terms(
     bank: ProxyBank, class_id: int, X: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -62,11 +72,7 @@ def _logit_terms(
         raise ValueError("zero feature vector")
     wn = _row_norms(W)
     s = (X @ W.T) / (xn[:, None] * wn[None, :])  # N x K
-    alpha = np.exp(s - np.maximum.reduce(s, axis=1, keepdims=True))
-    alpha /= np.add.reduce(alpha, axis=1, keepdims=True)
-    agg = np.add.reduce(alpha * s, axis=1)
-    # d(agg)/d(s_k) = alpha_k * (1 + s_k - agg)
-    dagg_ds = alpha * (1.0 + s - agg[:, None])
+    agg, dagg_ds = _aggregate(s)
     x_hat = X / xn[:, None]
     w_hat = W / wn[:, None]
     # d(s_k)/dw_k = (x/|x| - s_k w_k/|w_k|) / |w_k|

@@ -14,8 +14,9 @@ import numpy as np
 
 from .clustering import kmeans
 from .config import DictConfig
-from .proxies import ProxyBank, _row_norms, _sigmoid, multi_proxy_logit
-from .transport import cost_matrix, sinkhorn, transport_cost
+# Unused here; perfbench's traced run rebinds multi_proxy_logit, cost_matrix, contrastive_loss.
+from .proxies import ProxyBank, _aggregate, _row_norms, _sigmoid, multi_proxy_logit
+from .transport import _cosine_cost, cost_matrix, sinkhorn, transport_cost
 from .vocab import VocabQueue, contrastive_loss, estimate_marginals
 
 
@@ -144,16 +145,26 @@ def _proxy_separation(
     return min_dist, max_sim
 
 
-def _ot_grad(
-    features: np.ndarray, w: np.ndarray, plan: np.ndarray
+def _bce(s: np.ndarray, y: np.ndarray, gamma: float) -> tuple[float, np.ndarray]:
+    """(loss, dloss/ds): the summed binary cross-entropy of the targets y
+    under the multi-proxy logit gamma * agg(s) of the N x K cosines s, as
+    proxies.multi_proxy_logit scores, and its derivative in s."""
+    agg, dagg_ds = _aggregate(s)
+    p = _sigmoid(gamma * agg)
+    loss = -float(np.add.reduce(y * np.log(np.maximum(p, 1e-12))
+                                + (1 - y) * np.log(np.maximum(1 - p, 1e-12))))
+    return loss, (gamma * (p - y))[:, None] * dagg_ds
+
+
+def _cosine_grad(
+    x_hat: np.ndarray, s: np.ndarray, u: np.ndarray, wn: np.ndarray, A: np.ndarray
 ) -> np.ndarray:
-    """Gradient of tr(C^T P) w.r.t. the proxies, P held fixed."""
-    fn = features / _row_norms(features)[:, None]
-    wn = _row_norms(w)
-    u = w / wn[:, None]
-    cos = fn @ u.T  # N x K
-    # dC(j,k)/dw_k = -(f_hat_j - cos_jk * u_k) / (2 |w_k|), summed over j with weight P_jk
-    return -(plan.T @ fn - np.add.reduce(plan * cos, axis=0)[:, None] * u) / (2.0 * wn[:, None])
+    """Gradient in the K x C proxies w of sum_nk A_nk cos(x_n, w_k).
+
+    x_hat holds the unit rows of x, u = w / wn those of w and s = x_hat @ u.T
+    the cosines: d cos(x_n, w_k) / dw_k = (x_hat_n - s_nk u_k) / |w_k|.
+    """
+    return (A.T @ x_hat - np.add.reduce(A * s, axis=0)[:, None] * u) / wn[:, None]
 
 
 def train_sim(cfg: TrainConfig) -> TrainReport:
@@ -193,26 +204,28 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
                     marginals[cid] = est.p
 
         feats_all = np.concatenate(list(batches.values()))
-        grads = {}
-        loss_det = 0.0
-        for target_cid, y in enumerate(targets):
-            z, dz_dw = multi_proxy_logit(bank, target_cid, feats_all)
-            p = _sigmoid(z)
-            loss_det -= float(np.add.reduce(y * np.log(np.maximum(p, 1e-12))
-                                            + (1 - y) * np.log(np.maximum(1 - p, 1e-12))))
-            # np.tensordot(p - y, dz_dw, axes=1), as the one dot it reduces to.
-            grads[target_cid] = (p - y).reshape(1, -1).dot(
-                dz_dw.reshape(len(p), -1)).reshape(dz_dw.shape[1:])
-        loss_det /= n_terms
-        for cid in grads:
-            grads[cid] /= n_terms
-
-        loss_ot = 0.0
-        stats = TransportStats()
-        if cfg.use_ot:
-            results = []
-            for cid, feats in batches.items():
-                cost = cost_matrix(feats, bank.weights[cid])
+        xn = _row_norms(feats_all)
+        if (xn == 0).any():
+            raise ValueError("zero feature vector")
+        x_hat = feats_all / xn[:, None]
+        grads = []
+        results = []
+        loss_det = loss_ot = 0.0
+        for cid, y in enumerate(targets):
+            w = bank.weights[cid]
+            wn = _row_norms(w)
+            if (wn == 0).any():
+                raise ValueError(f"class {cid}: zero-norm proxy row")
+            u = w / wn[:, None]
+            # One cosine block per class feeds its BCE, its transport cost and
+            # the gradient of both.
+            s = x_hat @ u.T
+            loss, A = _bce(s, y, bank.gamma)
+            loss_det += loss
+            A /= n_terms
+            if cfg.use_ot:
+                rows = slice(cid * cfg.batch_size, (cid + 1) * cfg.batch_size)
+                cost = _cosine_cost(s[rows])
                 res = sinkhorn(
                     cost,
                     marginals[cid],
@@ -225,7 +238,14 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
                 potentials[cid] = res.potentials
                 results.append(res)
                 loss_ot += transport_cost(cost, res.plan)
-                grads[cid] += _ot_grad(feats, bank.weights[cid], res.plan) / cfg.n_classes
+                # The class's mean transport cost, P held fixed, has derivative
+                # -P / (2 n_classes) in the cosines of its own batch.
+                A[rows] -= res.plan / (2.0 * cfg.n_classes)
+            grads.append(_cosine_grad(x_hat, s, u, wn, A))
+        loss_det /= n_terms
+
+        stats = TransportStats()
+        if cfg.use_ot:
             loss_ot /= cfg.n_classes
             stats = TransportStats(
                 max_iterations=max(r.iterations for r in results),
@@ -234,15 +254,12 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
             )
         report.transport.append(stats)
 
-        loss_cl = contrastive_loss(feats_all, labels, vocabs)
-
         min_dist, max_sim = _proxy_separation(bank, pairs)
         report.records.append(
             {
                 "step": float(step),
                 "loss_det": float(loss_det),
                 "loss_ot": float(loss_ot),
-                "loss_cl": float(loss_cl),
                 "min_proxy_distance": min_dist,
                 "max_proxy_similarity": max_sim,
             }

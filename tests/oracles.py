@@ -13,7 +13,10 @@ reference compares each candidate with every kept detection by scalar IoU
 the scene reference draws one side per object and sums each placement
 attempt's overlaps in a scalar loop, and the layout, detection and scene file
 references are ``json.dumps`` of them as dicts. The JSONL reader and a
-placement's destination box are here too: only tests need them.
+placement's destination box are here too: only tests need them. So is an
+unfused form of the training step's proxy gradient: ``multi_proxy_logit``'s
+N x K x C tensor contracted with p - y, plus the transport gradient from its
+own unit rows and cosines.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ufppack.geometry import BBox
+from ufppack.proxies import _row_norms, _sigmoid, multi_proxy_logit
 
 Box = tuple[float, float, float, float]
 
@@ -391,3 +395,29 @@ def ot_loss(class_costs: Sequence[np.ndarray], class_plans: Sequence) -> float:
             raise ValueError(f"cost shape {c.shape} != plan shape {plan.shape}")
         total += float(np.sum(c * plan))
     return total / len(class_costs)
+
+
+def ot_grad_reference(features: np.ndarray, w: np.ndarray, plan: np.ndarray) -> np.ndarray:
+    """Gradient of tr(C^T P) w.r.t. the proxies, P held fixed."""
+    fn = features / _row_norms(features)[:, None]
+    wn = _row_norms(w)
+    u = w / wn[:, None]
+    cos = fn @ u.T  # N x K
+    # dC(j,k)/dw_k = -(f_hat_j - cos_jk * u_k) / (2 |w_k|), summed over j with weight P_jk
+    return -(plan.T @ fn - np.add.reduce(plan * cos, axis=0)[:, None] * u) / (2.0 * wn[:, None])
+
+
+def step_grad_reference(bank, class_id: int, feats_all: np.ndarray, y: np.ndarray,
+                        n_terms: int, rows: slice, plan: np.ndarray,
+                        n_classes: int) -> tuple[float, np.ndarray]:
+    """(summed BCE, proxy gradient) of one class in a training step: the BCE
+    of the targets y over every row of feats_all, its gradient contracted from
+    multi_proxy_logit's dz_dw and divided by n_terms, plus the transport
+    gradient of the class's own rows under plan, divided by n_classes."""
+    z, dz_dw = multi_proxy_logit(bank, class_id, feats_all)
+    p = _sigmoid(z)
+    loss = -float(np.sum(y * np.log(np.maximum(p, 1e-12))
+                         + (1 - y) * np.log(np.maximum(1 - p, 1e-12))))
+    grad = np.tensordot(p - y, dz_dw, axes=1) / n_terms
+    w = bank.weights[class_id]
+    return loss, grad + ot_grad_reference(feats_all[rows], w, plan) / n_classes

@@ -382,6 +382,9 @@ class TestWrongJsonTypeConfig:
         pytest.param({"extent": [10**400, 100]},
                      f"extent must be positive and finite, got {10**400}x100",
                      id="extent-past-the-float-range"),
+        pytest.param({"proportions": [1.5, -0.5, 0]},
+                     "proportions must be nonnegative, got (1.5, -0.5, 0)",
+                     id="negative-proportion-summing-to-1"),
     ])
     def test_synth_spec_exit_1_without_output(self, tmp_path, capsys, bad, message):
         spec = tmp_path / "spec.json"
