@@ -21,6 +21,28 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
+def _unit_rows(x: np.ndarray, error: str) -> tuple[np.ndarray, np.ndarray]:
+    """(x / |x|, |x|) for the rows of a real 2-D array x; a zero row raises
+    ValueError(error)."""
+    norms = _row_norms(x)
+    if (norms == 0).any():
+        raise ValueError(error)
+    return x / norms[:, None], norms
+
+
+def _cosine_grad(
+    x_hat: np.ndarray, s: np.ndarray, u: np.ndarray, wn: np.ndarray, A: np.ndarray
+) -> np.ndarray:
+    """Gradient in the K x C proxies w of sum_nk A_nk cos(x_n, w_k).
+
+    x_hat holds the unit rows of x, u = w / wn those of w and s = x_hat @ u.T
+    the cosines: d cos(x_n, w_k) / dw_k = (x_hat_n - s_nk u_k) / |w_k|. The
+    cosine is symmetric, so with x and w exchanged (u, s.T, x_hat, |x|, A.T)
+    it is the gradient in x.
+    """
+    return (A.T @ x_hat - np.add.reduce(A * s, axis=0)[:, None] * u) / wn[:, None]
+
+
 def _sigmoid(z: float | np.ndarray) -> float | np.ndarray:
     """Logistic function, elementwise on arrays, without overflow for large |z|."""
     e = np.exp(-np.abs(z))
@@ -35,14 +57,15 @@ class ProxyBank:
     gamma: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:  # written so that a NaN fails too
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         for cid, w in self.weights.items():
             w = np.asarray(w, dtype=float)
             if w.ndim != 2 or w.shape[0] < 1:
                 raise ValueError(f"class {cid}: proxies must form a K x C matrix")
-            if (_row_norms(w) == 0).any():
-                raise ValueError(f"class {cid}: zero-norm proxy row")
+            if not np.isfinite(w).all():
+                raise ValueError(f"class {cid}: non-finite proxy entry")
+            _unit_rows(w, f"class {cid}: zero-norm proxy row")
             self.weights[cid] = w
 
 
@@ -57,28 +80,29 @@ def _aggregate(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _logit_terms(
-    bank: ProxyBank, class_id: int, X: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """(z, dz_dw, dagg_ds, s, x_hat, w_hat, xn) for a batch X of shape N x C.
+    bank: ProxyBank, class_id: int, x: np.ndarray
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """(z, dz_dx, dz_dw): the logit z = gamma * agg(s) of the cosines
+    s = x_hat @ u.T between the unit rows of x and of the class's proxies, and
+    its gradients in x and in the proxies.
 
-    z (N) and dz_dw (N x K x C) are what multi_proxy_logit returns; the rest
-    are the terms multi_proxy_grad builds dz_dx from: the aggregate's
-    derivative in the similarities and the similarities themselves (N x K),
-    the unit rows of X and of the proxies, and the norms of X's rows.
+    For a batch x of shape N x C: z (N), dz_dx (N x C) and dz_dw (N x K x C),
+    row n being the result for x[n]; for one feature of shape C, the same
+    with the leading axis dropped (z a float).
     """
-    W = bank.weights[class_id]
-    xn = _row_norms(X)
-    if (xn == 0).any():
-        raise ValueError("zero feature vector")
-    wn = _row_norms(W)
-    s = (X @ W.T) / (xn[:, None] * wn[None, :])  # N x K
+    x = np.asarray(x, dtype=float)
+    x_hat, xn = _unit_rows(x.reshape(1, -1) if x.ndim == 1 else x, "zero feature vector")
+    u, wn = _unit_rows(bank.weights[class_id], f"class {class_id}: zero-norm proxy row")
+    s = x_hat @ u.T  # N x K
     agg, dagg_ds = _aggregate(s)
-    x_hat = X / xn[:, None]
-    w_hat = W / wn[:, None]
-    # d(s_k)/dw_k = (x/|x| - s_k w_k/|w_k|) / |w_k|
-    ds_dw = (x_hat[:, None, :] - s[:, :, None] * w_hat[None, :, :]) / wn[None, :, None]
-    dz_dw = bank.gamma * dagg_ds[:, :, None] * ds_dw
-    return bank.gamma * agg, dz_dw, dagg_ds, s, x_hat, w_hat, xn
+    dz_ds = bank.gamma * dagg_ds
+    dz_dx = _cosine_grad(u, s.T, x_hat, xn, dz_ds.T)
+    # d(s_k)/dw_k = (x/|x| - s_k w_k/|w_k|) / |w_k|, kept per row
+    dz_dw = dz_ds[:, :, None] * ((x_hat[:, None, :] - s[:, :, None] * u) / wn[:, None])
+    z = bank.gamma * agg
+    if x.ndim == 1:
+        return float(z[0]), dz_dx[0], dz_dw[0]
+    return z, dz_dx, dz_dw
 
 
 def multi_proxy_logit(
@@ -91,10 +115,7 @@ def multi_proxy_logit(
     row n being the result for x[n]. Working at the logit level keeps
     cross-entropy gradients finite when the sigmoid saturates.
     """
-    x = np.asarray(x, dtype=float)
-    z, dz_dw = _logit_terms(bank, class_id, x.reshape(1, -1) if x.ndim == 1 else x)[:2]
-    if x.ndim == 1:
-        return float(z[0]), dz_dw[0]
+    z, _, dz_dw = _logit_terms(bank, class_id, x)
     return z, dz_dw
 
 
@@ -104,7 +125,7 @@ def multi_proxy_prob(bank: ProxyBank, class_id: int, x: np.ndarray) -> float | n
     The sigmoid of multi_proxy_logit: one probability for a feature of shape
     C, N of them for a batch of shape N x C.
     """
-    return _sigmoid(multi_proxy_logit(bank, class_id, x)[0])
+    return _sigmoid(_logit_terms(bank, class_id, x)[0])
 
 
 def multi_proxy_grad(
@@ -116,16 +137,7 @@ def multi_proxy_grad(
     shape K x C); for a batch of shape N x C, (N x C, N x K x C), row n
     being the result for x[n].
     """
-    x = np.asarray(x, dtype=float)
-    z, dz_dw, dagg_ds, s, x_hat, w_hat, xn = _logit_terms(
-        bank, class_id, x.reshape(1, -1) if x.ndim == 1 else x)
-    # d(s_k)/dx = (w_k/|w_k| - s_k x/|x|) / |x|
-    dz_dx = bank.gamma * (
-        dagg_ds @ w_hat - np.add.reduce(dagg_ds * s, axis=1)[:, None] * x_hat
-    ) / xn[:, None]
+    z, dz_dx, dz_dw = _logit_terms(bank, class_id, x)
     sig = _sigmoid(z)
-    dp_dz = (sig * (1.0 - sig))[:, None]
-    grad_x, grad_w = dp_dz * dz_dx, dp_dz[:, :, None] * dz_dw
-    if x.ndim == 1:
-        return grad_x[0], grad_w[0]
-    return grad_x, grad_w
+    dp_dz = sig * (1.0 - sig)
+    return dp_dz[..., None] * dz_dx, dp_dz[..., None, None] * dz_dw

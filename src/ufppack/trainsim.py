@@ -15,7 +15,8 @@ import numpy as np
 from .clustering import kmeans
 from .config import DictConfig
 # Unused here; perfbench's traced run rebinds multi_proxy_logit, cost_matrix, contrastive_loss.
-from .proxies import ProxyBank, _aggregate, _row_norms, _sigmoid, multi_proxy_logit
+from .proxies import (ProxyBank, _aggregate, _cosine_grad, _row_norms, _sigmoid, _unit_rows,
+                      multi_proxy_logit)
 from .transport import _cosine_cost, cost_matrix, sinkhorn, transport_cost
 from .vocab import VocabQueue, contrastive_loss, estimate_marginals
 
@@ -156,17 +157,6 @@ def _bce(s: np.ndarray, y: np.ndarray, gamma: float) -> tuple[float, np.ndarray]
     return loss, (gamma * (p - y))[:, None] * dagg_ds
 
 
-def _cosine_grad(
-    x_hat: np.ndarray, s: np.ndarray, u: np.ndarray, wn: np.ndarray, A: np.ndarray
-) -> np.ndarray:
-    """Gradient in the K x C proxies w of sum_nk A_nk cos(x_n, w_k).
-
-    x_hat holds the unit rows of x, u = w / wn those of w and s = x_hat @ u.T
-    the cosines: d cos(x_n, w_k) / dw_k = (x_hat_n - s_nk u_k) / |w_k|.
-    """
-    return (A.T @ x_hat - np.add.reduce(A * s, axis=0)[:, None] * u) / wn[:, None]
-
-
 def train_sim(cfg: TrainConfig) -> TrainReport:
     """Run the seeded training loop and report per-step losses and separation."""
     rng = np.random.default_rng(cfg.seed)
@@ -204,19 +194,12 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
                     marginals[cid] = est.p
 
         feats_all = np.concatenate(list(batches.values()))
-        xn = _row_norms(feats_all)
-        if (xn == 0).any():
-            raise ValueError("zero feature vector")
-        x_hat = feats_all / xn[:, None]
+        x_hat, _ = _unit_rows(feats_all, "zero feature vector")
         grads = []
         results = []
         loss_det = loss_ot = 0.0
         for cid, y in enumerate(targets):
-            w = bank.weights[cid]
-            wn = _row_norms(w)
-            if (wn == 0).any():
-                raise ValueError(f"class {cid}: zero-norm proxy row")
-            u = w / wn[:, None]
+            u, wn = _unit_rows(bank.weights[cid], f"class {cid}: zero-norm proxy row")
             # One cosine block per class feeds its BCE, its transport cost and
             # the gradient of both.
             s = x_hat @ u.T

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .proxies import _row_norms
+from .proxies import _unit_rows
 
 # Levenberg-Marquardt damping, in units of the largest column sum: its start,
 # and the value past which the steps have stalled.
@@ -31,13 +31,10 @@ _POLISH = 1e-3
 
 def cost_matrix(features: np.ndarray, proxies: np.ndarray) -> np.ndarray:
     """(1 - cosine similarity) / 2 between every feature and proxy; in [0,1]."""
-    features = np.asarray(features, dtype=float)
-    proxies = np.asarray(proxies, dtype=float)
-    fn = _row_norms(features)
-    pn = _row_norms(proxies)
-    if (fn == 0).any() or (pn == 0).any():
-        raise ValueError("zero-norm vector in cost_matrix input")
-    return _cosine_cost((features / fn[:, None]) @ (proxies / pn[:, None]).T)
+    error = "zero-norm vector in cost_matrix input"
+    x_hat, _ = _unit_rows(np.asarray(features, dtype=float), error)
+    u, _ = _unit_rows(np.asarray(proxies, dtype=float), error)
+    return _cosine_cost(x_hat @ u.T)
 
 
 def _cosine_cost(sim: np.ndarray) -> np.ndarray:

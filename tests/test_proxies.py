@@ -160,10 +160,31 @@ class TestBatchedLogit:
 
     def test_zero_row_rejected(self):
         bank = _bank(np.eye(2, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^zero feature vector$"):
             multi_proxy_logit(bank, 0, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^zero feature vector$"):
             multi_proxy_grad(bank, 0, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
+class TestProxyBank:
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_gamma_outside_open_half_line_rejected(self, gamma):
+        with pytest.raises(ValueError, match="^gamma must be positive and finite"):
+            ProxyBank({0: np.eye(2, 3)}, gamma=gamma)
+
+    @pytest.mark.parametrize("weights,message", [
+        (np.array([[1.0, 0.0], [0.0, 0.0]]), "^class 0: zero-norm proxy row$"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "^class 0: non-finite proxy entry$"),
+        (np.array([[1.0, 0.0], [np.inf, 1.0]]), "^class 0: non-finite proxy entry$"),
+        (np.array([1.0, 0.0]), "^class 0: proxies must form a K x C matrix$"),
+    ])
+    def test_bad_weights_rejected(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            ProxyBank({0: weights})
+
+    def test_weights_stored_as_float_arrays(self):
+        bank = ProxyBank({0: [[1, 0], [0, 2]]}, gamma=1)
+        assert bank.weights[0].dtype == float and bank.weights[0].shape == (2, 2)
 
 
 class TestRowNorms:

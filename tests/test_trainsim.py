@@ -8,9 +8,9 @@ import pytest
 
 from oracles import central_diff, step_grad_reference
 from ufppack import trainsim
-from ufppack.proxies import ProxyBank, _row_norms
-from ufppack.trainsim import (TrainConfig, TrainReport, _bce, _cosine_grad, _FeatureModel,
-                              train_sim)
+from ufppack.proxies import (ProxyBank, _aggregate, _cosine_grad, _row_norms, _sigmoid,
+                             multi_proxy_logit, multi_proxy_prob)
+from ufppack.trainsim import TrainConfig, TrainReport, _bce, _FeatureModel, train_sim
 from ufppack.transport import cost_matrix, transport_cost
 
 
@@ -161,6 +161,25 @@ def _cosines(x: np.ndarray, w: np.ndarray):
     wn = _row_norms(w)
     u = w / wn[:, None]
     return x_hat, x_hat @ u.T, u, wn
+
+
+class TestOneSpelling:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_library_logit_is_the_step_logit(self, seed):
+        """multi_proxy_logit and multi_proxy_prob score a batch, and one
+        feature as a batch of one, from the cosine block the training step
+        forms, bit for bit."""
+        rng = np.random.default_rng(seed)
+        k, dim, n = int(rng.integers(1, 9)), int(rng.integers(2, 17)), int(rng.integers(1, 33))
+        w = rng.normal(size=(k, dim)) * rng.uniform(0.5, 2.0, size=(k, 1))
+        bank = ProxyBank({3: w}, gamma=float(rng.uniform(1.0, 8.0)))
+        x = rng.normal(size=(n, dim))
+        want = bank.gamma * _aggregate(_cosines(x, w)[1])[0]
+        z = multi_proxy_logit(bank, 3, x)[0]
+        assert np.array_equal(z, want)
+        assert np.array_equal(multi_proxy_prob(bank, 3, x), _sigmoid(want))
+        one = bank.gamma * _aggregate(_cosines(x[:1], w)[1])[0]
+        assert multi_proxy_logit(bank, 3, x[0])[0] == one[0]
 
 
 class TestOtGrad:

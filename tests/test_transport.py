@@ -57,6 +57,8 @@ class TestCostMatrix:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             cost_matrix(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match="^zero-norm vector in cost_matrix input$"):
+            cost_matrix(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_range(self):
         rng = np.random.default_rng(0)
