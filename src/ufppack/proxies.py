@@ -25,7 +25,7 @@ def _unit_rows(x: np.ndarray, error: str) -> tuple[np.ndarray, np.ndarray]:
     """(x / |x|, |x|) for the rows of a real 2-D array x; a zero row raises
     ValueError(error)."""
     norms = _row_norms(x)
-    if (norms == 0).any():
+    if np.logical_or.reduce(norms == 0):
         raise ValueError(error)
     return x / norms[:, None], norms
 
@@ -70,13 +70,14 @@ class ProxyBank:
 
 
 def _aggregate(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(agg, dagg_ds) for the N x K proxy cosines s: each row's
-    softmax(s)-weighted mean of its cosines, and its derivative in s."""
-    alpha = np.exp(s - np.maximum.reduce(s, axis=1, keepdims=True))
-    alpha /= np.add.reduce(alpha, axis=1, keepdims=True)
-    agg = np.add.reduce(alpha * s, axis=1)
+    """(agg, dagg_ds) for proxy cosines s whose last axis runs over the K
+    proxies of a class, such as N x K or N x classes x K: the
+    softmax(s)-weighted mean of each K cosines, and its derivative in s."""
+    alpha = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
+    alpha /= np.add.reduce(alpha, axis=-1, keepdims=True)
+    agg = np.add.reduce(alpha * s, axis=-1)
     # d(agg)/d(s_k) = alpha_k * (1 + s_k - agg)
-    return agg, alpha * (1.0 + s - agg[:, None])
+    return agg, alpha * (1.0 + s - agg[..., None])
 
 
 def _logit_terms(

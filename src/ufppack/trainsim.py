@@ -14,7 +14,8 @@ import numpy as np
 
 from .clustering import kmeans
 from .config import DictConfig
-# Unused here; perfbench's traced run rebinds multi_proxy_logit, cost_matrix, contrastive_loss.
+# multi_proxy_logit, cost_matrix and contrastive_loss are not called here: they are
+# imported only so that perfbench's traced run can rebind them in this module.
 from .proxies import (ProxyBank, _aggregate, _cosine_grad, _row_norms, _sigmoid, _unit_rows,
                       multi_proxy_logit)
 from .transport import _cosine_cost, cost_matrix, sinkhorn, transport_cost
@@ -123,94 +124,101 @@ def _init_proxies(cfg: TrainConfig, model: _FeatureModel, rng: np.random.Generat
     return ProxyBank(weights=weights, gamma=cfg.gamma)
 
 
-def _proxy_separation(
-    bank: ProxyBank, pairs: tuple[np.ndarray, np.ndarray]
-) -> tuple[float | None, float | None]:
+def _proxy_separation(u: np.ndarray, pairs: np.ndarray) -> tuple[float | None, float | None]:
     """(min pairwise cosine distance, max pairwise cosine similarity) within classes.
 
-    Both are None when no class has two proxies. ``pairs`` is
-    np.triu_indices(K, k=1) for the K proxies of every class.
+    u holds the unit proxies of every class, n_classes x K x C, and ``pairs``
+    the flat indices of the pairs j < l of each class in the n_classes x K x K
+    cosines u @ u^T. Both are None when there are no pairs (K = 1).
     """
-    min_dist = np.inf
-    max_sim = -np.inf
-    for w in bank.weights.values():
-        if w.shape[0] < 2:
-            continue
-        u = w / _row_norms(w)[:, None]
-        top = float(np.maximum.reduce((u @ u.T)[pairs]))
-        max_sim = max(max_sim, top)
-        # Rounding keeps 1 - s non-increasing in s: the least distance is 1 - top.
-        min_dist = min(min_dist, 1.0 - top)
-    if max_sim == -np.inf:
+    if pairs.size == 0:
         return None, None
-    return min_dist, max_sim
+    top = float(np.maximum.reduce((u @ u.transpose(0, 2, 1)).take(pairs), axis=None))
+    # Rounding keeps 1 - s non-increasing in s: the least distance is 1 - top.
+    return 1.0 - top, top
 
 
 def _bce(s: np.ndarray, y: np.ndarray, gamma: float) -> tuple[float, np.ndarray]:
     """(loss, dloss/ds): the summed binary cross-entropy of the targets y
-    under the multi-proxy logit gamma * agg(s) of the N x K cosines s, as
-    proxies.multi_proxy_logit scores, and its derivative in s."""
+    under the multi-proxy logit gamma * agg(s), as proxies.multi_proxy_logit
+    scores, and its derivative in s. The last axis of the cosines s runs over
+    a class's K proxies and y has the shape of the others: N x K cosines of
+    one class with N targets, or N x classes x K cosines of every class with
+    N x classes targets."""
     agg, dagg_ds = _aggregate(s)
     p = _sigmoid(gamma * agg)
     loss = -float(np.add.reduce(y * np.log(np.maximum(p, 1e-12))
-                                + (1 - y) * np.log(np.maximum(1 - p, 1e-12))))
-    return loss, (gamma * (p - y))[:, None] * dagg_ds
+                                + (1 - y) * np.log(np.maximum(1 - p, 1e-12)), axis=None))
+    return loss, (gamma * (p - y))[..., None] * dagg_ds
 
 
 def train_sim(cfg: TrainConfig) -> TrainReport:
-    """Run the seeded training loop and report per-step losses and separation."""
+    """Run the seeded training loop and report per-step losses and separation.
+
+    The proxies of every class are one n_classes * K x C array, class by
+    class, so a step's dense algebra runs once for all classes; only the
+    Sinkhorn solves run per class.
+    """
     rng = np.random.default_rng(cfg.seed)
     model = _FeatureModel(cfg, rng)
     bank = _init_proxies(cfg, model, rng)
-    vocabs = {cid: VocabQueue(cfg.vocab_capacity, cid) for cid in range(cfg.n_classes)}
-    marginals: dict[int, np.ndarray] = {
-        cid: np.full(cfg.proxies_per_class, 1.0 / cfg.proxies_per_class)
-        for cid in range(cfg.n_classes)
-    }
+    n_classes, k, batch = cfg.n_classes, cfg.proxies_per_class, cfg.batch_size
+    w = np.concatenate([bank.weights[cid] for cid in range(n_classes)])
+    vocabs = {cid: VocabQueue(cfg.vocab_capacity, cid) for cid in range(n_classes)}
+    marginals: dict[int, np.ndarray] = {cid: np.full(k, 1.0 / k) for cid in range(n_classes)}
     report = TrainReport(config=cfg)
-    # Each step scores every sample of every class against every class.
-    labels = np.repeat(np.arange(cfg.n_classes), cfg.batch_size)
-    n_terms = labels.size * cfg.n_classes
-    targets = [(labels == cid).astype(float) for cid in range(cfg.n_classes)]
-    q = np.full(cfg.batch_size, 1.0 / cfg.batch_size)
-    pairs = np.triu_indices(cfg.proxies_per_class, k=1)
+    # Each step scores every sample of every class against every class:
+    # targets[n, c] says whether sample n is of class c.
+    labels = np.repeat(np.arange(n_classes), batch)
+    n_terms = labels.size * n_classes
+    classes = np.arange(n_classes)
+    targets = (labels[:, None] == classes).astype(float)
+    # Flat indices of class c's own batch rows and proxies, n_classes x batch
+    # x K, in the N x n_classes x K cosines: the blocks its transport uses.
+    own = np.arange(labels.size * n_classes * k).reshape(
+        n_classes, batch, n_classes, k)[classes, :, classes]
+    upper = np.triu_indices(k, k=1)
+    pairs = np.arange(n_classes * k * k).reshape(n_classes, k, k)[:, upper[0], upper[1]]
+    q = np.full(batch, 1.0 / batch)
+    plans = np.empty((n_classes, batch, k))
     # Each class's transport starts from the column potentials of its
     # previous step: one batch and one proxy step apart, the problems are
     # close, so the Newton solve starts near its answer.
-    potentials: dict[int, np.ndarray | None] = dict.fromkeys(range(cfg.n_classes))
+    potentials: dict[int, np.ndarray | None] = dict.fromkeys(range(n_classes))
 
     for step in range(cfg.steps + 1):
-        batches = {
-            cid: model.sample(cid, cfg.batch_size, rng) for cid in range(cfg.n_classes)
-        }
-        for cid in range(cfg.n_classes):
+        batches = {cid: model.sample(cid, batch, rng) for cid in range(n_classes)}
+        for cid in range(n_classes):
             vocabs[cid].update(batches[cid], cfg.vocab_insert, rng)
         if step > 0 and step % cfg.marginal_cadence == 0:
-            for cid in range(cfg.n_classes):
-                if len(vocabs[cid]) >= cfg.proxies_per_class:
-                    est = estimate_marginals(
-                        vocabs[cid], cfg.proxies_per_class, cfg.seed + step
-                    )
+            for cid in range(n_classes):
+                if len(vocabs[cid]) >= k:
+                    est = estimate_marginals(vocabs[cid], k, cfg.seed + step)
                     marginals[cid] = est.p
 
         feats_all = np.concatenate(list(batches.values()))
         x_hat, _ = _unit_rows(feats_all, "zero feature vector")
-        grads = []
-        results = []
-        loss_det = loss_ot = 0.0
-        for cid, y in enumerate(targets):
-            u, wn = _unit_rows(bank.weights[cid], f"class {cid}: zero-norm proxy row")
-            # One cosine block per class feeds its BCE, its transport cost and
-            # the gradient of both.
-            s = x_hat @ u.T
-            loss, A = _bce(s, y, bank.gamma)
-            loss_det += loss
-            A /= n_terms
-            if cfg.use_ot:
-                rows = slice(cid * cfg.batch_size, (cid + 1) * cfg.batch_size)
-                cost = _cosine_cost(s[rows])
+        try:
+            u, wn = _unit_rows(w, "zero-norm proxy row")
+        except ValueError as e:
+            # Named by the class of the first zero row, k rows per class.
+            cid = int(np.argmax(_row_norms(w) == 0)) // k
+            raise ValueError(f"class {cid}: {e}") from None
+        # One cosine block for every class feeds the BCE, the transport costs
+        # and the gradient of both: s[n, c, j] is the cosine of sample n and
+        # proxy j of class c.
+        s = x_hat @ u.T
+        loss_det, A = _bce(s.reshape(-1, n_classes, k), targets, bank.gamma)
+        loss_det /= n_terms
+        A /= n_terms
+        loss_ot = 0.0
+        stats = TransportStats()
+        if cfg.use_ot:
+            costs = _cosine_cost(s.take(own))
+            results = []
+            for cid in range(n_classes):
                 res = sinkhorn(
-                    cost,
+                    costs[cid],
                     marginals[cid],
                     q,
                     epsilon=cfg.sinkhorn_epsilon,
@@ -220,16 +228,11 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
                 )
                 potentials[cid] = res.potentials
                 results.append(res)
-                loss_ot += transport_cost(cost, res.plan)
-                # The class's mean transport cost, P held fixed, has derivative
-                # -P / (2 n_classes) in the cosines of its own batch.
-                A[rows] -= res.plan / (2.0 * cfg.n_classes)
-            grads.append(_cosine_grad(x_hat, s, u, wn, A))
-        loss_det /= n_terms
-
-        stats = TransportStats()
-        if cfg.use_ot:
-            loss_ot /= cfg.n_classes
+                plans[cid] = res.plan
+            loss_ot = transport_cost(costs, plans) / n_classes
+            # Each class's mean transport cost, P held fixed, has derivative
+            # -P / (2 n_classes) in the cosines of its own batch.
+            A.reshape(-1)[own] -= plans / (2.0 * n_classes)
             stats = TransportStats(
                 max_iterations=max(r.iterations for r in results),
                 max_violation=max(r.marginal_violation for r in results),
@@ -237,7 +240,7 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
             )
         report.transport.append(stats)
 
-        min_dist, max_sim = _proxy_separation(bank, pairs)
+        min_dist, max_sim = _proxy_separation(u.reshape(n_classes, k, -1), pairs)
         report.records.append(
             {
                 "step": float(step),
@@ -249,9 +252,8 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
         )
         if step == cfg.steps:
             break
-        for cid in range(cfg.n_classes):
-            w = bank.weights[cid] - cfg.lr * grads[cid]
-            bank.weights[cid] = w / _row_norms(w)[:, None]
+        w = w - cfg.lr * _cosine_grad(x_hat, s, u, wn, A.reshape(s.shape))
+        w /= _row_norms(w)[:, None]
 
-    report.final_weights = {cid: w.copy() for cid, w in bank.weights.items()}
+    report.final_weights = {cid: w[cid * k:(cid + 1) * k].copy() for cid in range(n_classes)}
     return report

@@ -61,9 +61,11 @@ class SinkhornResult:
 
 def _check_marginal(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if (v < 0).any():  # checked first: the sum of inf and -inf would warn
+    # Ufunc reductions, not the ndarray methods: they skip a Python wrapper
+    # per call. Checked first: the sum of inf and -inf would warn.
+    if np.logical_or.reduce(v < 0, axis=None):
         raise ValueError(f"{name} must be a probability vector, got a negative entry")
-    total = v.sum()
+    total = np.add.reduce(v, axis=None)
     if not math.isfinite(total) or abs(total - 1.0) > 1e-9:
         raise ValueError(f"{name} must be a probability vector, got sum {total}")
     return v
@@ -107,14 +109,14 @@ def sinkhorn(
         init = np.asarray(init, dtype=float)
         if init.shape != (k,):
             raise ValueError(f"init shape {init.shape} does not match cost {cost.shape}")
-    cmax = float(np.abs(cost).max())
+    cmax = float(np.maximum.reduce(np.abs(cost), axis=None))
     if not math.isfinite(cmax):
         raise ValueError("cost must be finite")
     if not math.isfinite(cmax / float(epsilon)):  # a float division: no NumPy warning
         raise ValueError(f"epsilon {epsilon} is too small for costs up to {cmax}")
 
-    # p is nonnegative, so all() says whether all its entries are positive.
-    full = bool(p.all())
+    # p is nonnegative, so this says whether all its entries are positive.
+    full = bool(np.logical_and.reduce(p))
     pr, cr = p, cost
     if not full:
         cols = p > 0
@@ -123,8 +125,8 @@ def sinkhorn(
             init = init[cols]
     # A start with no finite potential on some column with mass is no start;
     # a finite one is shifted to a largest potential of 0, like log p.
-    if init is not None and np.isfinite(init).all():
-        h = init - init.max()
+    if init is not None and np.logical_and.reduce(np.isfinite(init)):
+        h = init - np.maximum.reduce(init)
     else:
         h = np.log(pr)
     P, h, steps, viol = _newton(cr / -epsilon, pr, q, h, max_iters, tol)
@@ -178,8 +180,11 @@ def _newton(
 
     Every point is evaluated from its potentials alone, in the log domain
     (Peyre & Cuturi 2019, sec. 4.4), on L shifted to a largest entry of 0 in
-    each row, which leaves the plan as it is. The violation is the largest
-    column gap max|p - c| of the returned plan.
+    each row, which leaves the plan as it is: a = L + h, lse the row-wise
+    log-sum-exp of a, F = p.h - q.lse. A trial point is h plus the step with
+    a 0 appended for the gauge column, a new array, so no step copies h. An
+    h that is not finite gives an F that no step accepts. The violation is
+    the largest column gap max|p - c| of the returned plan.
 
     Length-K quantities are Python lists, and the system is solved by
     _solve_scalar: at the few columns of a training class a NumPy call costs
@@ -191,15 +196,10 @@ def _newton(
     qcol = q[:, None]
     log_kernel = log_kernel - np.maximum.reduce(log_kernel, axis=1)[:, None]
 
-    def evaluate(h):
-        # (a, lse, F) at potentials h. An h that is not finite gives an F
-        # that no step accepts.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = log_kernel + h
         lse = np.logaddexp.reduce(a, axis=1)
-        return a, lse, p.dot(h) - q.dot(lse)
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a, lse, F = evaluate(h)
+        F = p.dot(h) - q.dot(lse)
         lam, nu = _DAMPING_START, 2.0
         iters = 0
         last_viol = math.inf
@@ -220,12 +220,15 @@ def _newton(
                 step = _solve_scalar([cj + damp for cj in c[:m]], M, g[:m])
                 iters += 1
                 if step is not None:
-                    ht = h.copy()
-                    ht[:m] += step
-                    at, lset, Ft = evaluate(ht)
+                    step.append(0.0)
+                    ht = h + step
+                    at = log_kernel + ht
+                    lset = np.logaddexp.reduce(at, axis=1)
+                    Ft = p.dot(ht) - q.dot(lset)
                     # Accept unless F drops by more than its rounding error.
                     if F - 1e-13 * (1.0 + abs(F)) <= Ft < math.inf:
                         # The gain ratio rho; pred > 0 unless the step is zero.
+                        # The gauge entry of the step adds 0 to pred.
                         pred = 0.5 * sum(x * (gj + damp * x) for x, gj in zip(step, g))
                         rho = min(max((Ft - F) / pred, 0.0), 1.0) if pred > 0 else 0.0
                         h, a, lse, F = ht, at, lset, Ft

@@ -131,6 +131,21 @@ class TestTrainSim:
         with pytest.raises(ValueError, match="^class 1: zero-norm proxy row$"):
             train_sim(TrainConfig(steps=2, seed=0))
 
+    # The first and last row of the first and last of three classes.
+    @pytest.mark.parametrize("cid", [0, 2])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_zero_norm_proxy_names_its_class(self, monkeypatch, cid, row):
+        real = trainsim._init_proxies
+
+        def init(*args):
+            bank = real(*args)
+            bank.weights[cid][row] = 0.0
+            return bank
+
+        monkeypatch.setattr(trainsim, "_init_proxies", init)
+        with pytest.raises(ValueError, match=f"^class {cid}: zero-norm proxy row$"):
+            train_sim(TrainConfig(steps=2, seed=0, n_classes=3))
+
     def test_unconverged_calls_reported(self):
         report = train_sim(TrainConfig(steps=3, seed=0, sinkhorn_max_iters=2))
         assert report.unconverged_calls > 0
@@ -156,7 +171,8 @@ class TestFeatureModel:
 
 
 def _cosines(x: np.ndarray, w: np.ndarray):
-    """(x_hat, s, u, wn) as the training step forms them."""
+    """(x_hat, s, u, wn) of one class, as the training step forms them for
+    all classes at once."""
     x_hat = x / _row_norms(x)[:, None]
     wn = _row_norms(w)
     u = w / wn[:, None]
@@ -167,8 +183,8 @@ class TestOneSpelling:
     @pytest.mark.parametrize("seed", range(50))
     def test_library_logit_is_the_step_logit(self, seed):
         """multi_proxy_logit and multi_proxy_prob score a batch, and one
-        feature as a batch of one, from the cosine block the training step
-        forms, bit for bit."""
+        feature as a batch of one, from the class's cosine block x_hat @ u.T,
+        bit for bit."""
         rng = np.random.default_rng(seed)
         k, dim, n = int(rng.integers(1, 9)), int(rng.integers(2, 17)), int(rng.integers(1, 33))
         w = rng.normal(size=(k, dim)) * rng.uniform(0.5, 2.0, size=(k, 1))
@@ -231,8 +247,9 @@ class TestFusedStepGrad:
             assert np.allclose(_cosine_grad(x_hat, s, u, wn, A), want, rtol=0, atol=1e-12)
 
     def test_every_step_gradient_matches_the_unfused_form(self, monkeypatch):
-        """In train_sim itself, with three classes: each class's gradient, from
-        its features, proxies and plan, is the unfused form's."""
+        """In train_sim itself, with three classes: one gradient call per
+        update step for every class's proxies, whose K rows of each class,
+        from its features, proxies and plan, are the unfused form's."""
         plans, grads = [], []
         real_sinkhorn, real_grad = trainsim.sinkhorn, trainsim._cosine_grad
 
@@ -250,15 +267,39 @@ class TestFusedStepGrad:
         cfg = TrainConfig(steps=6, seed=5, n_classes=3, batch_size=5, vocab_insert=2)
         train_sim(cfg)
         labels = np.repeat(np.arange(cfg.n_classes), cfg.batch_size)
-        assert len(grads) == len(plans) == 7 * cfg.n_classes
-        for i, ((x_hat, _, u, wn, _), got) in enumerate(grads):
-            cid = i % cfg.n_classes
-            bank = ProxyBank({cid: u * wn[:, None]}, gamma=cfg.gamma)
-            rows = slice(cid * cfg.batch_size, (cid + 1) * cfg.batch_size)
-            _, want = step_grad_reference(bank, cid, x_hat, (labels == cid).astype(float),
-                                          labels.size * cfg.n_classes, rows, plans[i],
-                                          cfg.n_classes)
-            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        k = cfg.proxies_per_class
+        # The last step records its losses and takes no update.
+        assert len(grads) == cfg.steps
+        assert len(plans) == 7 * cfg.n_classes
+        for step, ((x_hat, _, u, wn, _), got) in enumerate(grads):
+            assert got.shape == (cfg.n_classes * k, cfg.feature_dim)
+            for cid in range(cfg.n_classes):
+                proxies = slice(cid * k, (cid + 1) * k)
+                bank = ProxyBank({cid: u[proxies] * wn[proxies, None]}, gamma=cfg.gamma)
+                rows = slice(cid * cfg.batch_size, (cid + 1) * cfg.batch_size)
+                _, want = step_grad_reference(bank, cid, x_hat, (labels == cid).astype(float),
+                                              labels.size * cfg.n_classes, rows,
+                                              plans[step * cfg.n_classes + cid], cfg.n_classes)
+                assert np.allclose(got[proxies], want, rtol=0, atol=1e-12)
+
+
+class TestBatchedBce:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_per_class_bce(self, seed):
+        """The BCE of an N x C x K block of cosines, every class at once: its
+        loss is the sum of the per-class losses and its A holds each class's
+        dloss/ds in that class's slice."""
+        rng = np.random.default_rng(seed)
+        c, k, n = int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(1, 17))
+        gamma = float(rng.uniform(1.0, 8.0))
+        s = rng.uniform(-1.0, 1.0, size=(n, c, k))
+        y = (rng.random((n, c)) < 0.5).astype(float)
+        loss, A = _bce(s, y, gamma)
+        assert A.shape == s.shape
+        per_class = [_bce(s[:, cid], y[:, cid], gamma) for cid in range(c)]
+        assert loss == pytest.approx(sum(l for l, _ in per_class), rel=1e-14, abs=0)
+        for cid, (_, want) in enumerate(per_class):
+            assert np.allclose(A[:, cid], want, rtol=1e-14, atol=1e-17)
 
 
 class TestTransportConverges:

@@ -137,6 +137,24 @@ class TestSinkhorn:
         with pytest.raises(ValueError, match=f"{side} must be a probability vector"):
             sinkhorn(np.full((2, 2), 0.3), p, q)
 
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_empty_marginal_rejected(self, side):
+        # An empty marginal sums to 0, not 1; its reductions raise nothing.
+        p, q, cost = ([], [0.5, 0.5], np.zeros((2, 0))) if side == "p" else (
+            [0.5, 0.5], [], np.zeros((0, 2)))
+        with pytest.raises(ValueError,
+                           match=f"^{side} must be a probability vector, got sum 0.0$"):
+            sinkhorn(cost, p, q)
+
+    @pytest.mark.parametrize("bad", [[-0.5, math.nan], [math.nan, -0.5]])
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_negative_entry_next_to_nan_rejected(self, bad, side):
+        good = [0.5, 0.5]
+        p, q = (bad, good) if side == "p" else (good, bad)
+        with pytest.raises(ValueError,
+                           match=f"^{side} must be a probability vector, got a negative entry$"):
+            sinkhorn(np.full((2, 2), 0.3), p, q)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_cost_rejected(self, bad):
         cost = np.full((2, 2), 0.3)
