@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
+# Lloyd iterations at most; most runs stop earlier, when the labels settle.
+_MAX_ITERS = 100
+
 
 def kmeans(
-    points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int = 100
+    points: np.ndarray, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with k-means++ seeding.
 
@@ -22,18 +25,17 @@ def kmeans(
     if n < k:
         raise ValueError(f"need at least {k} points, got {n}")
     centers = _kmeanspp_init(points, k, rng)
-    labels: np.ndarray | None = None
-    for _ in range(max_iters):
+    labels = np.full(n, -1)  # no assignment: the first always differs
+    for _ in range(_MAX_ITERS):
         d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(d2, axis=1)
-        if labels is not None and np.array_equal(new_labels, labels):
+        if np.array_equal(new_labels, labels):
             break
         labels = new_labels
         for c in range(k):
             mask = labels == c
             if np.any(mask):
                 centers[c] = points[mask].mean(axis=0)
-    assert labels is not None
     return labels, centers
 
 

@@ -272,8 +272,11 @@ def layout_from_dict(doc: dict[str, Any]) -> MosaicLayout:
                     and {type(scale), *map(type, src), *map(type, dest)} <= _NUMBER):
                 raise TypeError(f"placement {i} src, scale and dest must be 4, 1 and 2 "
                                 f"JSON numbers, got {src!r}, {scale!r} and {dest!r}")
-            placements.append(Placement(BBox(*map(float, src)), float(scale),
-                                        float(dest[0]), float(dest[1])))
+            try:
+                placements.append(Placement(BBox(*map(float, src)), float(scale),
+                                            float(dest[0]), float(dest[1])))
+            except (ValueError, OverflowError) as e:
+                raise ValueError(f"placement {i}: {e}") from e
         # Each placement's scaled box, dest to dest + scale * (src2 - src1),
         # must be finite and inside the mosaic; written so that a NaN or an
         # overflow to infinity fails the test too.

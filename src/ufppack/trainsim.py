@@ -16,8 +16,7 @@ from .clustering import kmeans
 from .config import DictConfig
 # multi_proxy_logit, cost_matrix and contrastive_loss are not called here: they are
 # imported only so that perfbench's traced run can rebind them in this module.
-from .proxies import (ProxyBank, _aggregate, _cosine_grad, _row_norms, _sigmoid, _unit_rows,
-                      multi_proxy_logit)
+from .proxies import _aggregate, _cosine_grad, _row_norms, _sigmoid, _unit_rows, multi_proxy_logit
 from .transport import _cosine_cost, cost_matrix, sinkhorn, transport_cost
 from .vocab import VocabQueue, contrastive_loss, estimate_marginals
 
@@ -95,10 +94,9 @@ class _FeatureModel:
 
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.centers = {}
-        for cid in range(cfg.n_classes):
-            c = rng.normal(size=(cfg.modes_per_class, cfg.feature_dim))
-            self.centers[cid] = c / _row_norms(c)[:, None]
+        # n_classes x modes x C; one draw is the stream of one per class.
+        c = rng.normal(size=(cfg.n_classes * cfg.modes_per_class, cfg.feature_dim))
+        self.centers = (c / _row_norms(c)[:, None]).reshape(cfg.n_classes, cfg.modes_per_class, -1)
         w = 0.45 ** np.arange(cfg.modes_per_class)
         self.weights = w / w.sum()
         # rng.choice(modes, p=w) cumulates and normalizes p this way on every
@@ -109,19 +107,29 @@ class _FeatureModel:
     def sample(self, cid: int, n: int, rng: np.random.Generator) -> np.ndarray:
         # The draws and generator state of rng.choice(modes, n, p=weights).
         modes = self.cdf.searchsorted(rng.random(n), side="right")
-        x = self.centers[cid][modes] + self.cfg.mode_noise * rng.normal(
+        x = self.centers[cid, modes] + self.cfg.mode_noise * rng.normal(
             size=(n, self.cfg.feature_dim)
         )
         return x / _row_norms(x)[:, None]
 
 
-def _init_proxies(cfg: TrainConfig, model: _FeatureModel, rng: np.random.Generator) -> ProxyBank:
-    weights: dict[int, np.ndarray] = {}
-    for cid in range(cfg.n_classes):
-        sample = model.sample(cid, max(8 * cfg.proxies_per_class, 32), rng)
-        _, w = kmeans(sample, cfg.proxies_per_class, rng)
-        weights[cid] = w / _row_norms(w)[:, None]
-    return ProxyBank(weights=weights, gamma=cfg.gamma)
+def _unit_proxies(w: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """_unit_rows of the proxies of every class, k rows per class; a zero row
+    raises ValueError named by its class."""
+    try:
+        return _unit_rows(w, "zero-norm proxy row")
+    except ValueError as e:
+        cid = int(np.argmax(_row_norms(w) == 0)) // k
+        raise ValueError(f"class {cid}: {e}") from None
+
+
+def _init_proxies(cfg: TrainConfig, model: _FeatureModel, rng: np.random.Generator) -> np.ndarray:
+    """The unit proxies of every class, n_classes * K x C, class by class:
+    the k-means centers of a sample of the class, drawn in that order."""
+    k = cfg.proxies_per_class
+    w = np.concatenate([kmeans(model.sample(cid, max(8 * k, 32), rng), k, rng)[1]
+                        for cid in range(cfg.n_classes)])
+    return _unit_proxies(w, k)[0]
 
 
 def _proxy_separation(u: np.ndarray, pairs: np.ndarray) -> tuple[float | None, float | None]:
@@ -161,11 +169,10 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
     """
     rng = np.random.default_rng(cfg.seed)
     model = _FeatureModel(cfg, rng)
-    bank = _init_proxies(cfg, model, rng)
+    w = _init_proxies(cfg, model, rng)
     n_classes, k, batch = cfg.n_classes, cfg.proxies_per_class, cfg.batch_size
-    w = np.concatenate([bank.weights[cid] for cid in range(n_classes)])
-    vocabs = {cid: VocabQueue(cfg.vocab_capacity, cid) for cid in range(n_classes)}
-    marginals: dict[int, np.ndarray] = {cid: np.full(k, 1.0 / k) for cid in range(n_classes)}
+    vocabs = [VocabQueue(cfg.vocab_capacity, cid) for cid in range(n_classes)]
+    marginals = np.full((n_classes, k), 1.0 / k)
     report = TrainReport(config=cfg)
     # Each step scores every sample of every class against every class:
     # targets[n, c] says whether sample n is of class c.
@@ -180,55 +187,37 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
     upper = np.triu_indices(k, k=1)
     pairs = np.arange(n_classes * k * k).reshape(n_classes, k, k)[:, upper[0], upper[1]]
     q = np.full(batch, 1.0 / batch)
-    plans = np.empty((n_classes, batch, k))
     # Each class's transport starts from the column potentials of its
     # previous step: one batch and one proxy step apart, the problems are
     # close, so the Newton solve starts near its answer.
-    potentials: dict[int, np.ndarray | None] = dict.fromkeys(range(n_classes))
+    potentials: list[np.ndarray | None] = [None] * n_classes
 
     for step in range(cfg.steps + 1):
-        batches = {cid: model.sample(cid, batch, rng) for cid in range(n_classes)}
-        for cid in range(n_classes):
-            vocabs[cid].update(batches[cid], cfg.vocab_insert, rng)
-        if step > 0 and step % cfg.marginal_cadence == 0:
-            for cid in range(n_classes):
-                if len(vocabs[cid]) >= k:
-                    est = estimate_marginals(vocabs[cid], k, cfg.seed + step)
-                    marginals[cid] = est.p
+        feats = np.concatenate([model.sample(cid, batch, rng) for cid in range(n_classes)])
+        refresh = step > 0 and step % cfg.marginal_cadence == 0
+        for cid, vocab in enumerate(vocabs):
+            vocab.update(feats[cid * batch:(cid + 1) * batch], cfg.vocab_insert, rng)
+            if refresh and len(vocab) >= k:
+                marginals[cid] = estimate_marginals(vocab, k, cfg.seed + step).p
 
-        feats_all = np.concatenate(list(batches.values()))
-        x_hat, _ = _unit_rows(feats_all, "zero feature vector")
-        try:
-            u, wn = _unit_rows(w, "zero-norm proxy row")
-        except ValueError as e:
-            # Named by the class of the first zero row, k rows per class.
-            cid = int(np.argmax(_row_norms(w) == 0)) // k
-            raise ValueError(f"class {cid}: {e}") from None
+        x_hat, _ = _unit_rows(feats, "zero feature vector")
+        u, wn = _unit_proxies(w, k)
         # One cosine block for every class feeds the BCE, the transport costs
         # and the gradient of both: s[n, c, j] is the cosine of sample n and
         # proxy j of class c.
         s = x_hat @ u.T
-        loss_det, A = _bce(s.reshape(-1, n_classes, k), targets, bank.gamma)
+        loss_det, A = _bce(s.reshape(-1, n_classes, k), targets, cfg.gamma)
         loss_det /= n_terms
         A /= n_terms
         loss_ot = 0.0
         stats = TransportStats()
         if cfg.use_ot:
             costs = _cosine_cost(s.take(own))
-            results = []
-            for cid in range(n_classes):
-                res = sinkhorn(
-                    costs[cid],
-                    marginals[cid],
-                    q,
-                    epsilon=cfg.sinkhorn_epsilon,
-                    max_iters=cfg.sinkhorn_max_iters,
-                    tol=cfg.sinkhorn_tol,
-                    init=potentials[cid],
-                )
-                potentials[cid] = res.potentials
-                results.append(res)
-                plans[cid] = res.plan
+            results = [sinkhorn(cost, p, q, epsilon=cfg.sinkhorn_epsilon,
+                                max_iters=cfg.sinkhorn_max_iters, tol=cfg.sinkhorn_tol, init=h)
+                       for cost, p, h in zip(costs, marginals, potentials)]
+            potentials = [r.potentials for r in results]
+            plans = np.array([r.plan for r in results])
             loss_ot = transport_cost(costs, plans) / n_classes
             # Each class's mean transport cost, P held fixed, has derivative
             # -P / (2 n_classes) in the cosines of its own batch.

@@ -91,11 +91,11 @@ def contrastive_loss(
         if len(vocab[class_id]) == 0:
             raise ValueError(f"class {class_id} has an empty vocabulary")
     s, _, blocks = _affinities(x, vocab)
-    total = float(np.add.reduce(_logsumexp(s, axis=1)))
+    total = float(np.add.reduce(np.logaddexp.reduce(s, axis=1)))
     for class_id, own in blocks.items():
         rows = labels == class_id
         if rows.any():
-            total -= float(np.add.reduce(_logsumexp(s[rows, own], axis=1)))
+            total -= float(np.add.reduce(np.logaddexp.reduce(s[rows, own], axis=1)))
     return total / len(x)
 
 
@@ -109,8 +109,8 @@ def contrastive_grad(
         raise ValueError(f"class {class_id} has an empty vocabulary")
     s, words, blocks = _affinities(x, vocab)
     own = blocks[class_id]
-    return (np.exp(s - _logsumexp(s, axis=0)) @ words
-            - np.exp(s[own] - _logsumexp(s[own], axis=0)) @ words[own])
+    return (np.exp(s - np.logaddexp.reduce(s)) @ words
+            - np.exp(s[own] - np.logaddexp.reduce(s[own])) @ words[own])
 
 
 def _affinities(
@@ -128,9 +128,3 @@ def _affinities(
     words = np.concatenate(list(parts.values()))
     return x @ words.T, words, blocks
 
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.maximum.reduce(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.add.reduce(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)

@@ -457,8 +457,9 @@ class TestImageIdTypes:
 
 
 class TestLayoutOutsideMosaic:
-    """A placement whose scaled box is not finite or leaves its mosaic makes
-    the layout unreadable: exit 2, no output."""
+    """A placement whose scaled box is not finite or leaves its mosaic, or
+    whose scale is not positive, makes the layout unreadable: exit 2, no
+    output, the placement named by its index."""
 
     WIDE = {"mosaic": {"width": 100, "height": 100},
             "placements": [{"src": [0, 0, 1e308, 10], "scale": 10.0, "dest": [0, 0]}]}
@@ -480,6 +481,21 @@ class TestLayoutOutsideMosaic:
                      "--coarse", three_box_file, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert "is not inside the 100x100 mosaic" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_unpack_bad_scale_exit_2_names_placement(self, tmp_path, capsys, three_box_file,
+                                                     scale):
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps({"mosaic": {"width": 100, "height": 100}, "placements": [
+            {"src": [0, 0, 10, 10], "scale": 1, "dest": [0, 0]},
+            {"src": [0, 0, 10, 10], "scale": scale, "dest": [20, 0]}]}))
+        out = tmp_path / "fused.json"
+        assert main(["unpack", "--fine", three_box_file, "--layout", str(layout),
+                     "--coarse", three_box_file, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "invalid layout document: placement 1: " in captured.err
+        assert "positive finite scale" in captured.err
         assert captured.out == "" and not out.exists()
 
 

@@ -150,6 +150,26 @@ class TestLayoutIO:
         with pytest.raises(io.ParseError, match="scale"):
             io.load_layout(p)
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("scale", 0.0, "placement needs a positive finite scale and a finite origin, "
+                       "got scale 0.0 at (20.0,0.0)"),
+        ("scale", -1.0, "placement needs a positive finite scale and a finite origin, "
+                        "got scale -1.0 at (20.0,0.0)"),
+        ("src", [10, 0, 0, 10], None),  # reversed corners
+        ("src", [0, 0, 10**400, 10], None),  # past the float range
+    ], ids=["scale-0", "scale-negative", "src-reversed", "src-overflow"])
+    def test_unusable_placement_named(self, tmp_path, field, value, error):
+        placements = [{"src": [0, 0, 10, 10], "scale": 1.0, "dest": [0.0, 0.0]},
+                      {"src": [0, 0, 10, 10], "scale": 1.0, "dest": [20.0, 0.0], field: value}]
+        p = tmp_path / "l.json"
+        p.write_text(json.dumps({"mosaic": {"width": 100, "height": 100},
+                                 "placements": placements}))
+        message = "^" + re.escape("invalid layout document: placement 1: ")
+        if error is not None:
+            message += re.escape(error) + "$"
+        with pytest.raises(io.ParseError, match=message):
+            io.load_layout(p)
+
     @pytest.mark.parametrize("width,height", [
         (100, float("nan")), (float("inf"), 100), (100, -1.0), (-0.5, 100), (10**400, 100),
         ("100", 100), (100, True), (None, 100),

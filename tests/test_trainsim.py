@@ -122,10 +122,10 @@ class TestTrainSim:
     def test_zero_norm_proxy_refused(self, monkeypatch):
         real = trainsim._init_proxies
 
-        def init(*args):
-            bank = real(*args)
-            bank.weights[1][0] = 0.0
-            return bank
+        def init(cfg, *args):
+            w = real(cfg, *args)
+            w[cfg.proxies_per_class] = 0.0  # row 0 of class 1
+            return w
 
         monkeypatch.setattr(trainsim, "_init_proxies", init)
         with pytest.raises(ValueError, match="^class 1: zero-norm proxy row$"):
@@ -137,14 +137,33 @@ class TestTrainSim:
     def test_zero_norm_proxy_names_its_class(self, monkeypatch, cid, row):
         real = trainsim._init_proxies
 
-        def init(*args):
-            bank = real(*args)
-            bank.weights[cid][row] = 0.0
-            return bank
+        def init(cfg, *args):
+            w = real(cfg, *args)
+            w[cfg.proxies_per_class * cid + row] = 0.0
+            return w
 
         monkeypatch.setattr(trainsim, "_init_proxies", init)
         with pytest.raises(ValueError, match=f"^class {cid}: zero-norm proxy row$"):
             train_sim(TrainConfig(steps=2, seed=0, n_classes=3))
+
+    def test_zero_norm_centroid_refused_at_init(self, monkeypatch):
+        """A zero k-means center fails at init, named by its class, before
+        any step runs."""
+        seen = []
+        real = trainsim.kmeans
+
+        def kmeans(*args):
+            labels, centers = real(*args)
+            if len(seen) == 1:  # class 1
+                centers[-1] = 0.0
+            seen.append(centers)
+            return labels, centers
+
+        monkeypatch.setattr(trainsim, "kmeans", kmeans)
+        monkeypatch.setattr(trainsim, "sinkhorn", lambda *a, **kw: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match="^class 1: zero-norm proxy row$"):
+            train_sim(TrainConfig(steps=2, seed=0, n_classes=3))
+        assert len(seen) == 3
 
     def test_unconverged_calls_reported(self):
         report = train_sim(TrainConfig(steps=3, seed=0, sinkhorn_max_iters=2))
@@ -153,6 +172,19 @@ class TestTrainSim:
 
 
 class TestFeatureModel:
+    @pytest.mark.parametrize("n_classes, modes", [(1, 1), (2, 3), (4, 5)])
+    def test_centers_are_the_per_class_draws(self, n_classes, modes):
+        """One draw for every class's centers is the stream of one
+        normal((modes, C)) per class, normalised row by row, bit for bit."""
+        cfg = TrainConfig(n_classes=n_classes, modes_per_class=modes, feature_dim=7)
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        model = _FeatureModel(cfg, got_rng)
+        assert model.centers.shape == (n_classes, modes, cfg.feature_dim)
+        for cid in range(n_classes):
+            c = want_rng.normal(size=(modes, cfg.feature_dim))
+            assert np.array_equal(model.centers[cid], c / np.linalg.norm(c, axis=1)[:, None])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     @pytest.mark.parametrize("modes", [1, 3, 5])
     def test_sample_draws_as_rng_choice(self, modes):
         cfg = TrainConfig(modes_per_class=modes, n_classes=2)
