@@ -14,6 +14,8 @@ import numpy as np
 from .geometry import BBox
 from .mosaic import MosaicLayout, Placement
 
+_BLOCK_PAIRS = 1 << 16  # most detection pairs one IoU table of ``nms`` holds
+
 
 @dataclass(frozen=True)
 class Detection:
@@ -94,7 +96,17 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     whose IoU with it exceeds the threshold, so a detection is kept exactly
     when its IoU with every kept one of its category is <= the threshold. The
     IoU is intersection over union, 0 for disjoint boxes or a zero union.
+
+    The sorted rows are taken in blocks of at most ``_BLOCK_PAIRS`` pairs: a
+    block's rows not yet suppressed against every row from the block's start
+    on. One table holds each pair's intersection width. Only a later row of
+    the same category at a positive width can be a hit at a threshold >= 0,
+    and only such pairs go on to the rest of the IoU, with the arithmetic of
+    one row against its tail. The greedy walk through the block then marks
+    each kept row's hits suppressed. ``iou_threshold`` must be in [0, 1].
     """
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in [0,1], got {iou_threshold}")
     order = sorted(
         range(len(dets)), key=lambda i: (-dets[i].score, dets[i].category, i)
     )
@@ -107,25 +119,43 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     # Categories as small codes, so any int category fits the array.
     codes: dict[int, int] = {}
     cats = np.array([codes.setdefault(dets[i].category, len(codes)) for i in order])
-    suppressed = np.zeros(len(order), dtype=bool)
+    n = len(order)
+    suppressed = np.zeros(n, dtype=bool)
     keep: list[Detection] = []
-    for r, i in enumerate(order):
-        if suppressed[r]:
-            continue
-        keep.append(dets[i])
-        t = slice(r + 1, None)
+    start = 0
+    while start < n:
+        stop = start + max(1, _BLOCK_PAIRS // (n - start))
+        rows = start + np.flatnonzero(~suppressed[start:stop])
+        r, t = rows[:, None], slice(start, None)
         iw = np.minimum(x2[t], x2[r]) - np.maximum(x1[t], x1[r])
-        ih = np.minimum(y2[t], y2[r]) - np.maximum(y1[t], y1[r])
+        # A pair with iw <= 0 or of two categories has no hit (its IoU is 0
+        # and the threshold is >= 0), and a row suppresses only later rows,
+        # so only the rest go on to the IoU.
+        pr, pc = np.divmod(np.flatnonzero(iw > 0), n - start)
+        live = (start + pc > rows[pr]) & (cats[start + pc] == cats[rows[pr]])
+        pr, pc = pr[live], pc[live]
+        iw, i, j = iw[pr, pc], rows[pr], start + pc
+        ih = np.minimum(y2[j], y2[i]) - np.maximum(y1[j], y1[i])
         inter = iw * ih
-        union = areas[r] + areas[t] - inter
-        overlap = (iw > 0) & (ih > 0) & (union > 0)
+        union = areas[i] + areas[j] - inter
+        overlap = (ih > 0) & (union > 0)
         iou = np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
-        suppressed[t] |= (cats[t] == cats[r]) & ~(iou <= iou_threshold)
+        hit = ~(iou <= iou_threshold)
+        # Hits sorted by table row: row k's run is cols[bounds[k]:bounds[k + 1]].
+        cols = j[hit]
+        bounds = np.searchsorted(pr[hit], np.arange(len(rows) + 1)).tolist()
+        for k, row in enumerate(rows.tolist()):
+            if not suppressed[row]:
+                keep.append(dets[order[row]])
+                if bounds[k] < bounds[k + 1]:
+                    suppressed[cols[bounds[k]:bounds[k + 1]]] = True
+        start = stop
     return keep
 
 
 def fuse(
     coarse: Sequence[Detection], fine: Sequence[Detection], iou_threshold: float = 0.5
 ) -> list[Detection]:
-    """Concatenate coarse and fine detections and run per-category NMS."""
+    """Concatenate coarse and fine detections and run per-category NMS;
+    ``iou_threshold`` must be in [0, 1]."""
     return nms(list(coarse) + list(fine), iou_threshold)

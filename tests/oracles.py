@@ -1,7 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately avoid the library's own code paths: the merge oracle is a
-direct index-juggling transcription of the greedy pseudocode, the union-area
+direct index-juggling transcription of the greedy pseudocode, the merge scan
+reference is an array merge that scans for every region (provenance
+included) and the NMS row reference an array NMS that forms one IoU row per
+kept detection, which the blocked pair tables of the library must equal
+exactly, the union-area
 oracle is Monte Carlo, the mosaic oracle samples each pixel through its
 placement's affine map in a scalar float64 loop, gradients
 are checked by central finite differences, exact transport comes from basis
@@ -28,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ufppack.geometry import BBox
+from ufppack.geometry import BBox, area, enclosing
 from ufppack.proxies import _row_norms, _sigmoid, multi_proxy_logit
 
 Box = tuple[float, float, float, float]
@@ -73,6 +77,79 @@ def merge_oracle(boxes: Sequence[Box], single_pass: bool = False) -> list[Box]:
                 break
         merged.append(a)
     return merged
+
+
+def _first_absorbable(
+    coords: np.ndarray, areas: np.ndarray, alive: np.ndarray, region: BBox, cursor: int
+) -> int:
+    c = coords[cursor:]
+    grown = (np.maximum(c[:, 2], region.x2) - np.minimum(c[:, 0], region.x1)) * (
+        np.maximum(c[:, 3], region.y2) - np.minimum(c[:, 1], region.y1)
+    )
+    ok = alive[cursor:] & (area(region) + areas[cursor:] >= grown)
+    return cursor + int(ok.argmax()) if ok.any() else -1
+
+
+def merge_scan_reference(candidates: Sequence[BBox]) -> tuple[list[BBox], list[list[int]]]:
+    """``regions.merge``'s regions and provenance, with every region found by
+    scans: the seed is the smallest alive area (lowest index on ties), and
+    the scan for the first alive box after the cursor that qualifies repeats
+    until a full pass absorbs nothing."""
+    boxes = list(candidates)
+    coords = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
+    areas = (coords[:, 2] - coords[:, 0]) * (coords[:, 3] - coords[:, 1])
+    alive = np.ones(len(boxes), dtype=bool)
+    regions: list[BBox] = []
+    provenance: list[list[int]] = []
+    while alive.any():
+        left = np.flatnonzero(alive)
+        seed = int(left[np.argmin(areas[left])])
+        alive[seed] = False
+        current, absorbed = boxes[seed], [seed]
+        changed = True
+        while changed:
+            changed = False
+            cursor = 0
+            while (j := _first_absorbable(coords, areas, alive, current, cursor)) >= 0:
+                alive[j] = False
+                current = enclosing(current, boxes[j])
+                absorbed.append(j)
+                changed = True
+                cursor = j + 1
+        regions.append(current)
+        provenance.append(absorbed)
+    return regions, provenance
+
+
+def nms_row_reference(dets: Sequence, iou_threshold: float) -> list:
+    """``remap.nms`` with one vectorised IoU row per kept detection against
+    every later one."""
+    order = sorted(
+        range(len(dets)), key=lambda i: (-dets[i].score, dets[i].category, i)
+    )
+    boxes = np.array(
+        [(dets[i].box.x1, dets[i].box.y1, dets[i].box.x2, dets[i].box.y2) for i in order],
+        dtype=float,
+    ).reshape(-1, 4)
+    x1, y1, x2, y2 = boxes.T
+    areas = (x2 - x1) * (y2 - y1)
+    codes: dict[int, int] = {}
+    cats = np.array([codes.setdefault(dets[i].category, len(codes)) for i in order])
+    suppressed = np.zeros(len(order), dtype=bool)
+    keep: list = []
+    for r, i in enumerate(order):
+        if suppressed[r]:
+            continue
+        keep.append(dets[i])
+        t = slice(r + 1, None)
+        iw = np.minimum(x2[t], x2[r]) - np.maximum(x1[t], x1[r])
+        ih = np.minimum(y2[t], y2[r]) - np.maximum(y1[t], y1[r])
+        inter = iw * ih
+        union = areas[r] + areas[t] - inter
+        overlap = (iw > 0) & (ih > 0) & (union > 0)
+        iou = np.divide(inter, union, out=np.zeros_like(inter), where=overlap)
+        suppressed[t] |= (cats[t] == cats[r]) & ~(iou <= iou_threshold)
+    return keep
 
 
 def iou(a: BBox, b: BBox) -> float:

@@ -81,6 +81,33 @@ def test_pack_unpack_bytes_pinned(outputs):
     assert got == GOLDEN
 
 
+# The dense 1000-object scene (seed 7) through synth -> pack -> unpack: its
+# merge and NMS span several blocks of pairs, so these pin the multi-block
+# paths byte for byte.
+DENSE_GOLDEN = {
+    "layout.json": "9ccd4cb819e201faed79d797864f47cbc10e051ed169bc39dfa2c7a610715ab4",
+    "fused.json": "b9d76d57cb920ab8757ee21b35a0b75d4e63f76b494e9b45d77360f3876c328c",
+}
+
+
+def test_dense_pack_unpack_bytes_pinned(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 7, "n_objects": 1000, "target_fr": 0.3}))
+    scene, layout = tmp_path / "scene.json", tmp_path / "layout.json"
+    assert main(["synth", "--spec", str(spec), "--out", str(scene)]) == 0
+    assert main(["pack", "--detections", str(scene), "--image-size", "2000x1500",
+                 "--out-layout", str(layout)]) == 0
+    fine = tmp_path / "fine.json"
+    fine.write_text(json.dumps(_fine_records(json.loads(layout.read_text()),
+                                             np.random.default_rng(12))))
+    fused = tmp_path / "fused.json"
+    assert main(["unpack", "--fine", str(fine), "--layout", str(layout),
+                 "--coarse", str(scene), "--out", str(fused)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in DENSE_GOLDEN}
+    assert got == DENSE_GOLDEN
+
+
 def test_scene_has_region_clamped_to_image_edge(outputs):
     srcs = [p["src"] for p in json.loads((outputs / "layout.json").read_text())["placements"]]
     assert any(s[2] == WIDTH or s[3] == HEIGHT for s in srcs)

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import merge_oracle, random_boxes
-from ufppack import io
+from oracles import merge_oracle, merge_scan_reference, random_boxes
+from ufppack import io, regions
 from ufppack.config import PipelineConfig
 from ufppack.geometry import BBox, ImageExtent, area, enclosing
 from ufppack.pipeline import build_layout
@@ -74,6 +74,81 @@ class TestMerge:
         assert len(one_pass) == 2
         got = merge(_boxes(raw))
         assert len(got) == len(fixed_point)
+
+    def test_zero_area_boxes_apart_merge(self):
+        # Two zero-height boxes on one line qualify though they do not touch:
+        # 0 + 0 >= 0. So touching is no necessary condition for absorption.
+        raw = [(0, 5, 1, 5), (3, 5, 4, 5)]
+        rs = merge(_boxes(raw))
+        assert rs.regions == _boxes([(0, 5, 4, 5)])
+        assert rs.provenance == [[0, 1]]
+        assert merge_oracle(raw) == [(0, 5, 4, 5)]
+
+
+def _typed(rs_regions):
+    return [tuple((v, type(v)) for v in (b.x1, b.y1, b.x2, b.y2)) for b in rs_regions]
+
+
+def _assert_matches_scan_reference(boxes):
+    got = merge(boxes)
+    want_regions, want_provenance = merge_scan_reference(boxes)
+    assert _typed(got.regions) == _typed(want_regions)
+    assert got.provenance == want_provenance
+
+
+def _mixed_boxes(rng, n, integer):
+    """Random boxes of sides up to 16 on a 400 x 400 extent, so that some
+    merge and many stay alone, with duplicates and zero-area boxes among
+    them; int corners when ``integer``."""
+    xy = rng.uniform(0, 400, (n, 2))
+    raw = np.concatenate([xy, xy + rng.uniform(0, 16, (n, 2))], axis=1)
+    boxes = _boxes(raw.astype(int).tolist() if integer else raw.tolist())
+    for i in rng.choice(n, n // 8, replace=False):
+        boxes[i] = boxes[int(rng.integers(0, n))]
+    for i in rng.choice(n, n // 8, replace=False):
+        b = boxes[i]
+        boxes[i] = BBox(b.x1, b.y1, b.x2, b.y1) if i % 2 else BBox(b.x1, b.y1, b.x1, b.y1)
+    return boxes
+
+
+class TestBlockedMatchesScanReference:
+    # 255^2 pairs are just under one block of _BLOCK_PAIRS = 2^16, 256^2 are
+    # exactly one, 257 rows need two blocks and 600 six.
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("n", [255, 256, 257, 600])
+    def test_block_boundaries(self, n, integer):
+        assert regions._BLOCK_PAIRS == 1 << 16
+        _assert_matches_scan_reference(_mixed_boxes(np.random.default_rng(n), n, integer))
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, 64])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_many_small_blocks(self, monkeypatch, seed, block_pairs):
+        monkeypatch.setattr(regions, "_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(200 + seed)
+        _assert_matches_scan_reference(_mixed_boxes(rng, int(rng.integers(1, 40)), seed % 2 == 1))
+
+    def test_int_area_decides(self):
+        # Past 2^53 an int corner rounds as a float, so a box's float area is
+        # not its int area: box 2 is 1 x 2 as ints and 0 x 2 as floats. Box 1
+        # qualifies against box 2 only by the int area, which is what the
+        # scan adds for the region.
+        big = 2 ** 53
+        boxes = [BBox(big + 2, 1, big + 3, 1), BBox(big + 3, 3, big + 6, 4),
+                 BBox(big + 3, 2, big + 4, 4)]
+        assert merge(boxes).provenance == [[0], [2, 1]]
+        _assert_matches_scan_reference(boxes)
+
+    def test_nan_area_seeds_first(self):
+        # An overflowed width times a zero height is a NaN area, which the
+        # scan's argmin takes as the smallest.
+        boxes = [BBox(0, 0, 1, 1), BBox(-1e308, 0, 1e308, 0)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert merge(boxes).provenance == [[1], [0]]
+            _assert_matches_scan_reference(boxes)
+
+    def test_empty_and_single(self):
+        _assert_matches_scan_reference([])
+        _assert_matches_scan_reference([BBox(1, 2, 3, 4)])
 
 
 class TestExpandAndMerge:

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import iou, nms_reference
+from oracles import iou, nms_reference, nms_row_reference
+from ufppack import remap
 from ufppack.geometry import BBox
 from ufppack.mosaic import MosaicLayout, Placement, pack
 from ufppack.remap import Detection, fuse, nms, to_mosaic, to_source
@@ -201,3 +202,60 @@ class TestNmsMatchesReference:
             for _ in range(int(rng.integers(0, 120)))
         ]
         assert _same_objects(nms(dets, 0.5), nms_reference(dets, 0.5))
+
+
+class TestThreshold:
+    PAIR = [Detection(BBox(0, 0, 10, 10), 0.9, 0), Detection(BBox(100, 100, 110, 110), 0.8, 0)]
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.5, 1.5, float("inf"), float("-inf")])
+    @pytest.mark.parametrize("run", [nms, lambda dets, t: fuse(dets, [], t)])
+    def test_out_of_range_refused(self, run, threshold):
+        with pytest.raises(ValueError, match=rf"^iou_threshold must be in \[0,1\], got {threshold}$"):
+            run(self.PAIR, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    @pytest.mark.parametrize("run", [nms, lambda dets, t: fuse(dets, [], t)])
+    def test_bounds_accepted(self, run, threshold):
+        # Two disjoint boxes of one category are both kept.
+        assert _same_objects(run(self.PAIR, threshold), self.PAIR)
+
+
+def _grid_detections(rng, n, categories=(0, 1, 2), equal_scores=False):
+    """Small integer boxes on a 40 x 40 grid, so duplicates, zero-area boxes
+    and IoU values equal to a threshold are common."""
+    dets = []
+    for _ in range(n):
+        x, y = (int(v) for v in rng.integers(0, 40, 2))
+        w, h = (int(v) for v in rng.integers(0, 8, 2))
+        score = 0.5 if equal_scores else int(rng.integers(0, 5)) / 4
+        dets.append(Detection(BBox(x, y, x + w, y + h), score,
+                              categories[int(rng.integers(0, len(categories)))]))
+    return dets
+
+
+class TestBlockedMatchesRowReference:
+    # The first block holds 65536 // n rows of n columns: 255 rows take one
+    # block just under _BLOCK_PAIRS = 2^16 pairs, 256 exactly one, 257 two
+    # and 700 more than two.
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [255, 256, 257, 700])
+    def test_block_boundaries(self, n, threshold):
+        assert remap._BLOCK_PAIRS == 1 << 16
+        dets = _grid_detections(np.random.default_rng(n), n, categories=(0, 1, 10 ** 30))
+        assert _same_objects(nms(dets, threshold), nms_row_reference(dets, threshold))
+
+    @pytest.mark.parametrize("threshold", [0.0, 1 / 3, 1.0])
+    @pytest.mark.parametrize("n", [256, 700])
+    def test_equal_scores_one_category(self, n, threshold):
+        dets = _grid_detections(np.random.default_rng(n + 1), n, categories=(10 ** 30,),
+                                equal_scores=True)
+        assert _same_objects(nms(dets, threshold), nms_row_reference(dets, threshold))
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, 64])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_many_small_blocks(self, monkeypatch, seed, block_pairs):
+        monkeypatch.setattr(remap, "_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(300 + seed)
+        dets = _grid_detections(rng, int(rng.integers(0, 50)), equal_scores=seed % 2 == 1)
+        for threshold in (0.0, 0.5, 1.0):
+            assert _same_objects(nms(dets, threshold), nms_row_reference(dets, threshold))
