@@ -58,22 +58,3 @@ class ImageExtent:
 def area(box: BBox) -> float:
     return box.width * box.height
 
-
-def expand(box: BBox, beta: float, extent: ImageExtent) -> BBox:
-    """Scale width and height by beta about the box center, clamped to the image."""
-    if beta < 1.0:
-        raise ValueError(f"expansion ratio must be >= 1, got {beta}")
-    cx, cy = box.center
-    hw = 0.5 * beta * box.width
-    hh = 0.5 * beta * box.height
-    return BBox(
-        max(0.0, cx - hw),
-        max(0.0, cy - hh),
-        min(extent.width, cx + hw),
-        min(extent.height, cy + hh),
-    )
-
-
-def enclosing(a: BBox, b: BBox) -> BBox:
-    """Smallest box containing both inputs."""
-    return BBox(min(a.x1, b.x1), min(a.y1, b.y1), max(a.x2, b.x2), max(a.y2, b.y2))

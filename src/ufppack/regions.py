@@ -1,21 +1,21 @@
 """Greedy merging of coarse foreground boxes into cluster regions.
 
+The input is one float (n, 4) array of corners (x1, y1, x2, y2), a row per
+coarse detection. ``expand_and_merge`` scales every row by beta about its
+center and clamps it to the image; a detection wholly outside the image
+clamps to a reversed row and is refused with ValueError, which names its
+index and the image size.
+
 Starting from the smallest remaining box, a box B is absorbed whenever the
 smallest box enclosing both covers no more area than the two boxes combined
 (|A| + |B| >= |C|). The scan over remaining boxes repeats until a full pass
-absorbs nothing, since each absorption grows A and may newly qualify boxes
-that failed earlier.
-
-The boxes are held as an (n, 4) coordinate array with an alive mask. Seeds
-come from one stable sort of the areas. Before any seed, a table over blocks
-of at most ``_BLOCK_PAIRS`` box pairs records for each box whether any other
-box qualifies against it alone. Boxes only ever leave the alive set, so a
-seed that no box qualifies against closes as a one-box region without a
-scan. Every other seed runs the scan: one scan step finds the first alive box
-after the cursor that qualifies against the current region, so absorptions
-happen in the same order as a box-by-box scan. The region itself grows
-through ``enclosing`` on the input boxes, which keeps each coordinate's value
-and type exactly as the input gave it.
+absorbs nothing, since each absorption grows A. Seeds come from one stable
+sort of the areas. A table over blocks of at most ``_BLOCK_PAIRS`` box pairs
+first records which boxes some other box qualifies against alone; boxes only
+ever leave the alive set, so a seed without such a partner closes as a
+one-box region with no scan. For every other seed, one scan step finds the
+first alive box after the cursor that qualifies against the current region,
+in a box-by-box scan's order. The region grows as four floats.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox, ImageExtent, area, enclosing, expand
+from .geometry import BBox, ImageExtent
 
 _BLOCK_PAIRS = 1 << 16  # most box pairs one table of ``_has_partner`` holds
 
@@ -32,32 +32,27 @@ _BLOCK_PAIRS = 1 << 16  # most box pairs one table of ``_has_partner`` holds
 @dataclass
 class RegionSet:
     regions: list[BBox] = field(default_factory=list)
-    # For each region, the input indices of the boxes it absorbed, in
-    # absorption order (seed box first).
+    # Per region, the input indices it absorbed in absorption order, seed first.
     provenance: list[list[int]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.regions)
 
 
-def _first_absorbable(
-    coords: np.ndarray, areas: np.ndarray, alive: np.ndarray, region: BBox, cursor: int
-) -> int:
+def _first_absorbable(coords: np.ndarray, areas: np.ndarray, alive: np.ndarray,
+                      region: tuple[float, ...], cursor: int) -> int:
     """Index of the first alive box at or after cursor that the region absorbs, or -1."""
+    x1, y1, x2, y2 = region
     c = coords[cursor:]
-    grown = (np.maximum(c[:, 2], region.x2) - np.minimum(c[:, 0], region.x1)) * (
-        np.maximum(c[:, 3], region.y2) - np.minimum(c[:, 1], region.y1)
+    grown = (np.maximum(c[:, 2], x2) - np.minimum(c[:, 0], x1)) * (
+        np.maximum(c[:, 3], y2) - np.minimum(c[:, 1], y1)
     )
-    ok = alive[cursor:] & (area(region) + areas[cursor:] >= grown)
+    ok = alive[cursor:] & ((x2 - x1) * (y2 - y1) + areas[cursor:] >= grown)
     return cursor + int(ok.argmax()) if ok.any() else -1
 
 
-def _has_partner(coords: np.ndarray, areas: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """For each box i, whether any other box j qualifies against box i alone.
-
-    ``own`` holds each box's ``area`` as the region term, so every pair takes
-    ``_first_absorbable``'s arithmetic with box i as the region.
-    """
+def _has_partner(coords: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """For each box, whether another box qualifies against it alone as the region."""
     n = len(coords)
     x1, y1, x2, y2 = coords.T
     has = np.zeros(n, dtype=bool)
@@ -70,19 +65,18 @@ def _has_partner(coords: np.ndarray, areas: np.ndarray, own: np.ndarray) -> np.n
         h = np.maximum(y2, y2[r, None])
         h -= np.minimum(y1, y1[r, None])
         grown *= h
-        ok = own[r, None] + areas >= grown
+        ok = areas[r, None] + areas >= grown
         np.fill_diagonal(ok[:, start:], False)  # a box is no partner of itself
         has[r] = ok.any(axis=1)
     return has
 
 
-def merge(candidates: Sequence[BBox]) -> RegionSet:
-    """Merge boxes into cluster regions; deterministic given input order."""
-    boxes = list(candidates)
-    coords = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
+def _merge(coords: np.ndarray) -> RegionSet:
+    """Merge the rows of a float (n, 4) corner array; deterministic given row order."""
     areas = (coords[:, 2] - coords[:, 0]) * (coords[:, 3] - coords[:, 1])
-    has = _has_partner(coords, areas, np.array([area(b) for b in boxes], dtype=float))
-    alive = np.ones(len(boxes), dtype=bool)
+    has = _has_partner(coords, areas)
+    rows = coords.tolist()
+    alive = np.ones(len(rows), dtype=bool)
     out = RegionSet()
     # Smallest-area box seeds the next region; ties go to the lowest input
     # index, and a NaN area (an overflowed side times 0) counts as smallest.
@@ -90,22 +84,43 @@ def merge(candidates: Sequence[BBox]) -> RegionSet:
         if not alive[seed]:
             continue
         alive[seed] = False
-        current, absorbed = boxes[seed], [seed]
+        (x1, y1, x2, y2), absorbed = rows[seed], [seed]
         changed = bool(has[seed])
         while changed:
-            changed = False
-            cursor = 0
-            while (j := _first_absorbable(coords, areas, alive, current, cursor)) >= 0:
+            changed, cursor = False, 0
+            while (j := _first_absorbable(coords, areas, alive, (x1, y1, x2, y2), cursor)) >= 0:
                 alive[j] = False
-                current = enclosing(current, boxes[j])
+                a1, b1, a2, b2 = rows[j]
+                x1, y1, x2, y2 = min(x1, a1), min(y1, b1), max(x2, a2), max(y2, b2)
                 absorbed.append(j)
                 changed = True
                 cursor = j + 1
-        out.regions.append(current)
+        out.regions.append(BBox(x1, y1, x2, y2))
         out.provenance.append(absorbed)
     return out
 
 
-def expand_and_merge(detections: Sequence[BBox], beta: float, extent: ImageExtent) -> RegionSet:
-    """Expand every detection by beta, then merge."""
-    return merge([expand(b, beta, extent) for b in detections])
+def merge(candidates: Sequence[BBox]) -> RegionSet:
+    """Merge boxes into cluster regions; deterministic given input order."""
+    return _merge(np.array([(b.x1, b.y1, b.x2, b.y2) for b in candidates],
+                           dtype=float).reshape(-1, 4))
+
+
+def expand_and_merge(boxes: np.ndarray, beta: float, extent: ImageExtent) -> RegionSet:
+    """Scale the (x1, y1, x2, y2) rows of ``boxes`` by beta about their
+    centers, clamp them to the image, then merge them."""
+    if beta < 1.0:
+        raise ValueError(f"expansion ratio must be >= 1, got {beta}")
+    lo, hi = np.hsplit(np.asarray(boxes, dtype=float).reshape(-1, 4), 2)
+    size = np.array([extent.width, extent.height], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # clamped or refused below
+        center = 0.5 * (lo + hi)
+        half = 0.5 * beta * (hi - lo)
+        coords = np.hstack([np.maximum(0.0, center - half),
+                            np.minimum(size, center + half)])
+    # Written so that a NaN fails the test too.
+    inside = (coords[:, :2] <= coords[:, 2:]).all(axis=1)
+    if not inside.all():
+        raise ValueError(f"detection {int(inside.argmin())} lies outside the "
+                         f"{extent.width:g}x{extent.height:g} image")
+    return _merge(coords)

@@ -3,9 +3,10 @@
 These deliberately avoid the library's own code paths: the merge oracle is a
 direct index-juggling transcription of the greedy pseudocode, the merge scan
 reference is an array merge that scans for every region (provenance
-included) and the NMS row reference an array NMS that forms one IoU row per
-kept detection, which the blocked pair tables of the library must equal
-exactly, the union-area
+included), the expansion reference is the scalar per-box ``expand`` that
+``regions.expand_and_merge`` vectorises bit for bit, and the NMS row
+reference an array NMS that forms one IoU row per kept detection, which the
+blocked pair tables of the library must equal exactly, the union-area
 oracle is Monte Carlo, the mosaic oracle samples each pixel through its
 placement's affine map in a scalar float64 loop, gradients
 are checked by central finite differences, exact transport comes from basis
@@ -32,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ufppack.geometry import BBox, area, enclosing
+from ufppack.geometry import BBox, ImageExtent, area
 from ufppack.proxies import _row_norms, _sigmoid, multi_proxy_logit
 
 Box = tuple[float, float, float, float]
@@ -77,6 +78,26 @@ def merge_oracle(boxes: Sequence[Box], single_pass: bool = False) -> list[Box]:
                 break
         merged.append(a)
     return merged
+
+
+def expand_ref(box: BBox, beta: float, extent: ImageExtent) -> BBox:
+    """Scale width and height by beta about the box center, clamped to the image."""
+    if beta < 1.0:
+        raise ValueError(f"expansion ratio must be >= 1, got {beta}")
+    cx, cy = box.center
+    hw = 0.5 * beta * box.width
+    hh = 0.5 * beta * box.height
+    return BBox(
+        max(0.0, cx - hw),
+        max(0.0, cy - hh),
+        min(extent.width, cx + hw),
+        min(extent.height, cy + hh),
+    )
+
+
+def enclosing(a: BBox, b: BBox) -> BBox:
+    """Smallest box containing both inputs, each corner as its input gave it."""
+    return BBox(min(a.x1, b.x1), min(a.y1, b.y1), max(a.x2, b.x2), max(a.y2, b.y2))
 
 
 def _first_absorbable(

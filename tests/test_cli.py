@@ -100,6 +100,19 @@ class TestPackCommand:
         assert rc == 1 and not out.exists()
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("off_image", [(4995, 4995, 5, 5), (-30, 10, 20, 20)])
+    def test_detection_outside_image_exit_1_without_output(self, tmp_path, capsys, off_image):
+        dets = _write_detections(tmp_path / "dets.json", [
+            _det_record(300, 200, 40, 30), _det_record(*off_image), _det_record(10, 10, 5, 5),
+        ])
+        out = tmp_path / "layout.json"
+        rc = main([
+            "pack", "--detections", dets, "--image-size", "640x480", "--out-layout", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and not out.exists() and captured.out == ""
+        assert captured.err == "error: detection 1 lies outside the 640x480 image\n"
+
     def test_image_without_out_mosaic_writes_nothing(self, tmp_path, three_box_file):
         image = tmp_path / "in.ppm"
         io.write_ppm(np.zeros((200, 200, 3), dtype=np.uint8), image)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 
 from conftest import bbox_strategy
 from oracles import iou
-from ufppack.geometry import BBox, ImageExtent, area, enclosing, expand
+from ufppack.geometry import BBox, ImageExtent, area
+from ufppack.regions import expand_and_merge
 
 
 class TestBBox:
@@ -45,47 +47,36 @@ class TestImageExtent:
             ImageExtent(*wh)
 
 
+def _expand_one(box: BBox, beta: float, extent: ImageExtent) -> BBox:
+    """The region ``expand_and_merge`` makes of one box: the box expanded."""
+    (region,) = expand_and_merge(np.array([(box.x1, box.y1, box.x2, box.y2)]), beta,
+                                 extent).regions
+    return region
+
+
 class TestExpand:
     def test_center_scaling(self):
-        got = expand(BBox(10, 10, 20, 20), 1.5, ImageExtent(100, 100))
+        got = _expand_one(BBox(10, 10, 20, 20), 1.5, ImageExtent(100, 100))
         assert got == BBox(7.5, 7.5, 22.5, 22.5)
 
     def test_identity_at_one(self):
         b = BBox(3, 4, 30, 40)
-        assert expand(b, 1.0, ImageExtent(100, 100)) == b
+        assert _expand_one(b, 1.0, ImageExtent(100, 100)) == b
 
     def test_clamped_at_border(self):
-        got = expand(BBox(0, 0, 10, 10), 1.5, ImageExtent(100, 100))
+        got = _expand_one(BBox(0, 0, 10, 10), 1.5, ImageExtent(100, 100))
         assert got == BBox(0, 0, 12.5, 12.5)
 
     def test_beta_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            expand(BBox(0, 0, 10, 10), 0.9, ImageExtent(100, 100))
+        with pytest.raises(ValueError, match="expansion ratio must be >= 1"):
+            _expand_one(BBox(0, 0, 10, 10), 0.9, ImageExtent(100, 100))
 
     @given(bbox_strategy(max_coord=100))
     def test_never_exceeds_extent(self, b):
         ext = ImageExtent(100, 100)
-        got = expand(b, 2.5, ext)
+        got = _expand_one(b, 2.5, ext)
         assert 0 <= got.x1 <= got.x2 <= ext.width
         assert 0 <= got.y1 <= got.y2 <= ext.height
-
-
-class TestEnclosing:
-    def test_disjoint(self):
-        assert enclosing(BBox(0, 0, 10, 10), BBox(20, 20, 30, 30)) == BBox(0, 0, 30, 30)
-
-    def test_idempotent(self):
-        b = BBox(1, 2, 3, 4)
-        assert enclosing(b, b) == b
-
-    def test_overlapping(self):
-        assert enclosing(BBox(0, 0, 10, 10), BBox(5, 0, 15, 10)) == BBox(0, 0, 15, 10)
-
-    @given(bbox_strategy(), bbox_strategy())
-    def test_contains_both(self, a, b):
-        c = enclosing(a, b)
-        assert c.contains(a) and c.contains(b)
-        assert area(c) >= max(area(a), area(b))
 
 
 class TestArea:

@@ -1,17 +1,14 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from oracles import merge_oracle, merge_scan_reference, random_boxes
-from ufppack import io, regions
-from ufppack.config import PipelineConfig
-from ufppack.geometry import BBox, ImageExtent, area, enclosing
-from ufppack.pipeline import build_layout
+from oracles import enclosing, expand_ref, merge_oracle, merge_scan_reference, random_boxes
+from ufppack import regions
+from ufppack.geometry import BBox, ImageExtent, area
 from ufppack.regions import expand_and_merge, merge
-from ufppack.remap import Detection
 
 
 def _boxes(tuples):
@@ -85,14 +82,14 @@ class TestMerge:
         assert merge_oracle(raw) == [(0, 5, 4, 5)]
 
 
-def _typed(rs_regions):
-    return [tuple((v, type(v)) for v in (b.x1, b.y1, b.x2, b.y2)) for b in rs_regions]
+def _corners(rs_regions):
+    return [(b.x1, b.y1, b.x2, b.y2) for b in rs_regions]
 
 
 def _assert_matches_scan_reference(boxes):
     got = merge(boxes)
     want_regions, want_provenance = merge_scan_reference(boxes)
-    assert _typed(got.regions) == _typed(want_regions)
+    assert _corners(got.regions) == _corners(want_regions)
     assert got.provenance == want_provenance
 
 
@@ -127,17 +124,6 @@ class TestBlockedMatchesScanReference:
         rng = np.random.default_rng(200 + seed)
         _assert_matches_scan_reference(_mixed_boxes(rng, int(rng.integers(1, 40)), seed % 2 == 1))
 
-    def test_int_area_decides(self):
-        # Past 2^53 an int corner rounds as a float, so a box's float area is
-        # not its int area: box 2 is 1 x 2 as ints and 0 x 2 as floats. Box 1
-        # qualifies against box 2 only by the int area, which is what the
-        # scan adds for the region.
-        big = 2 ** 53
-        boxes = [BBox(big + 2, 1, big + 3, 1), BBox(big + 3, 3, big + 6, 4),
-                 BBox(big + 3, 2, big + 4, 4)]
-        assert merge(boxes).provenance == [[0], [2, 1]]
-        _assert_matches_scan_reference(boxes)
-
     def test_nan_area_seeds_first(self):
         # An overflowed width times a zero height is a NaN area, which the
         # scan's argmin takes as the smallest.
@@ -151,40 +137,112 @@ class TestBlockedMatchesScanReference:
         _assert_matches_scan_reference([BBox(1, 2, 3, 4)])
 
 
+def _rows(tuples):
+    return np.array(tuples, dtype=float).reshape(-1, 4)
+
+
+def _bits(corners):
+    return np.array(corners, dtype=float).view(np.uint64).tolist()
+
+
+# Corners across and beyond a 200 x 150 image, so that boxes clamp at every
+# edge and some lie wholly outside. A -0.0 corner becomes 0.0: the scalar
+# max(0.0, -0.0) gives 0.0 where np.maximum gives -0.0, equal values.
+_COORD = st.floats(-60, 260).map(lambda v: v + 0.0)
+_BOX = st.tuples(_COORD, _COORD, _COORD, _COORD).map(
+    lambda t: (min(t[0], t[2]), min(t[1], t[3]), max(t[0], t[2]), max(t[1], t[3])))
+_ZERO_AREA_BOX = st.tuples(_COORD, _COORD, _COORD).map(
+    lambda t: (min(t[0], t[2]), t[1], max(t[0], t[2]), t[1]))
+_BETA = st.one_of(st.just(1.0), st.floats(1.0, 4.0))
+_EXTENT = ImageExtent(200.0, 150.0)
+
+
+class TestExpandMatchesScalarReference:
+    @given(st.one_of(_BOX, _ZERO_AREA_BOX), _BETA)
+    @example((10.0, 10.0, 30.0, 40.0), 1.0)
+    @example((5.0, 7.0, 5.0, 7.0), 1.5)
+    @example((-10.0, 50.0, 10.0, 60.0), 1.5)  # clamped at the left edge
+    @example((50.0, -10.0, 60.0, 10.0), 1.5)  # top
+    @example((190.0, 50.0, 210.0, 60.0), 1.5)  # right
+    @example((50.0, 140.0, 60.0, 160.0), 1.5)  # bottom
+    @example((-20.0, -20.0, 220.0, 170.0), 2.0)  # every edge
+    def test_one_row_bit_for_bit(self, box, beta):
+        try:
+            want = expand_ref(BBox(*box), beta, _EXTENT)
+        except ValueError:
+            with pytest.raises(ValueError, match=r"^detection 0 lies outside the 200x150 image$"):
+                expand_and_merge(_rows([box]), beta, _EXTENT)
+            return
+        (got,) = expand_and_merge(_rows([box]), beta, _EXTENT).regions
+        assert _bits(_corners([got])) == _bits(_corners([want]))
+
+    @given(st.lists(st.one_of(_BOX, _ZERO_AREA_BOX), max_size=16), _BETA)
+    def test_array_matches_merge_of_scalar_expansion(self, raw, beta):
+        kept, expanded = [], []
+        for box in raw:
+            try:
+                expanded.append(expand_ref(BBox(*box), beta, _EXTENT))
+            except ValueError:
+                continue
+            kept.append(box)
+        got = expand_and_merge(_rows(kept), beta, _EXTENT)
+        want = merge(expanded)
+        assert _corners(got.regions) == _corners(want.regions)
+        assert got.provenance == want.provenance
+        # A one-box region is its expanded row.
+        for region, prov in zip(got.regions, got.provenance):
+            if len(prov) == 1:
+                assert _bits(_corners([region])) == _bits(_corners([expanded[prov[0]]]))
+
+
 class TestExpandAndMerge:
     def test_empty(self):
-        assert len(expand_and_merge([], 1.5, ImageExtent(100, 100))) == 0
+        assert len(expand_and_merge(_rows([]), 1.5, ImageExtent(100, 100))) == 0
 
     def test_single_detection(self):
-        rs = expand_and_merge([BBox(10, 10, 20, 20)], 1.5, ImageExtent(100, 100))
+        rs = expand_and_merge(_rows([(10, 10, 20, 20)]), 1.5, ImageExtent(100, 100))
         assert rs.regions == [BBox(7.5, 7.5, 22.5, 22.5)]
 
     def test_abutting_boxes_merge_after_expansion(self):
-        rs = expand_and_merge(
-            [BBox(0, 0, 10, 10), BBox(10, 0, 20, 10)], 1.5, ImageExtent(100, 100)
-        )
+        rs = expand_and_merge(_rows([(0, 0, 10, 10), (10, 0, 20, 10)]), 1.5,
+                              ImageExtent(100, 100))
         assert len(rs) == 1
 
-    def test_int_extent_edge_stays_int_in_layout(self, tmp_path):
-        # The merged region is built from the input boxes, so an edge clamped
-        # to an int extent is written as 200, not 200.0.
-        dets = [Detection(BBox(180.0, 40.0, 196.0, 60.0), 0.9, 0),
-                Detection(BBox(186.5, 45.0, 199.0, 58.0), 0.8, 0)]
-        regions, layout = build_layout(dets, ImageExtent(200, 100), PipelineConfig())
-        assert regions.provenance == [[1, 0]]
-        path = tmp_path / "layout.json"
-        io.save_layout(layout, path)
-        (src,) = (p["src"] for p in json.loads(path.read_text())["placements"])
-        assert src[2] == 200 and type(src[2]) is int
+    def test_regions_are_float(self):
+        # An edge clamped to an int extent is the float 200.0, as every
+        # other corner is.
+        rs = expand_and_merge(_rows([(180, 40, 196, 60)]), 1.5, ImageExtent(200, 100))
+        (region,) = rs.regions
+        assert _corners([region]) == [(176.0, 35.0, 200.0, 65.0)]
+        assert {type(v) for v in _corners([region])[0]} == {float}
+
+    @pytest.mark.parametrize("off_image", [
+        (700, 100, 720, 120), (-40, 100, -20, 120),  # right of and left of the image
+        (100, 500, 120, 520), (100, -40, 120, -20),  # below and above it
+    ])
+    def test_detection_outside_image_refused(self, off_image):
+        boxes = _rows([(10, 10, 20, 20), off_image, (30, 30, 40, 40)])
+        with pytest.raises(ValueError, match=r"^detection 1 lies outside the 640x480 image$"):
+            expand_and_merge(boxes, 1.5, ImageExtent(640, 480))
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_nan_corner_refused(self, column):
+        row = [10.0, 10.0, 20.0, 20.0]
+        row[column] = float("nan")
+        with pytest.raises(ValueError, match=r"^detection 1 lies outside"):
+            expand_and_merge(_rows([(0, 0, 5, 5), row]), 1.5, ImageExtent(100, 100))
+
+    def test_edge_touching_detection_kept(self):
+        # A box that starts at the right edge clamps to a zero-width row there.
+        rs = expand_and_merge(_rows([(100, 10, 120, 20)]), 1.0, ImageExtent(100, 100))
+        assert rs.regions == [BBox(100.0, 10.0, 100.0, 20.0)]
 
     def test_merge_soundness_replay(self):
         # Every absorption must have satisfied the area condition when taken.
         rng = np.random.default_rng(7)
         raw = _boxes(random_boxes(rng, 12, (200, 200)))
-        rs = expand_and_merge(raw, 1.5, ImageExtent(200, 200))
-        from ufppack.geometry import expand
-
-        expanded = [expand(b, 1.5, ImageExtent(200, 200)) for b in raw]
+        rs = expand_and_merge(_rows(_corners(raw)), 1.5, ImageExtent(200, 200))
+        expanded = [expand_ref(b, 1.5, ImageExtent(200, 200)) for b in raw]
         for prov in rs.provenance:
             acc = expanded[prov[0]]
             for i in prov[1:]:
