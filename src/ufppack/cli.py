@@ -38,10 +38,13 @@ def _fail(code: int, msg: str) -> int:
 
 def _parse_size(s: str) -> ImageExtent:
     try:
-        w, h = s.lower().split("x")
-        return ImageExtent(float(w), float(h))
+        w, h = map(float, s.lower().split("x"))
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"expected WxH, got {s!r}") from e
+    try:
+        return ImageExtent(w, h)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
 
 
 def _load_config(cls: type, path: str | None) -> Any:

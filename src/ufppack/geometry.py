@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 _FLOAT_MAX = sys.float_info.max  # NaN, ±inf and too-large ints are not within ±_FLOAT_MAX
 
@@ -41,9 +44,6 @@ class BBox:
             and other.y2 <= self.y2 + tol
         )
 
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
-
 
 @dataclass(frozen=True)
 class ImageExtent:
@@ -53,8 +53,15 @@ class ImageExtent:
     def __post_init__(self) -> None:
         if not (0 < self.width <= _FLOAT_MAX and 0 < self.height <= _FLOAT_MAX):
             raise ValueError(f"extent must be positive and finite, got {self.width}x{self.height}")
+        # Areas and foreground ratios divide by or compare against width * height.
+        if not float(self.width) * float(self.height) <= _FLOAT_MAX:
+            raise ValueError(f"extent area must be finite, got {self.width:g}x{self.height:g}")
 
 
 def area(box: BBox) -> float:
     return box.width * box.height
 
+
+def corners(boxes: Iterable[BBox]) -> np.ndarray:
+    """The boxes' corners (x1, y1, x2, y2) as a float (n, 4) array; (0, 4) for none."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)

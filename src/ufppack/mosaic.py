@@ -87,8 +87,8 @@ def pack(
         if widths[i] > target_width - 2 * padding:
             raise UnpackableRegionError(
                 f"region {i} (source {source}, scale {scale}) is "
-                f"{widths[i]:.2f} px wide; strip allows "
-                f"{target_width - 2 * padding:.2f}"
+                f"{widths[i]:g} px wide; strip allows "
+                f"{target_width - 2 * padding:g}"
             )
 
     order = sorted(range(len(scaled)), key=lambda i: (-heights[i], i))

@@ -7,10 +7,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .config import PipelineConfig
-from .geometry import BBox, ImageExtent
+from .geometry import BBox, ImageExtent, corners
 from .metrics import SizeStats, size_stats
 from .mosaic import MosaicLayout, equalize, pack
 from .regions import RegionSet, expand_and_merge
@@ -21,8 +19,7 @@ def build_layout(
     detections: Sequence[Detection], extent: ImageExtent, config: PipelineConfig
 ) -> tuple[RegionSet, MosaicLayout]:
     """Expand, merge, equalize and pack coarse detections into one mosaic."""
-    boxes = np.array([(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in detections], dtype=float)
-    regions = expand_and_merge(boxes, config.beta, extent)
+    regions = expand_and_merge(corners(d.box for d in detections), config.beta, extent)
     scales = equalize(regions, config.fixed_size)
     layout = pack(list(zip(regions.regions, scales)), config.mosaic_width, config.padding)
     return regions, layout

@@ -8,14 +8,15 @@ index and the image size.
 
 Starting from the smallest remaining box, a box B is absorbed whenever the
 smallest box enclosing both covers no more area than the two boxes combined
-(|A| + |B| >= |C|). The scan over remaining boxes repeats until a full pass
-absorbs nothing, since each absorption grows A. Seeds come from one stable
-sort of the areas. A table over blocks of at most ``_BLOCK_PAIRS`` box pairs
-first records which boxes some other box qualifies against alone; boxes only
-ever leave the alive set, so a seed without such a partner closes as a
-one-box region with no scan. For every other seed, one scan step finds the
-first alive box after the cursor that qualifies against the current region,
-in a box-by-box scan's order. The region grows as four floats.
+(|A| + |B| >= |C|), the test ``_absorbs`` spells once. The scan over
+remaining boxes repeats until a full pass absorbs nothing, since each
+absorption grows A. Seeds come from one stable sort of the areas. A table
+over blocks of at most ``_BLOCK_PAIRS`` box pairs first records which boxes
+some other box qualifies against alone; boxes only ever leave the alive set,
+so a seed without such a partner closes as a one-box region with no scan.
+For every other seed, one scan step finds the first alive box after the
+cursor that qualifies against the current region, in a box-by-box scan's
+order. The region grows as four floats.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox, ImageExtent
+from .geometry import BBox, ImageExtent, corners
 
 _BLOCK_PAIRS = 1 << 16  # most box pairs one table of ``_has_partner`` holds
 
@@ -39,33 +40,26 @@ class RegionSet:
         return len(self.regions)
 
 
-def _first_absorbable(coords: np.ndarray, areas: np.ndarray, alive: np.ndarray,
-                      region: tuple[float, ...], cursor: int) -> int:
-    """Index of the first alive box at or after cursor that the region absorbs, or -1."""
-    x1, y1, x2, y2 = region
-    c = coords[cursor:]
-    grown = (np.maximum(c[:, 2], x2) - np.minimum(c[:, 0], x1)) * (
-        np.maximum(c[:, 3], y2) - np.minimum(c[:, 1], y1)
-    )
-    ok = alive[cursor:] & ((x2 - x1) * (y2 - y1) + areas[cursor:] >= grown)
-    return cursor + int(ok.argmax()) if ok.any() else -1
+def _absorbs(x1, y1, x2, y2, area, coords: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """``area + areas >= grown`` for each row of ``coords``, grown being the area
+    enclosing it and the region x1..y2; region operands are floats or, for one
+    table row per region, column vectors."""
+    grown = np.maximum(coords[:, 2], x2)
+    grown -= np.minimum(coords[:, 0], x1)
+    h = np.maximum(coords[:, 3], y2)
+    h -= np.minimum(coords[:, 1], y1)
+    grown *= h
+    return area + areas >= grown
 
 
 def _has_partner(coords: np.ndarray, areas: np.ndarray) -> np.ndarray:
     """For each box, whether another box qualifies against it alone as the region."""
     n = len(coords)
-    x1, y1, x2, y2 = coords.T
     has = np.zeros(n, dtype=bool)
     rows = max(1, _BLOCK_PAIRS // max(n, 1))
     for start in range(0, n, rows):
         r = slice(start, start + rows)
-        # The grown area (max x2 - min x1) * (max y2 - min y1), in place.
-        grown = np.maximum(x2, x2[r, None])
-        grown -= np.minimum(x1, x1[r, None])
-        h = np.maximum(y2, y2[r, None])
-        h -= np.minimum(y1, y1[r, None])
-        grown *= h
-        ok = areas[r, None] + areas >= grown
+        ok = _absorbs(*coords[r].T[..., None], areas[r, None], coords, areas)
         np.fill_diagonal(ok[:, start:], False)  # a box is no partner of itself
         has[r] = ok.any(axis=1)
     return has
@@ -88,7 +82,9 @@ def _merge(coords: np.ndarray) -> RegionSet:
         changed = bool(has[seed])
         while changed:
             changed, cursor = False, 0
-            while (j := _first_absorbable(coords, areas, alive, (x1, y1, x2, y2), cursor)) >= 0:
+            while (ok := alive[cursor:] & _absorbs(x1, y1, x2, y2, (x2 - x1) * (y2 - y1),
+                                                   coords[cursor:], areas[cursor:])).any():
+                j = cursor + int(ok.argmax())
                 alive[j] = False
                 a1, b1, a2, b2 = rows[j]
                 x1, y1, x2, y2 = min(x1, a1), min(y1, b1), max(x2, a2), max(y2, b2)
@@ -102,8 +98,7 @@ def _merge(coords: np.ndarray) -> RegionSet:
 
 def merge(candidates: Sequence[BBox]) -> RegionSet:
     """Merge boxes into cluster regions; deterministic given input order."""
-    return _merge(np.array([(b.x1, b.y1, b.x2, b.y2) for b in candidates],
-                           dtype=float).reshape(-1, 4))
+    return _merge(corners(candidates))
 
 
 def expand_and_merge(boxes: np.ndarray, beta: float, extent: ImageExtent) -> RegionSet:

@@ -1,8 +1,9 @@
 """Coordinate transfer between mosaic and source image, plus detection fusion.
 
-A box is owned by the placement that contains its center; boxes straddling a
-seam are clipped to their owner. Detections landing in the gutter between
-placements map to nothing and are dropped.
+A box is owned by the first placement in layout order whose box contains its
+center, edges included; boxes straddling a seam are clipped to their owner.
+Detections landing in the gutter between placements map to nothing and are
+dropped.
 """
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import BBox
-from .mosaic import MosaicLayout, Placement
+from .geometry import BBox, corners
+from .mosaic import MosaicLayout
 
 _BLOCK_PAIRS = 1 << 16  # most detection pairs one IoU table of ``nms`` holds
 
@@ -30,22 +31,6 @@ class Detection:
             raise ValueError(f"category must be nonnegative, got {self.category}")
 
 
-def _owner_by_dest(layout: MosaicLayout, x: float, y: float) -> Optional[Placement]:
-    # The bounds of the placement's scaled box, written out without building a BBox.
-    for p in layout.placements:
-        if (p.dest_x <= x <= p.dest_x + p.scale * (p.source.x2 - p.source.x1)
-                and p.dest_y <= y <= p.dest_y + p.scale * (p.source.y2 - p.source.y1)):
-            return p
-    return None
-
-
-def _owner_by_source(layout: MosaicLayout, x: float, y: float) -> Optional[Placement]:
-    for p in layout.placements:
-        if p.source.contains_point(x, y):
-            return p
-    return None
-
-
 def to_source(det: Detection, layout: MosaicLayout) -> Optional[Detection]:
     """Map a mosaic-coordinate detection back to source-image coordinates.
 
@@ -53,10 +38,13 @@ def to_source(det: Detection, layout: MosaicLayout) -> Optional[Detection]:
     placement). The mapped box is clipped to the owner's source region.
     """
     cx, cy = det.box.center
-    p = _owner_by_dest(layout, cx, cy)
-    if p is None:
+    for p in layout.placements:  # the bounds of each placement's scaled box
+        src = p.source
+        if (p.dest_x <= cx <= p.dest_x + p.scale * (src.x2 - src.x1)
+                and p.dest_y <= cy <= p.dest_y + p.scale * (src.y2 - src.y1)):
+            break
+    else:
         return None
-    src = p.source
     x1 = (det.box.x1 - p.dest_x) / p.scale + src.x1
     y1 = (det.box.y1 - p.dest_y) / p.scale + src.y1
     x2 = (det.box.x2 - p.dest_x) / p.scale + src.x1
@@ -77,17 +65,21 @@ def to_mosaic(box: BBox, layout: MosaicLayout) -> Optional[BBox]:
     placement's source region.
     """
     cx, cy = box.center
-    p = _owner_by_source(layout, cx, cy)
-    if p is None:
+    for p in layout.placements:
+        src = p.source
+        if src.x1 <= cx <= src.x2 and src.y1 <= cy <= src.y2:
+            break
+    else:
         return None
     return BBox(
-        (box.x1 - p.source.x1) * p.scale + p.dest_x,
-        (box.y1 - p.source.y1) * p.scale + p.dest_y,
-        (box.x2 - p.source.x1) * p.scale + p.dest_x,
-        (box.y2 - p.source.y1) * p.scale + p.dest_y,
+        (box.x1 - src.x1) * p.scale + p.dest_x,
+        (box.y1 - src.y1) * p.scale + p.dest_y,
+        (box.x2 - src.x1) * p.scale + p.dest_x,
+        (box.y2 - src.y1) * p.scale + p.dest_y,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     """Per-category greedy NMS by descending score, deterministic tie-breaks.
 
@@ -104,17 +96,16 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     and only such pairs go on to the rest of the IoU, with the arithmetic of
     one row against its tail. The greedy walk through the block then marks
     each kept row's hits suppressed. ``iou_threshold`` must be in [0, 1].
+
+    Overflow raises no warning, and a pair whose union is not finite is no
+    hit: an infinite union gives IoU 0, an infinite intersection a NaN union.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0,1], got {iou_threshold}")
     order = sorted(
         range(len(dets)), key=lambda i: (-dets[i].score, dets[i].category, i)
     )
-    boxes = np.array(
-        [(dets[i].box.x1, dets[i].box.y1, dets[i].box.x2, dets[i].box.y2) for i in order],
-        dtype=float,
-    ).reshape(-1, 4)
-    x1, y1, x2, y2 = boxes.T
+    x1, y1, x2, y2 = corners(dets[i].box for i in order).T
     areas = (x2 - x1) * (y2 - y1)
     # Categories as small codes, so any int category fits the array.
     codes: dict[int, int] = {}

@@ -309,6 +309,45 @@ class TestOverflowingBox:
         assert captured.out == "" and not out.exists()
 
 
+class TestHugeImageSize:
+    """An image whose area is past the float range is refused at the argument:
+    exit 2 and no output. A huge box otherwise runs without overflow warnings."""
+
+    @pytest.mark.parametrize("command", ["pack", "stats"])
+    def test_infinite_area_exit_2_without_output(self, tmp_path, capsys, command):
+        dets = _write_detections(tmp_path / "dets.json", [
+            _det_record(0, 0, 1e160, 1e160), _det_record(5e199, 5e199, 1e160, 1e160)])
+        out = tmp_path / "layout.json"
+        args = {"pack": ["pack", "--detections", dets, "--out-layout", str(out)],
+                "stats": ["stats", "--boxes", dets]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--image-size", "1e200x1e200"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "extent area must be finite, got 1e+200x1e+200" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_too_wide_region_refusal_prints_short_widths(self, tmp_path, capsys):
+        dets = _write_detections(tmp_path / "dets.json", [_det_record(0, 0, 1e300, 1e-300)])
+        out = tmp_path / "layout.json"
+        assert main(["pack", "--detections", dets, "--image-size", "1e300x1e-300",
+                     "--out-layout", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.endswith(" is 9.6e+301 px wide; strip allows 1329\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_unpack_huge_coarse_box(self, tmp_path, capsys):
+        layout = tmp_path / "layout.json"
+        io.save_layout(pack([(BBox(0, 0, 50, 50), 1.0)], 100), layout)
+        fine = _write_detections(tmp_path / "fine.json", [])
+        coarse = _write_detections(tmp_path / "coarse.json", [_det_record(0, 0, 1e300, 1e300)])
+        out = tmp_path / "fused.json"
+        assert main(["unpack", "--fine", fine, "--layout", str(layout),
+                     "--coarse", coarse, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "fused 1 coarse + 0 remapped fine -> 1 detections\n"
+        assert io.load_detections(out)[0][0].box == BBox(0, 0, 1e300, 1e300)
+
+
 class TestRemovedConfigKeys:
     """Keys of settings that no command reads fail loudly."""
 

@@ -6,7 +6,7 @@ from hypothesis import given
 
 from conftest import bbox_strategy
 from oracles import iou
-from ufppack.geometry import BBox, ImageExtent, area
+from ufppack.geometry import BBox, ImageExtent, area, corners
 from ufppack.regions import expand_and_merge
 
 
@@ -41,10 +41,28 @@ class TestImageExtent:
     @pytest.mark.parametrize("wh", [
         (float("inf"), 10), (10, float("inf")), (float("nan"), 10), (10, float("nan")),
         (10**400, 10),
+        # each side finite, the area width * height not
+        (1e200, 1e200), (10**200, 10**200),
     ])
     def test_non_finite_rejected(self, wh):
         with pytest.raises(ValueError):
             ImageExtent(*wh)
+
+
+class TestCorners:
+    def test_values_and_dtype(self):
+        got = corners([BBox(1, 2, 3, 4), BBox(0.5, 0, 0.5, 7)])
+        assert got.dtype == np.float64
+        assert got.tolist() == [[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 0.5, 7.0]]
+
+    def test_empty_is_zero_by_four(self):
+        got = corners([])
+        assert got.shape == (0, 4) and got.dtype == np.float64
+
+    def test_generator_input(self):
+        boxes = [BBox(i, 0, i + 1, 2) for i in range(3)]
+        assert corners(b for b in boxes).tolist() == corners(boxes).tolist()
+        assert corners(b for b in []).shape == (0, 4)
 
 
 def _expand_one(box: BBox, beta: float, extent: ImageExtent) -> BBox:

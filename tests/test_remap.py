@@ -42,6 +42,56 @@ class TestToSource:
         assert to_source(Detection(BBox(40, 10, 70, 20), 0.5, 0), lay) is None
 
 
+class TestOwner:
+    """The first placement in layout order whose box holds the centre owns a
+    box, edges included, in both directions."""
+
+    @pytest.mark.parametrize("first, want", [(0, BBox(6, 6, 8, 8)), (1, BBox(101, 101, 103, 103))])
+    def test_to_source_first_overlapping_placement_owns(self, first, want):
+        # Both destination boxes, (0, 0)-(10, 10) and (5, 5)-(15, 15), hold the centre (7, 7).
+        ps = [Placement(BBox(0, 0, 10, 10), 1.0, 0, 0), Placement(BBox(100, 100, 110, 110), 1.0, 5, 5)]
+        lay = MosaicLayout(100, 100, ps if first == 0 else ps[::-1])
+        assert to_source(Detection(BBox(6, 6, 8, 8), 0.5, 0), lay).box == want
+
+    @pytest.mark.parametrize("first, want", [(0, BBox(6, 6, 8, 8)), (1, BBox(22, 2, 26, 6))])
+    def test_to_mosaic_first_overlapping_placement_owns(self, first, want):
+        # Both source regions, (0, 0)-(10, 10) and (5, 5)-(15, 15), hold the centre (7, 7).
+        ps = [Placement(BBox(0, 0, 10, 10), 1.0, 0, 0), Placement(BBox(5, 5, 15, 15), 2.0, 20, 0)]
+        lay = MosaicLayout(100, 100, ps if first == 0 else ps[::-1])
+        assert to_mosaic(BBox(6, 6, 8, 8), lay) == want
+
+    # Centres on each edge of the destination box (10, 20)-(110, 120) and of
+    # the source region (0, 0)-(50, 50); half a pixel further out is no owner.
+    EDGES = [(0, 0.5), (1, 0.5), (0.5, 0), (0.5, 1)]
+
+    @pytest.mark.parametrize("fx, fy", EDGES)
+    def test_to_source_centre_on_edge_owned(self, fx, fy):
+        lay = _layout_one(BBox(0, 0, 50, 50), 2.0, (10, 20))
+        cx, cy = 10 + 100 * fx, 20 + 100 * fy
+        got = to_source(Detection(BBox(cx - 1, cy - 1, cx + 1, cy + 1), 0.5, 0), lay)
+        assert BBox(0, 0, 50, 50).contains(got.box)
+        ox, oy = fx - 0.5, fy - 0.5  # half a pixel out across the edge
+        assert to_source(Detection(BBox(cx + ox - 1, cy + oy - 1, cx + ox + 1, cy + oy + 1),
+                                   0.5, 0), lay) is None
+
+    @pytest.mark.parametrize("fx, fy", EDGES)
+    def test_to_mosaic_centre_on_edge_owned(self, fx, fy):
+        lay = _layout_one(BBox(0, 0, 50, 50), 2.0, (10, 20))
+        cx, cy = 50 * fx, 50 * fy
+        got = to_mosaic(BBox(cx - 1, cy - 1, cx + 1, cy + 1), lay)
+        assert got == BBox(2 * cx + 8, 2 * cy + 18, 2 * cx + 12, 2 * cy + 22)
+        ox, oy = fx - 0.5, fy - 0.5  # half a pixel out across the edge
+        assert to_mosaic(BBox(cx + ox - 1, cy + oy - 1, cx + ox + 1, cy + oy + 1), lay) is None
+
+    def test_to_mosaic_centre_in_no_source_region(self):
+        lay = MosaicLayout(100, 100, [Placement(BBox(0, 0, 10, 10), 1.0, 0, 0),
+                                      Placement(BBox(20, 0, 30, 10), 1.0, 12, 0)])
+        assert to_mosaic(BBox(12, 2, 18, 8), lay) is None  # between the two regions
+        assert to_mosaic(BBox(5, 8, 15, 16), lay) is None  # overlaps one, centre outside
+        assert to_mosaic(BBox(40, 40, 50, 50), lay) is None
+        assert to_mosaic(BBox(0, 0, 1, 1), MosaicLayout(0, 0, [])) is None
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(30))
     def test_forward_inverse_identity(self, seed):
@@ -250,6 +300,21 @@ class TestBlockedMatchesRowReference:
         dets = _grid_detections(np.random.default_rng(n + 1), n, categories=(10 ** 30,),
                                 equal_scores=True)
         assert _same_objects(nms(dets, threshold), nms_row_reference(dets, threshold))
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    def test_overflowing_boxes(self, threshold):
+        # Areas, intersections and unions past the float range raise no
+        # warning, and a pair whose union is not finite is no hit: the four
+        # huge boxes of category 0, two of them equal, are all kept.
+        huge = [BBox(0, 0, 1e300, 1e300), BBox(-1e308, -1e308, 1e308, 1e308),
+                BBox(0, 0, 1e300, 1), BBox(0, 0, 1e300, 1e300)]
+        dets = [Detection(b, s, 0) for b, s in zip(huge, (0.9, 0.8, 0.7, 0.6))]
+        dets += _grid_detections(np.random.default_rng(5), 30, categories=(1, 2))
+        got = nms(dets, threshold)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = nms_row_reference(dets, threshold)
+        assert _same_objects(got, want)
+        assert all(any(g is d for g in got) for d in dets[:4])
 
     @pytest.mark.parametrize("block_pairs", [1, 7, 64])
     @pytest.mark.parametrize("seed", range(10))
