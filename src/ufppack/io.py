@@ -273,18 +273,16 @@ def layout_from_dict(doc: dict[str, Any]) -> MosaicLayout:
                 raise TypeError(f"placement {i} src, scale and dest must be 4, 1 and 2 "
                                 f"JSON numbers, got {src!r}, {scale!r} and {dest!r}")
             try:
-                placements.append(Placement(BBox(*map(float, src)), float(scale),
-                                            float(dest[0]), float(dest[1])))
+                p = Placement(BBox(*map(float, src)), float(scale), float(dest[0]), float(dest[1]))
             except (ValueError, OverflowError) as e:
                 raise ValueError(f"placement {i}: {e}") from e
-        # Each placement's scaled box, dest to dest + scale * (src2 - src1),
-        # must be finite and inside the mosaic; written so that a NaN or an
-        # overflow to infinity fails the test too.
-        for i, p in enumerate(placements):
+            # The scaled box, dest to dest + scale * (src2 - src1), must be finite and
+            # inside the mosaic; written so that a NaN or an overflow to infinity fails it too.
             x2, y2 = p.dest_x + p.width, p.dest_y + p.height
             if not (0 <= p.dest_x and x2 <= width and 0 <= p.dest_y and y2 <= height):
                 raise ValueError(f"placement {i} scaled box ({p.dest_x},{p.dest_y},{x2},{y2}) "
                                  f"is not inside the {width:g}x{height:g} mosaic")
+            placements.append(p)
         return MosaicLayout(width, height, placements)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"invalid layout document: {e}") from e
@@ -410,13 +408,12 @@ def _axis_taps(
     return start.astype(np.intp), bounds, lo, hi, frac
 
 
-def _draw(canvas: np.ndarray, flat: np.ndarray, placements: Sequence[Placement]) -> None:
-    """Draw the placements into ``canvas`` from the channel-flat H x 3W
-    source ``flat``, by the rule of ``compose_mosaic``."""
+def _draw(canvas: np.ndarray, flat: np.ndarray, geo: np.ndarray) -> None:
+    """Draw the placements, the rows (dest_x, dest_y, scale, x1, y1, x2, y2)
+    of ``geo``, into ``canvas`` from the channel-flat H x 3W source ``flat``,
+    by the rule of ``compose_mosaic``."""
     h, w = flat.shape[0], flat.shape[1] // 3
     canvas_h, canvas_w = canvas.shape[:2]
-    geo = np.array([(p.dest_x, p.dest_y, p.scale, p.source.x1, p.source.y1,
-                     p.source.x2, p.source.y2) for p in placements])
     dest_x, dest_y, scale, x1, y1, x2, y2 = geo.T
     col0, xb, xlo, xhi, xfrac = _axis_taps(dest_x, scale, x1, x2, canvas_w, w)
     row0, yb, ylo, yhi, yfrac = _axis_taps(dest_y, scale, y1, y2, canvas_h, h)
@@ -490,23 +487,23 @@ def compose_mosaic(layout: MosaicLayout, source_image: np.ndarray, path: str | P
     canvas = np.zeros((max(math.ceil(layout.mosaic_height), 1),
                        max(math.ceil(layout.mosaic_width), 1), 3), dtype=np.uint8)
     canvas_h, canvas_w = canvas.shape[:2]
-    for i, p in enumerate(layout.placements):
-        sx1, sy1 = math.floor(p.source.x1), math.floor(p.source.y1)
-        sx2, sy2 = math.ceil(p.source.x2), math.ceil(p.source.y2)
-        if sx1 < 0 or sy1 < 0 or sx2 > w or sy2 > h:
-            raise CompositionError(
-                f"placement {i} source region ({sx1},{sy1},{sx2},{sy2}) "
-                f"outside raster {w}x{h}"
-            )
-        if sx2 == sx1 or sy2 == sy1:
-            raise CompositionError(
-                f"placement {i} source region ({sx1},{sy1},{sx2},{sy2}) covers no pixel"
-            )
-        dx, dy = round(p.dest_x), round(p.dest_y)
-        if not (0 <= dx < canvas_w and 0 <= dy < canvas_h):
-            raise CompositionError(
-                f"placement {i} destination ({dx},{dy}) outside mosaic {canvas_w}x{canvas_h}"
-            )
-    if layout.placements:
-        _draw(canvas, np.ascontiguousarray(source_image).reshape(h, w * 3), layout.placements)
+    geo = np.array([(p.dest_x, p.dest_y, p.scale, p.source.x1, p.source.y1, p.source.x2,
+                     p.source.y2) for p in layout.placements], dtype=float).reshape(-1, 7)
+    # Rounded origins and crop pixels, as round (half to even), math.floor and math.ceil give them.
+    dx, dy = np.rint(geo[:, :2].T)
+    sx1, sy1, sx2, sy2 = np.hstack([np.floor(geo[:, 3:5]), np.ceil(geo[:, 5:])]).T
+    outside_raster = (sx1 < 0) | (sy1 < 0) | (sx2 > w) | (sy2 > h)
+    no_pixel = (sx2 == sx1) | (sy2 == sy1)
+    outside_canvas = (dx < 0) | (dx >= canvas_w) | (dy < 0) | (dy >= canvas_h)
+    # The first faulty placement is named by its first fault in that order.
+    if (bad := outside_raster | no_pixel | outside_canvas).any():
+        i = int(bad.argmax())
+        crop = "placement %d source region (%d,%d,%d,%d)" % (i, sx1[i], sy1[i], sx2[i], sy2[i])
+        if outside_raster[i]:
+            raise CompositionError(f"{crop} outside raster {w}x{h}")
+        if no_pixel[i]:
+            raise CompositionError(f"{crop} covers no pixel")
+        raise CompositionError("placement %d destination (%d,%d) outside mosaic %dx%d"
+                               % (i, dx[i], dy[i], canvas_w, canvas_h))
+    _draw(canvas, np.ascontiguousarray(source_image).reshape(h, w * 3), geo)
     write_ppm(canvas, path)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DictConfig
-from .geometry import BBox, ImageExtent, area
+from .geometry import BBox, ImageExtent, area, corners
 from .remap import Detection
 
 SMALL_MAX_AREA = 32.0 * 32.0
@@ -52,8 +52,8 @@ def union_area(boxes: Sequence[BBox]) -> float:
 
 
 def foreground_ratio(boxes: Sequence[BBox], extent: ImageExtent) -> float:
-    """Union area of the boxes divided by the image area."""
-    return union_area(boxes) / (extent.width * extent.height)
+    """Union area of the boxes, clipped to the image, divided by the image area."""
+    return size_stats(boxes, extent.width, extent.height).fr
 
 
 @dataclass
@@ -65,14 +65,17 @@ class SizeStats:
 
 
 def size_stats(boxes: Sequence[BBox], width: float, height: float) -> SizeStats:
-    """Foreground ratio over a width x height image and COCO-style size
-    proportions by box area; all zeros when there are no boxes or no area."""
+    """Foreground ratio of the boxes clipped to a width x height image, and
+    COCO-style size proportions by each box's own area; all zeros when there
+    are no boxes or no area."""
     if not boxes or width * height <= 0:
         return SizeStats(fr=0.0, small=0.0, medium=0.0, large=0.0)
     areas = np.array([area(b) for b in boxes])
     counts = np.bincount(np.digitize(areas, (SMALL_MAX_AREA, MEDIUM_MAX_AREA)), minlength=3)
     small, medium, large = (counts / len(boxes)).tolist()
-    return SizeStats(union_area(boxes) / (width * height), small, medium, large)
+    inside = np.clip(corners(boxes), 0.0, [width, height, width, height])
+    return SizeStats(union_area([BBox(*c) for c in inside.tolist()]) / (width * height),
+                     small, medium, large)
 
 
 def scene_stats(boxes: Sequence[BBox], extent: ImageExtent) -> SizeStats:

@@ -16,7 +16,9 @@ some other box qualifies against alone; boxes only ever leave the alive set,
 so a seed without such a partner closes as a one-box region with no scan.
 For every other seed, one scan step finds the first alive box after the
 cursor that qualifies against the current region, in a box-by-box scan's
-order. The region grows as four floats.
+order. The region grows as four floats. Overflow is quiet, as in ``remap.nms``:
+an overflowed |A| + |B| is +inf, so a box is absorbed exactly when the exact
+test would absorb it whenever |C| is finite.
 """
 from __future__ import annotations
 
@@ -65,6 +67,7 @@ def _has_partner(coords: np.ndarray, areas: np.ndarray) -> np.ndarray:
     return has
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _merge(coords: np.ndarray) -> RegionSet:
     """Merge the rows of a float (n, 4) corner array; deterministic given row order."""
     areas = (coords[:, 2] - coords[:, 0]) * (coords[:, 3] - coords[:, 1])

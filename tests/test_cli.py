@@ -336,6 +336,18 @@ class TestHugeImageSize:
         assert captured.err.endswith(" is 9.6e+301 px wide; strip allows 1329\n")
         assert captured.out == "" and not out.exists()
 
+    def test_overflowed_area_sum_reaches_the_strip_refusal(self, tmp_path, capsys):
+        # Two regions of area 1.7e308 merge (their area sum overflows) into
+        # one region too wide for the strip.
+        dets = _write_detections(tmp_path / "dets.json", [_det_record(0, 0, 1e154, 1.7e154)] * 2)
+        out = tmp_path / "layout.json"
+        assert main(["pack", "--detections", dets, "--image-size", "1e154x1.7e154",
+                     "--out-layout", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: region 0 ")
+        assert captured.err.endswith(" is 1e+154 px wide; strip allows 1329\n")
+        assert captured.out == "" and not out.exists()
+
     def test_unpack_huge_coarse_box(self, tmp_path, capsys):
         layout = tmp_path / "layout.json"
         io.save_layout(pack([(BBox(0, 0, 50, 50), 1.0)], 100), layout)
@@ -557,6 +569,15 @@ class TestStatsCommand:
         rc = main(["stats", "--boxes", boxes, "--image-size", "100x100"])
         assert rc == 0
         assert "FR 4.00%" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("record, fr", [
+        ((50, 50, 100, 100), "25.00%"), ((0, 0, 1e300, 1e300), "100.00%"),
+        ((100, 0, 5, 5), "0.00%"),
+    ], ids=["overhanging", "huge", "beyond-the-edge"])
+    def test_fr_counts_only_the_image(self, tmp_path, capsys, record, fr):
+        boxes = _write_detections(tmp_path / "b.json", [_det_record(*record)])
+        assert main(["stats", "--boxes", boxes, "--image-size", "100x100"]) == 0
+        assert capsys.readouterr().out.startswith(f"source: FR {fr}  ")
 
     def test_mosaic_line(self, tmp_path, capsys):
         # One 50x50 region at scale 2 fills a 100-wide strip at (0, 0); the

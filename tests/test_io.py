@@ -213,6 +213,15 @@ class TestLayoutIO:
         with pytest.raises(io.ParseError, match="placement 0 scaled box"):
             io.load_layout(p)
 
+    def test_first_faulty_placement_named_whatever_its_fault(self):
+        # Placement 0 lies outside the mosaic, placement 1 has a string scale.
+        doc = {"mosaic": {"width": 100, "height": 100},
+               "placements": [{"src": [0, 0, 10, 10], "scale": 1.0, "dest": [95, 0]},
+                              {"src": [0, 0, 10, 10], "scale": "2", "dest": [0, 0]}]}
+        with pytest.raises(io.ParseError,
+                           match="^invalid layout document: placement 0 scaled box"):
+            io.layout_from_dict(doc)
+
     def test_placement_on_the_mosaic_edge_accepted(self):
         doc = {"mosaic": {"width": 100, "height": 100},
                "placements": [{"src": [0, 0, 10, 10], "scale": 1.0, "dest": [90, 90]},
@@ -449,8 +458,37 @@ class TestComposeMosaic:
     def test_out_of_raster_rejected(self, tmp_path):
         img = np.zeros((10, 10, 3), dtype=np.uint8)
         lay = pack([(BBox(0, 0, 40, 40), 1.0)], 60, padding=0.0)
-        with pytest.raises(io.CompositionError):
+        message = "placement 0 source region (0,0,40,40) outside raster 10x10"
+        with pytest.raises(io.CompositionError, match="^" + re.escape(message) + "$"):
             io.compose_mosaic(lay, img, tmp_path / "m.ppm")
+        assert not (tmp_path / "m.ppm").exists()
+
+    @pytest.mark.parametrize("placements, message", [
+        ([Placement(BBox(0, 0, 4, 4), 1.0, 0.0, 0.0),
+          Placement(BBox(2.5, 3.5, 10.2, 8), 1.0, 9.0, 0.0)],
+         "placement 1 source region (2,3,11,8) outside raster 10x10"),
+        ([Placement(BBox(12, 3, 12, 8), 1.0, 0.0, 0.0)],
+         "placement 0 source region (12,3,12,8) outside raster 10x10"),
+        ([Placement(BBox(0, 0, 40, 40), 1.0, 0.0, 0.0),
+          Placement(BBox(0, 0, 4, 4), 1.0, 50.0, 0.0)],
+         "placement 0 source region (0,0,40,40) outside raster 10x10"),
+        ([Placement(BBox(0, 0, 4, 4), 1.0, 0.0, 25.5),
+          Placement(BBox(0, 0, 40, 40), 1.0, 0.0, 0.0)],
+         "placement 0 destination (0,26) outside mosaic 30x20"),
+        ([Placement(BBox(0, 0, 4, 4), 1.0, 0.0, 0.0),
+          Placement(BBox(-0.5, 0, 4, 4), 1.0, 9.0, 0.0),
+          Placement(BBox(3, 3, 3, 8), 1.0, 20.0, 0.0)],
+         "placement 1 source region (-1,0,4,4) outside raster 10x10"),
+    ], ids=["second-placement", "outside-and-empty", "source-before-later-destination",
+            "destination-before-later-source", "first-of-two-faults"])
+    def test_first_faulty_placement_named(self, tmp_path, placements, message):
+        """The first placement with any fault is named, by its first fault in
+        the order raster, pixel coverage, destination."""
+        img = np.zeros((10, 10, 3), dtype=np.uint8)
+        lay = MosaicLayout(30.0, 20.0, placements)
+        with pytest.raises(io.CompositionError, match="^" + re.escape(message) + "$"):
+            io.compose_mosaic(lay, img, tmp_path / "m.ppm")
+        assert not (tmp_path / "m.ppm").exists()
 
     def test_gutter_black(self, tmp_path):
         img = np.full((30, 30, 3), 200, dtype=np.uint8)
@@ -509,8 +547,9 @@ class TestComposeMosaic:
         io.compose_mosaic(lay, view.copy(), tmp_path / "b.ppm")
         assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
 
+    # (29.5, 0.0) rounds half to even, to column 30.
     @pytest.mark.parametrize("dest", [(-1.0, 0.0), (0.0, -2.0), (30.0, 0.0), (0.0, 20.0),
-                                      (29.6, 0.0), (45.0, 3.0), (3.0, 25.0)])
+                                      (29.6, 0.0), (45.0, 3.0), (3.0, 25.0), (29.5, 0.0)])
     def test_destination_outside_canvas_rejected(self, tmp_path, dest):
         img = np.zeros((10, 10, 3), dtype=np.uint8)
         lay = MosaicLayout(30.0, 20.0, [Placement(BBox(0, 0, 4, 4), 1.5, *dest)])

@@ -40,6 +40,12 @@ class TestForegroundRatio:
         assert foreground_ratio(boxes + [extra], ext) >= foreground_ratio(boxes, ext) - 1e-9
         assert foreground_ratio(boxes + [extra], ext) <= 1.0 + 1e-12
 
+    def test_clipped_to_the_image(self):
+        ext = ImageExtent(100, 100)
+        assert foreground_ratio([BBox(50, 50, 150, 150)], ext) == 0.25
+        assert foreground_ratio([BBox(-1e300, -1e300, 1e300, 1e300)], ext) == 1.0
+        assert foreground_ratio([BBox(100, 0, 150, 50), BBox(-20, -20, 0, 0)], ext) == 0.0
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_monte_carlo(self, seed):
         rng = np.random.default_rng(seed)
@@ -65,6 +71,11 @@ class TestSizeBuckets:
     def test_boundaries(self):
         assert size_stats([BBox(0, 0, 32, 32)], 1000, 1000).medium == 1.0
         assert size_stats([BBox(0, 0, 96, 96)], 1000, 1000).large == 1.0
+
+    def test_bucket_by_own_area_fr_by_clipped_area(self):
+        # 10000 px of the box (large), 2500 of them inside the image.
+        st_ = size_stats([BBox(50, 50, 150, 150)], 100, 100)
+        assert (st_.fr, st_.small, st_.medium, st_.large) == (0.25, 0.0, 0.0, 1.0)
 
     def test_empty(self):
         st_ = size_stats([], 1000, 1000)

@@ -72,6 +72,13 @@ class TestMerge:
         got = merge(_boxes(raw))
         assert len(got) == len(fixed_point)
 
+    def test_overflowed_area_sum_absorbs(self):
+        # Each area is 1.7e308; their sum overflows to +inf, which covers the
+        # finite enclosing area as the exact sum does, with no warning.
+        rs = merge([BBox(0, 0, 1e154, 1.7e154)] * 2)
+        assert rs.regions == [BBox(0, 0, 1e154, 1.7e154)]
+        assert rs.provenance == [[0, 1]]
+
     def test_zero_area_boxes_apart_merge(self):
         # Two zero-height boxes on one line qualify though they do not touch:
         # 0 + 0 >= 0. So touching is no necessary condition for absorption.
