@@ -334,8 +334,9 @@ def read_ppm(path: str | Path) -> np.ndarray:
     """Read a binary (P6) 8-bit PPM into an H x W x 3 uint8 array.
 
     The header is parsed from the first read, extended while a comment or
-    token runs past its end; the pixels are then read straight into the
-    returned array. Bytes after the pixel data are ignored.
+    token runs past its end; the pixels that read holds are copied into the
+    returned array and the rest are read straight into it, so a pipe works
+    as a regular file does. Bytes after the pixel data are ignored.
     """
     with open(path, "rb") as f:
         data = b""
@@ -360,8 +361,10 @@ def read_ppm(path: str | Path) -> np.ndarray:
         if stat.S_ISREG(st.st_mode) and st.st_size - offset < w * h * 3:
             raise ParseError(f"{path}: truncated pixel data")
         image = np.empty((h, w, 3), dtype=np.uint8)
-        f.seek(offset)
-        if f.readinto(image.reshape(-1)) != image.size:
+        flat = image.reshape(-1)
+        held = min(len(data) - offset, flat.size)
+        flat[:held] = np.frombuffer(data, np.uint8, held, offset)
+        if held + f.readinto(flat[held:]) != flat.size:
             raise ParseError(f"{path}: truncated pixel data")
     return image
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DictConfig
-from .geometry import BBox, ImageExtent, area, corners
+from .geometry import BBox, ImageExtent, corners
 from .remap import Detection
 
 SMALL_MAX_AREA = 32.0 * 32.0
@@ -27,18 +27,19 @@ class InfeasibleSpecError(ValueError):
     """The requested foreground ratio cannot be met at the given counts."""
 
 
-def union_area(boxes: Sequence[BBox]) -> float:
-    """Exact area of the union, by x-sweep slab decomposition."""
-    boxes = [b for b in boxes if area(b) > 0]
-    xs = sorted({b.x1 for b in boxes} | {b.x2 for b in boxes})
+def union_area(boxes: np.ndarray) -> float:
+    """Exact area of the union of a float (n, 4) array of (x1, y1, x2, y2)
+    rows, by x-sweep slab decomposition."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxes = boxes[(boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]) > 0]
+    boxes = boxes[np.lexsort((boxes[:, 3], boxes[:, 1]))]
+    x1s, x2s, spans = boxes[:, 0], boxes[:, 2], boxes[:, 1::2]
+    xs = sorted(set(boxes[:, ::2].ravel().tolist()))  # np.unique would import numpy.ma
     total = 0.0
-    for x0, x1 in zip(xs, xs[1:]):
-        spans = sorted(
-            (b.y1, b.y2) for b in boxes if b.x1 <= x0 and b.x2 >= x1
-        )
+    for left, right in zip(xs, xs[1:]):
         covered = 0.0
         cur_lo = cur_hi = None
-        for lo, hi in spans:
+        for lo, hi in spans[(x1s <= left) & (x2s >= right)].tolist():
             if cur_hi is None or lo > cur_hi:
                 if cur_hi is not None:
                     covered += cur_hi - cur_lo
@@ -47,7 +48,7 @@ def union_area(boxes: Sequence[BBox]) -> float:
                 cur_hi = max(cur_hi, hi)
         if cur_hi is not None:
             covered += cur_hi - cur_lo
-        total += (x1 - x0) * covered
+        total += (right - left) * covered
     return total
 
 
@@ -70,12 +71,13 @@ def size_stats(boxes: Sequence[BBox], width: float, height: float) -> SizeStats:
     are no boxes or no area."""
     if not boxes or width * height <= 0:
         return SizeStats(fr=0.0, small=0.0, medium=0.0, large=0.0)
-    areas = np.array([area(b) for b in boxes])
+    c = corners(boxes)
+    with np.errstate(over="ignore"):  # an overflowed area is +inf, still large
+        areas = (c[:, 2] - c[:, 0]) * (c[:, 3] - c[:, 1])
     counts = np.bincount(np.digitize(areas, (SMALL_MAX_AREA, MEDIUM_MAX_AREA)), minlength=3)
     small, medium, large = (counts / len(boxes)).tolist()
-    inside = np.clip(corners(boxes), 0.0, [width, height, width, height])
-    return SizeStats(union_area([BBox(*c) for c in inside.tolist()]) / (width * height),
-                     small, medium, large)
+    inside = np.clip(c, 0.0, [width, height, width, height])
+    return SizeStats(union_area(inside) / (width * height), small, medium, large)
 
 
 def scene_stats(boxes: Sequence[BBox], extent: ImageExtent) -> SizeStats:
@@ -134,8 +136,6 @@ def generate_scene(spec: SceneSpec) -> tuple[list[BBox], list[Detection]]:
     target_area = spec.target_fr * (width * height)
     for _ in range(8):
         cur = float(np.sum(widths * heights))
-        if cur <= 0:
-            break
         sides = np.clip(sides * np.sqrt(target_area / cur), lo, hi)
         widths, heights = sides * root_aspects, sides / root_aspects
         if target_area > 0 and abs(np.sum(widths * heights) - target_area) / target_area < 0.02:

@@ -61,7 +61,7 @@ def equalize(regions: RegionSet, fixed_size: float) -> list[float]:
     fixed_size grows by the common factor fixed_size / mean; all other
     regions keep scale 1.
     """
-    if fixed_size <= 0:
+    if not fixed_size > 0:  # written so that a NaN fails the test too
         raise ValueError(f"fixed_size must be positive, got {fixed_size}")
     if not regions.regions:
         return []
@@ -77,9 +77,10 @@ def pack(
     scaled: Sequence[tuple[BBox, float]], target_width: float, padding: float = 2.0
 ) -> MosaicLayout:
     """Shelf-pack (source box, scale) pairs into a strip of the given width."""
-    if target_width <= 0:
+    # Written so that a NaN fails each test too; an infinite width fails the first.
+    if not (math.isfinite(target_width) and target_width > 0):
         raise ValueError(f"target_width must be positive, got {target_width}")
-    if padding < 0:
+    if not padding >= 0:
         raise ValueError(f"padding must be nonnegative, got {padding}")
     widths = [scale * source.width for source, scale in scaled]
     heights = [scale * source.height for source, scale in scaled]
@@ -91,27 +92,18 @@ def pack(
                 f"{target_width - 2 * padding:g}"
             )
 
-    order = sorted(range(len(scaled)), key=lambda i: (-heights[i], i))
-    placements: dict[int, Placement] = {}
-    shelf_y = 0.0
-    shelf_height = 0.0
-    cursor_x = 0.0
-    for i in order:
+    placements = [None] * len(scaled)
+    shelf_y = shelf_height = cursor_x = 0.0
+    for i in sorted(range(len(scaled)), key=lambda i: (-heights[i], i)):
         source, scale = scaled[i]
-        w, h = widths[i], heights[i]
-        at_start = cursor_x == 0.0
-        if not at_start and cursor_x + w > target_width:
+        if cursor_x != 0.0 and cursor_x + widths[i] > target_width:
             shelf_y += shelf_height + padding
-            shelf_height = 0.0
             cursor_x = 0.0
-            at_start = True
-        if at_start:
-            shelf_height = h  # height-sorted order: first item on a shelf is tallest
-
+        if cursor_x == 0.0:
+            shelf_height = heights[i]  # height-sorted order: first item on a shelf is tallest
         placements[i] = Placement(source, scale, cursor_x, shelf_y)
-        cursor_x += w + padding
-    height = shelf_y + shelf_height if placements else 0.0
-    return MosaicLayout(target_width, height, [placements[i] for i in range(len(scaled))])
+        cursor_x += widths[i] + padding
+    return MosaicLayout(target_width, shelf_y + shelf_height, placements)
 
 
 def waste_ratio(layout: MosaicLayout) -> float:

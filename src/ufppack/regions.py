@@ -107,7 +107,7 @@ def merge(candidates: Sequence[BBox]) -> RegionSet:
 def expand_and_merge(boxes: np.ndarray, beta: float, extent: ImageExtent) -> RegionSet:
     """Scale the (x1, y1, x2, y2) rows of ``boxes`` by beta about their
     centers, clamp them to the image, then merge them."""
-    if beta < 1.0:
+    if not beta >= 1.0:  # written so that a NaN fails the test too
         raise ValueError(f"expansion ratio must be >= 1, got {beta}")
     lo, hi = np.hsplit(np.asarray(boxes, dtype=float).reshape(-1, 4), 2)
     size = np.array([extent.width, extent.height], dtype=float)

@@ -7,7 +7,10 @@ included), the expansion reference is the scalar per-box ``expand`` that
 ``regions.expand_and_merge`` vectorises bit for bit, and the NMS row
 reference an array NMS that forms one IoU row per kept detection, which the
 blocked pair tables of the library must equal exactly, the union-area
-oracle is Monte Carlo, the mosaic oracle samples each pixel through its
+oracle is Monte Carlo (and the exact one, ``union_area_ref``, the sweep
+on ``BBox`` attributes that ``metrics.union_area`` runs on a corner array),
+the shelf packer reference ``pack_ref`` keys its placements by input index
+in a dict, the mosaic oracle samples each pixel through its
 placement's affine map in a scalar float64 loop, gradients
 are checked by central finite differences, exact transport comes from basis
 enumeration, the reference Sinkhorn is a scalar log-domain loop (plus the
@@ -34,6 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ufppack.geometry import BBox, ImageExtent, area
+from ufppack.mosaic import MosaicLayout, Placement, UnpackableRegionError
 from ufppack.proxies import _row_norms, _sigmoid, multi_proxy_logit
 
 Box = tuple[float, float, float, float]
@@ -202,6 +206,32 @@ def nms_reference(dets: Sequence, iou_threshold: float) -> list:
     return keep
 
 
+def union_area_ref(boxes: Sequence[BBox]) -> float:
+    """Union area of a ``BBox`` list by the x-sweep on box attributes: every
+    slab filters and sorts its own spans, in the order whose sums
+    ``metrics.union_area`` must equal bit for bit."""
+    boxes = [b for b in boxes if area(b) > 0]
+    xs = sorted({b.x1 for b in boxes} | {b.x2 for b in boxes})
+    total = 0.0
+    for x0, x1 in zip(xs, xs[1:]):
+        spans = sorted(
+            (b.y1, b.y2) for b in boxes if b.x1 <= x0 and b.x2 >= x1
+        )
+        covered = 0.0
+        cur_lo = cur_hi = None
+        for lo, hi in spans:
+            if cur_hi is None or lo > cur_hi:
+                if cur_hi is not None:
+                    covered += cur_hi - cur_lo
+                cur_lo, cur_hi = lo, hi
+            else:
+                cur_hi = max(cur_hi, hi)
+        if cur_hi is not None:
+            covered += cur_hi - cur_lo
+        total += (x1 - x0) * covered
+    return total
+
+
 def union_area_mc(boxes: Sequence[Box], extent: tuple[float, float], n: int, seed: int) -> float:
     """Monte Carlo estimate of the union area of boxes within the extent."""
     rng = np.random.default_rng(seed)
@@ -253,6 +283,49 @@ def detections_to_records(dets, image_id=0) -> list[dict]:
         }
         for d in dets
     ]
+
+
+def pack_ref(
+    scaled: Sequence[tuple[BBox, float]], target_width: float, padding: float = 2.0
+) -> MosaicLayout:
+    """Shelf packer that keys placements by input index in a dict and flags
+    each shelf's first region, which ``mosaic.pack`` must equal layout for
+    layout."""
+    if target_width <= 0:
+        raise ValueError(f"target_width must be positive, got {target_width}")
+    if padding < 0:
+        raise ValueError(f"padding must be nonnegative, got {padding}")
+    widths = [scale * source.width for source, scale in scaled]
+    heights = [scale * source.height for source, scale in scaled]
+    for i, (source, scale) in enumerate(scaled):
+        if widths[i] > target_width - 2 * padding:
+            raise UnpackableRegionError(
+                f"region {i} (source {source}, scale {scale}) is "
+                f"{widths[i]:g} px wide; strip allows "
+                f"{target_width - 2 * padding:g}"
+            )
+
+    order = sorted(range(len(scaled)), key=lambda i: (-heights[i], i))
+    placements: dict[int, Placement] = {}
+    shelf_y = 0.0
+    shelf_height = 0.0
+    cursor_x = 0.0
+    for i in order:
+        source, scale = scaled[i]
+        w, h = widths[i], heights[i]
+        at_start = cursor_x == 0.0
+        if not at_start and cursor_x + w > target_width:
+            shelf_y += shelf_height + padding
+            shelf_height = 0.0
+            cursor_x = 0.0
+            at_start = True
+        if at_start:
+            shelf_height = h  # height-sorted order: first item on a shelf is tallest
+
+        placements[i] = Placement(source, scale, cursor_x, shelf_y)
+        cursor_x += w + padding
+    height = shelf_y + shelf_height if placements else 0.0
+    return MosaicLayout(target_width, height, [placements[i] for i in range(len(scaled))])
 
 
 def dest_box(p) -> BBox:

@@ -88,6 +88,8 @@ class TestExpand:
     def test_beta_below_one_rejected(self):
         with pytest.raises(ValueError, match="expansion ratio must be >= 1"):
             _expand_one(BBox(0, 0, 10, 10), 0.9, ImageExtent(100, 100))
+        with pytest.raises(ValueError, match="^expansion ratio must be >= 1, got nan$"):
+            _expand_one(BBox(0, 0, 10, 10), float("nan"), ImageExtent(100, 100))
 
     @given(bbox_strategy(max_coord=100))
     def test_never_exceeds_extent(self, b):

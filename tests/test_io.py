@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -353,6 +354,11 @@ class TestConfigRoundtrip:
             PipelineConfig(beta=0.5)
         with pytest.raises(ValueError):
             PipelineConfig(nms_iou=1.5)
+        for bad in ({"fixed_size": 0.0}, {"mosaic_width": -1.0}):
+            with pytest.raises(ValueError, match="^fixed_size and mosaic_width must be positive$"):
+                PipelineConfig(**bad)
+        with pytest.raises(ValueError, match="^padding must be nonnegative$"):
+            PipelineConfig(padding=-0.5)
 
 
 class TestPpm:
@@ -418,6 +424,36 @@ class TestPpm:
         with pytest.raises(io.ParseError):
             io.read_ppm(p)
 
+    @staticmethod
+    def _read_pipe(data: bytes) -> np.ndarray:
+        """read_ppm of a pipe that holds data (small enough for the pipe
+        buffer) and whose write end is closed."""
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            w = -1
+            return io.read_ppm(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+            if w >= 0:
+                os.close(w)
+
+    # 2x2 lies inside the header read; 40x30 runs past it.
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (30, 40, 3)])
+    def test_pipe_reads_as_a_file(self, tmp_path, shape):
+        img = np.random.default_rng(1).integers(0, 256, size=shape, dtype=np.uint8)
+        p = tmp_path / "img.ppm"
+        io.write_ppm(img, p)
+        got = self._read_pipe(p.read_bytes() + b"trailing")
+        assert np.array_equal(got, io.read_ppm(p)) and np.array_equal(got, img)
+
+    @pytest.mark.parametrize("cut", [1, 12, 3000])
+    def test_cut_pipe_rejected(self, cut):
+        data = b"P6\n40 30\n255\n" + bytes(40 * 30 * 3 - cut)
+        with pytest.raises(io.ParseError, match="truncated pixel data$"):
+            self._read_pipe(data)
+
     def test_array_owns_writable_memory(self, tmp_path):
         p = tmp_path / "img.ppm"
         p.write_bytes(b"P6\n2 1\n255\n" + bytes(range(6)))
@@ -454,6 +490,15 @@ class TestComposeMosaic:
         io.compose_mosaic(lay, img, out)
         got = io.read_ppm(out)
         assert np.all(got[:20, :20] == 77)
+
+    @pytest.mark.parametrize("placements", [
+        [], [Placement(BBox(0, 0, 4, 4), 0.1, 0.0, 0.0)],  # 0.4 px wide: no pixel drawn
+    ], ids=["empty", "rounds-to-no-pixel"])
+    def test_nothing_drawn_is_black(self, tmp_path, placements):
+        img = np.full((10, 10, 3), 200, dtype=np.uint8)
+        io.compose_mosaic(MosaicLayout(12, 8, placements), img, tmp_path / "m.ppm")
+        got = io.read_ppm(tmp_path / "m.ppm")
+        assert got.shape == (8, 12, 3) and not got.any()
 
     def test_out_of_raster_rejected(self, tmp_path):
         img = np.zeros((10, 10, 3), dtype=np.uint8)

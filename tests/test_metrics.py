@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bbox_strategy
-from oracles import random_boxes, scene_reference, union_area_mc
-from ufppack.geometry import BBox, ImageExtent
+from oracles import random_boxes, scene_reference, union_area_mc, union_area_ref
+from ufppack.geometry import BBox, ImageExtent, area, corners
 from ufppack.metrics import (
     InfeasibleSpecError,
     SceneSpec,
@@ -50,9 +50,66 @@ class TestForegroundRatio:
     def test_matches_monte_carlo(self, seed):
         rng = np.random.default_rng(seed)
         raw = random_boxes(rng, 12, (200, 150))
-        exact = union_area([BBox(*b) for b in raw])
+        exact = union_area(np.array(raw))
         approx = union_area_mc(raw, (200, 150), n=200_000, seed=seed)
         assert abs(exact - approx) / (200 * 150) < 0.005
+
+
+def _grid_boxes(rng, n, extent):
+    """Boxes with corners on a coarse grid that overhangs the frame by 10 px,
+    so shared edges, duplicates and zero-width or zero-height boxes are
+    common, plus a few on continuous corners."""
+    w, h = extent
+    x = rng.choice(np.linspace(-10, w + 10, 9), size=(n, 2))
+    y = rng.choice(np.linspace(-10, h + 10, 7), size=(n, 2))
+    grid = np.column_stack([x.min(1), y.min(1), x.max(1), y.max(1)])
+    free = np.sort(rng.uniform(-10, [w + 10, h + 10], size=(n, 2, 2)), axis=1)
+    rows = np.where(rng.random((n, 1)) < 0.8, grid, free.reshape(n, 4))
+    return [BBox(*r) for r in rows.tolist()]
+
+
+class TestUnionAreaMatchesReference:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_boxes(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            boxes = _grid_boxes(rng, int(rng.integers(0, 25)), (60.0, 45.5))
+            boxes += boxes[:int(rng.integers(0, 3))]  # duplicates
+            assert union_area(corners(boxes)) == union_area_ref(boxes)
+
+    def test_edge_cases(self):
+        cases = [
+            [],
+            [BBox(0, 0, 0, 5), BBox(1, 1, 4, 1), BBox(2, 2, 2, 2)],  # zero area only
+            [BBox(0, 0, 2, 2), BBox(2, 0, 4, 2), BBox(0, 2, 4, 3)],  # shared edges
+            [BBox(0.1, 0.2, 0.7, 0.3)] * 3,  # duplicates
+            [BBox(-5, -5, 1e9, 3), BBox(-1e300, 0, 1e300, 1)],  # far past any frame
+            [BBox(-1e300, 0, 1e300, 1e300), BBox(-1e308, 5, 1e308, 5)],  # areas inf and nan
+        ]
+        for boxes in cases:
+            assert union_area(corners(boxes)) == union_area_ref(boxes)
+
+
+class TestSizeStatsMatchesReference:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_boxes(self, seed):
+        rng = np.random.default_rng(seed)
+        width, height = 60.0, 45.5
+        for _ in range(40):
+            boxes = _grid_boxes(rng, int(rng.integers(1, 25)), (width, height))
+            got = size_stats(boxes, width, height)
+            inside = [BBox(min(max(b.x1, 0.0), width), min(max(b.y1, 0.0), height),
+                           min(max(b.x2, 0.0), width), min(max(b.y2, 0.0), height))
+                      for b in boxes]
+            assert got.fr == union_area_ref(inside) / (width * height)
+            areas = [area(b) for b in boxes]
+            assert got.small == sum(a < 32 * 32 for a in areas) / len(boxes)
+            assert got.medium == sum(32 * 32 <= a < 96 * 96 for a in areas) / len(boxes)
+            assert got.large == sum(a >= 96 * 96 for a in areas) / len(boxes)
+
+    def test_overflowed_area_is_large(self):
+        st_ = size_stats([BBox(-1e300, -1e300, 1e300, 1e300)], 100, 100)
+        assert (st_.fr, st_.small, st_.medium, st_.large) == (1.0, 0.0, 0.0, 1.0)
 
 
 class TestSizeBuckets:
@@ -153,3 +210,12 @@ class TestGenerateScene:
     def test_bad_proportions_rejected(self):
         with pytest.raises(ValueError):
             SceneSpec(proportions=(0.5, 0.2, 0.2))
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"n_objects": -1}, "^n_objects must be nonnegative$"),
+        ({"target_fr": 1.0}, r"^target_fr must be in \[0,1\), got 1.0$"),
+        ({"target_fr": -0.1}, r"^target_fr must be in \[0,1\), got -0.1$"),
+    ])
+    def test_bad_count_or_target_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            SceneSpec(**bad)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from oracles import dest_box
-from ufppack.geometry import BBox, area
+from oracles import dest_box, pack_ref
+from ufppack.config import PipelineConfig
+from ufppack.geometry import BBox, area, corners
+from ufppack.metrics import SceneSpec, generate_scene
 from ufppack.mosaic import (
     MosaicLayout,
     UnpackableRegionError,
@@ -14,7 +17,7 @@ from ufppack.mosaic import (
     pack,
     waste_ratio,
 )
-from ufppack.regions import RegionSet
+from ufppack.regions import RegionSet, expand_and_merge
 
 
 def _region_set(sizes):
@@ -42,6 +45,11 @@ class TestEqualize:
 
     def test_empty(self):
         assert equalize(RegionSet(), 96) == []
+
+    @pytest.mark.parametrize("fixed_size", [0.0, -1.0, float("nan")])
+    def test_nonpositive_fixed_size_rejected(self, fixed_size):
+        with pytest.raises(ValueError, match=r"^fixed_size must be positive, got "):
+            equalize(_region_set([(10, 10)]), fixed_size)
 
     def test_qualifying_regions_grow_by_common_factor(self):
         rs = _region_set([(20, 20), (50, 50), (120, 120)])
@@ -83,6 +91,24 @@ class TestPack:
         lay = pack([], 120)
         assert lay.placements == [] and lay.mosaic_height == 0.0
 
+    @pytest.mark.parametrize("target_width", [0.0, -5.0, float("nan"), float("inf")])
+    def test_bad_target_width_rejected(self, target_width):
+        with pytest.raises(ValueError, match=r"^target_width must be positive, got "):
+            pack([(BBox(0, 0, 5, 5), 1.0)], target_width)
+
+    @pytest.mark.parametrize("padding", [-0.5, float("nan")])
+    def test_bad_padding_rejected(self, padding):
+        with pytest.raises(ValueError, match=r"^padding must be nonnegative, got "):
+            pack([(BBox(0, 0, 5, 5), 1.0)], 100, padding=padding)
+
+    def test_first_too_wide_region_named(self):
+        scaled = [(BBox(0, 0, 5, 5), 1.0), (BBox(0, 0, 60, 5), 2.0), (BBox(0, 0, 200, 5), 1.0)]
+        with pytest.raises(UnpackableRegionError) as want:
+            pack_ref(scaled, 100, padding=0.5)
+        with pytest.raises(UnpackableRegionError, match=f"^{re.escape(str(want.value))}$"):
+            pack(scaled, 100, padding=0.5)
+        assert str(want.value).startswith("region 1 ")
+
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         scaled = [
@@ -92,6 +118,49 @@ class TestPack:
         a = pack(scaled, 200)
         b = pack(scaled, 200)
         assert a == b
+
+
+def _random_scaled(rng, n):
+    """Regions drawn half from a few sides, zero among them (ties in height,
+    zero-width and zero-height regions), half from a continuous range."""
+    sides = np.where(rng.random((n, 2)) < 0.5,
+                     rng.choice([0.0, 4.0, 10.5, 25.0], size=(n, 2)),
+                     rng.uniform(0, 40, size=(n, 2)))
+    scales = rng.choice([1.0, 1.5, float(rng.uniform(1.0, 3.0))], size=n)
+    return [(BBox(0, 0, float(w), float(h)), float(s))
+            for (w, h), s in zip(sides.tolist(), scales.tolist())]
+
+
+class TestPackMatchesReference:
+    @pytest.mark.parametrize("padding", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_regions(self, seed, padding):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            scaled = _random_scaled(rng, int(rng.integers(0, 30)))
+            widest = max((s * b.width for b, s in scaled), default=0.0)
+            width = max(widest + 2 * padding + float(rng.choice([0.0, rng.uniform(0, 150)])), 1.0)
+            while widest > width - 2 * padding:  # the sum rounded below the widest region
+                width = math.nextafter(width, math.inf)
+            assert pack(scaled, width, padding) == pack_ref(scaled, width, padding)
+
+    def test_zero_width_regions_on_one_shelf(self):
+        # With no padding, zero-width regions leave the cursor at the left
+        # edge, so each of them sets the shelf height in turn.
+        scaled = [(BBox(0, 0, 0, 30), 1.0), (BBox(0, 0, 0, 20), 1.0),
+                  (BBox(0, 0, 10, 10), 1.0), (BBox(0, 0, 10, 0), 1.0)]
+        for padding in (0.0, 0.5):
+            assert pack(scaled, 12, padding) == pack_ref(scaled, 12, padding)
+
+    @pytest.mark.parametrize("spec", [SceneSpec(seed=7),
+                                      SceneSpec(seed=7, n_objects=1000, target_fr=0.3)])
+    def test_scene_regions(self, spec):
+        config = PipelineConfig()
+        _, coarse = generate_scene(spec)
+        regions = expand_and_merge(corners(d.box for d in coarse), config.beta, spec.extent)
+        scaled = list(zip(regions.regions, equalize(regions, config.fixed_size)))
+        assert (pack(scaled, config.mosaic_width, config.padding)
+                == pack_ref(scaled, config.mosaic_width, config.padding))
 
 
 def _random_pack(seed):

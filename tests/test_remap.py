@@ -254,6 +254,16 @@ class TestNmsMatchesReference:
         assert _same_objects(nms(dets, 0.5), nms_reference(dets, 0.5))
 
 
+class TestDetection:
+    @pytest.mark.parametrize("score, category, message", [
+        (1.5, 0, r"^score must be in \[0,1\], got 1.5$"),
+        (0.5, -1, r"^category must be nonnegative, got -1$"),
+    ])
+    def test_refused(self, score, category, message):
+        with pytest.raises(ValueError, match=message):
+            Detection(BBox(0, 0, 1, 1), score, category)
+
+
 class TestThreshold:
     PAIR = [Detection(BBox(0, 0, 10, 10), 0.9, 0), Detection(BBox(100, 100, 110, 110), 0.8, 0)]
 

@@ -128,6 +128,11 @@ class TestSinkhorn:
         with pytest.raises(ValueError):
             sinkhorn(np.zeros((2, 2)), np.array([0.5, 0.6]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("p, q", [([0.5, 0.5], [0.2, 0.3, 0.5]), ([1.0], [0.5, 0.5])])
+    def test_marginal_shapes_not_matching_cost_rejected(self, p, q):
+        with pytest.raises(ValueError, match=r"^marginal shapes .* do not match cost \(2, 3\)$"):
+            sinkhorn(np.zeros((2, 3)), np.array(p), np.array(q))
+
     @pytest.mark.parametrize("bad", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0],
                                      [math.inf, -math.inf]])
     @pytest.mark.parametrize("side", ["p", "q"])

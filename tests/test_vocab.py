@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import central_diff
+from ufppack.clustering import kmeans
 from ufppack.vocab import (
     InsufficientVocabularyError,
     VocabQueue,
@@ -56,6 +57,15 @@ class TestVocabQueue:
         with pytest.raises(ValueError):
             VocabQueue(4, 0).update([_vec(1, 1)], -1, np.random.default_rng(0))
 
+    def test_m_past_batch_size_rejected(self):
+        with pytest.raises(ValueError, match=r"^m=3 exceeds batch size 2$"):
+            VocabQueue(4, 0).update([_vec(1, 1), _vec(2, 2)], 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_capacity_below_one_rejected(self, capacity):
+        with pytest.raises(ValueError, match=rf"^capacity must be >= 1, got {capacity}$"):
+            VocabQueue(capacity, 0)
+
     def test_last_n_in_insertion_order(self):
         rng = np.random.default_rng(1)
         q = VocabQueue(5, 0)
@@ -99,6 +109,10 @@ class TestEstimateMarginals:
         q = _fill(VocabQueue(8, 0), [_vec(1, 1)], rng)
         with pytest.raises(InsufficientVocabularyError):
             estimate_marginals(q, 2, seed=0)
+
+    def test_kmeans_with_fewer_points_than_clusters_rejected(self):
+        with pytest.raises(ValueError, match=r"^need at least 3 points, got 2$"):
+            kmeans(np.ones((2, 4)), 3, np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_sorted_and_normalized(self, seed):
@@ -161,6 +175,16 @@ class TestContrastiveLoss:
             with pytest.raises(ValueError, match="N labels"):
                 contrastive_loss(x, labels, vocab)
 
+    def test_no_instances_rejected(self):
+        vocab = _two_class_vocab(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="^no instances$"):
+            contrastive_loss(np.ones((0, 8)), [], vocab)
+
+    def test_empty_vocabulary_rejected(self):
+        vocab = {**_two_class_vocab(np.random.default_rng(3)), 1: VocabQueue(4, 1)}
+        with pytest.raises(ValueError, match="^class 1 has an empty vocabulary$"):
+            contrastive_loss(np.ones((2, 8)), [0, 1], vocab)
+
 
 class TestContrastiveGrad:
     @pytest.mark.parametrize("seed", range(25))
@@ -179,3 +203,8 @@ class TestContrastiveGrad:
         v1 = _fill(VocabQueue(1, 1), [_vec(0, 0.1)], rng)
         g = contrastive_grad(_vec(1, 0), 0, {0: v0, 1: v1})
         assert np.linalg.norm(g) < 1e-9
+
+    def test_empty_vocabulary_rejected(self):
+        vocab = {**_two_class_vocab(np.random.default_rng(3)), 1: VocabQueue(4, 1)}
+        with pytest.raises(ValueError, match="^class 1 has an empty vocabulary$"):
+            contrastive_grad(np.ones(8), 1, vocab)
