@@ -54,24 +54,9 @@ def _load_config(cls: type, path: str | None) -> Any:
     return cls.from_dict(io.read_json(path, dict, "a config object"))
 
 
-def _records(path: str, part: str, image_size: ImageExtent | None = None) -> dict[Any, list]:
-    """The detections of a detection file by ``image_id``; or of a scene file,
-    its ``part`` ("coarse" or "ground_truth") under the scene's id. A scene
-    whose image_size is not ``image_size``, when given, raises ValueError."""
-    found = io.load_detections_or_scene(path)
-    if not isinstance(found, io.Scene):
-        return found
-    if image_size is not None and found.image_size != (image_size.width, image_size.height):
-        raise ValueError(f"{path}: scene image_size {found.image_size[0]:g}x"
-                         f"{found.image_size[1]:g} differs from --image-size "
-                         f"{image_size.width:g}x{image_size.height:g}")
-    # A scene of no records names no image, as an empty detection file does.
-    return {found.image_id: getattr(found, part)} if found.ground_truth or found.coarse else {}
-
-
 def _one_image(path: str, part: str, image_size: ImageExtent) -> list:
-    """``_records`` of a file that holds at most one ``image_id``."""
-    _, (dets,) = io.one_image({path: _records(path, part, image_size)})
+    """The detections of a detection or scene file of at most one ``image_id``."""
+    _, (dets,) = io.one_image({path: io.load_detections_or_scene(path, part, image_size)})
     return dets
 
 
@@ -98,8 +83,9 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 def _cmd_unpack(args: argparse.Namespace) -> int:
     cfg = _load_config(PipelineConfig, args.config)
     layout = io.load_layout(args.layout)
-    image_id, (fine, coarse) = io.one_image({"fine": io.load_detections(args.fine),
-                                             "coarse": _records(args.coarse, "coarse")})
+    image_id, (fine, coarse) = io.one_image({
+        "fine": io.load_detections(args.fine),
+        "coarse": io.load_detections_or_scene(args.coarse, "coarse")})
     remapped = [m for d in fine if (m := to_source(d, layout)) is not None]
     fused = fuse(coarse, remapped, cfg.nms_iou)
     io.save_detections(fused, args.out, 0 if image_id is None else image_id)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 from dataclasses import dataclass
 from typing import Any
@@ -55,6 +56,15 @@ class DictConfig:
             for v in value if type(value) is tuple else (value,):
                 if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
                     raise ValueError(f"{name} must be finite, got {value}")
+
+    def _check_counts(self, *products: tuple[str, ...]) -> None:
+        """Refuse a product of int fields, given by their names, past 2**50. Each
+        is an array's element count up to a small factor: 2**50 float64 are 8 PiB,
+        and 1/1024 of the bytes NumPy's index type counts, so no factor overflows it."""
+        for names in products:
+            count = math.prod(map(self.__getattribute__, names))
+            if count > 2**50:
+                raise ValueError(f"{' * '.join(names)} must be at most 2**50, got {count}")
 
     def to_dict(self) -> dict[str, Any]:
         """The dict ``from_dict`` reads, each tuple or dataclass field as a list."""

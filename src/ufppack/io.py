@@ -21,7 +21,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import BBox
+from .geometry import BBox, ImageExtent
 from .mosaic import MosaicLayout, Placement
 from .remap import Detection
 
@@ -108,8 +108,9 @@ def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[int | str
     """Group COCO-style result records {image_id, bbox, score, category_id} by image.
 
     An ``image_id`` must be a JSON integer or string, a ``category_id`` a JSON
-    integer and a ``score`` and each ``bbox`` entry a JSON number; records with
-    any other, a bool included, raise ValidationError by index.
+    integer, a ``score`` and each ``bbox`` entry a JSON number, and ``w`` and
+    ``h`` not negative; records with any other, a bool included, raise
+    ValidationError by index.
     """
     bad: list[int] = []
     per_image: dict[int | str, list[Detection]] = {}
@@ -118,13 +119,12 @@ def detections_from_records(records: Sequence[dict[str, Any]]) -> dict[int | str
             x, y, w, h = rec["bbox"]
             image_id = rec.get("image_id", 0)
             score, category = rec.get("score", 1.0), rec.get("category_id", 0)
-            if not (_is_image_id(image_id) and type(category) is int
-                    and {type(score), type(x), type(y), type(w), type(h)} <= _NUMBER):
-                raise TypeError("image_id, category_id, score or bbox of the wrong JSON type")
             # BBox refuses a non-finite or reversed corner, but a negative w
             # or h smaller than half an ulp of x or y rounds to a valid box.
-            if w < 0 or h < 0:
-                raise ValueError("negative extent")
+            if not (_is_image_id(image_id) and type(category) is int
+                    and {type(score), type(x), type(y), type(w), type(h)} <= _NUMBER
+                    and w >= 0 and h >= 0):
+                raise ValueError
             x, y = float(x), float(y)
             det = Detection(BBox(x, y, x + float(w), y + float(h)), float(score), category)
         except (KeyError, TypeError, ValueError, OverflowError):
@@ -246,11 +246,22 @@ def load_scene(path: str | Path) -> Scene:
     return _scene(read_json(path, dict, "a scene object"), path)
 
 
-def load_detections_or_scene(path: str | Path) -> dict[int | str, list[Detection]] | Scene:
-    """What ``load_detections`` reads from a file that holds a JSON array, or
-    ``load_scene`` from one that holds an object, with one read."""
+def load_detections_or_scene(
+    path: str | Path, part: str, extent: ImageExtent | None = None
+) -> dict[int | str, list[Detection]]:
+    """The detections by ``image_id`` of a file, with one read: of a JSON array
+    as ``load_detections`` reads it, or of a scene object as ``load_scene``
+    reads it, its ``part`` ("coarse" or "ground_truth") under the scene's id.
+    A scene whose image_size is not ``extent``, when given, raises ValueError."""
     doc = read_json(path, (list, dict), "an array of detection records or a scene object")
-    return _scene(doc, path) if isinstance(doc, dict) else detections_from_records(doc)
+    if isinstance(doc, list):
+        return detections_from_records(doc)
+    scene = _scene(doc, path)
+    if extent is not None and scene.image_size != (extent.width, extent.height):
+        raise ValueError("%s: scene image_size %gx%g differs from --image-size %gx%g"
+                         % (path, *scene.image_size, extent.width, extent.height))
+    # A scene of no records names no image, as an empty detection file does.
+    return {} if scene.image_id is None else {scene.image_id: getattr(scene, part)}
 
 
 # -- mosaic layouts ----------------------------------------------------------

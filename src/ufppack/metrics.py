@@ -104,11 +104,12 @@ class SceneSpec(DictConfig):
             raise ValueError(f"proportions must sum to 1, got {self.proportions}")
         if self.n_objects < 0:
             raise ValueError("n_objects must be nonnegative")
+        self._check_counts(("n_objects",))
         if not 0.0 <= self.target_fr < 1.0:
             raise ValueError(f"target_fr must be in [0,1), got {self.target_fr}")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError(f"drop_rate must be in [0,1], got {self.drop_rate}")
-        for name in ("center_jitter", "scale_jitter"):
+        for name in ("seed", "center_jitter", "scale_jitter"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 

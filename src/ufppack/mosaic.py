@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import BBox, area
+from .geometry import _FLOAT_MAX, BBox, area
 from .regions import RegionSet
 
 
@@ -61,8 +61,9 @@ def equalize(regions: RegionSet, fixed_size: float) -> list[float]:
     fixed_size grows by the common factor fixed_size / mean; all other
     regions keep scale 1.
     """
-    if not fixed_size > 0:  # written so that a NaN fails the test too
-        raise ValueError(f"fixed_size must be positive, got {fixed_size}")
+    if not 0 < fixed_size <= _FLOAT_MAX:  # written so that a NaN fails the test too
+        raise ValueError(f"fixed_size must be {'finite' if fixed_size > 0 else 'positive'}, "
+                         f"got {fixed_size}")
     if not regions.regions:
         return []
     scales = [math.sqrt(area(r)) for r in regions.regions]
@@ -108,7 +109,7 @@ def pack(
 
 def waste_ratio(layout: MosaicLayout) -> float:
     """Mosaic area divided by the summed placed-rectangle area (>= 1)."""
-    if not layout.placements:
-        raise ValueError("waste_ratio is undefined for an empty layout")
     placed = sum(p.width * p.height for p in layout.placements)
+    if not placed:
+        raise ValueError("waste_ratio is undefined for an empty layout")
     return (layout.mosaic_width * layout.mosaic_height) / placed

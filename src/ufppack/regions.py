@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox, ImageExtent, corners
+from .geometry import _FLOAT_MAX, BBox, ImageExtent, corners
 
 _BLOCK_PAIRS = 1 << 16  # most box pairs one table of ``_has_partner`` holds
 
@@ -107,8 +107,9 @@ def merge(candidates: Sequence[BBox]) -> RegionSet:
 def expand_and_merge(boxes: np.ndarray, beta: float, extent: ImageExtent) -> RegionSet:
     """Scale the (x1, y1, x2, y2) rows of ``boxes`` by beta about their
     centers, clamp them to the image, then merge them."""
-    if not beta >= 1.0:  # written so that a NaN fails the test too
-        raise ValueError(f"expansion ratio must be >= 1, got {beta}")
+    if not 1.0 <= beta <= _FLOAT_MAX:  # written so that a NaN fails the test too
+        raise ValueError(f"beta must be finite, got {beta}" if beta > 1.0
+                         else f"expansion ratio must be >= 1, got {beta}")
     lo, hi = np.hsplit(np.asarray(boxes, dtype=float).reshape(-1, 4), 2)
     size = np.array([extent.width, extent.height], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # clamped or refused below

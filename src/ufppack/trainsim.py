@@ -46,9 +46,14 @@ class TrainConfig(DictConfig):
         for name, least in (("n_classes", 1), ("proxies_per_class", 1), ("feature_dim", 2),
                             ("modes_per_class", 1), ("steps", 0), ("batch_size", 1),
                             ("vocab_capacity", 1), ("marginal_cadence", 1),
-                            ("sinkhorn_max_iters", 0)):
+                            ("sinkhorn_max_iters", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        # A step's cosines and features, the mode centers, and the proxies at init.
+        self._check_counts(("n_classes", "n_classes", "batch_size", "proxies_per_class"),
+                           ("n_classes", "batch_size", "feature_dim"),
+                           ("n_classes", "modes_per_class", "feature_dim"),
+                           ("n_classes", "proxies_per_class", "proxies_per_class", "feature_dim"))
         for name in ("lr", "gamma", "sinkhorn_epsilon", "sinkhorn_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -241,8 +246,7 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
         )
         if step == cfg.steps:
             break
-        w = w - cfg.lr * _cosine_grad(x_hat, s, u, wn, A.reshape(s.shape))
-        w /= _row_norms(w)[:, None]
+        w = _unit_proxies(w - cfg.lr * _cosine_grad(x_hat, s, u, wn, A.reshape(s.shape)), k)[0]
 
     report.final_weights = {cid: w[cid * k:(cid + 1) * k].copy() for cid in range(n_classes)}
     return report

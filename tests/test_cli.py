@@ -449,6 +449,11 @@ class TestWrongJsonTypeConfig:
         pytest.param({"proportions": [1.5, -0.5, 0]},
                      "proportions must be nonnegative, got (1.5, -0.5, 0)",
                      id="negative-proportion-summing-to-1"),
+        pytest.param({"n_objects": 10**20}, f"n_objects must be at most 2**50, got {10**20}",
+                     id="n_objects-past-uint64"),
+        pytest.param({"n_objects": 2**63}, f"n_objects must be at most 2**50, got {2**63}",
+                     id="n_objects-past-int64"),
+        pytest.param({"seed": -1}, "seed must be nonnegative, got -1", id="negative-seed"),
     ])
     def test_synth_spec_exit_1_without_output(self, tmp_path, capsys, bad, message):
         spec = tmp_path / "spec.json"
@@ -856,6 +861,36 @@ class TestTrainSimCommand:
         assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"error: {next(iter(bad))} must be" in capsys.readouterr().err
         assert not out.exists()
+
+    # Each is one line naming the field, where NumPy's own error named none.
+    @pytest.mark.parametrize("bad, message", [
+        ({"batch_size": 10**20, "vocab_insert": 1}, "n_classes * n_classes * batch_size * "
+         f"proxies_per_class must be at most 2**50, got {12 * 10**20}"),
+        ({"n_classes": 10**20}, "n_classes * n_classes * batch_size * proxies_per_class must "
+         f"be at most 2**50, got {48 * 10**40}"),
+        ({"proxies_per_class": 10**20}, "n_classes * n_classes * batch_size * "
+         f"proxies_per_class must be at most 2**50, got {64 * 10**20}"),
+        ({"feature_dim": 10**20},
+         f"n_classes * batch_size * feature_dim must be at most 2**50, got {32 * 10**20}"),
+        ({"modes_per_class": 10**20},
+         f"n_classes * modes_per_class * feature_dim must be at most 2**50, got {32 * 10**20}"),
+        ({"seed": -1}, "seed must be at least 0, got -1"),
+    ], ids=["batch_size", "n_classes", "proxies_per_class", "feature_dim", "modes_per_class",
+            "seed"])
+    def test_count_past_numpy_exit_1_without_records(self, tmp_path, capsys, bad, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 1, "seed": 0, **bad}))
+        out = tmp_path / "report.jsonl"
+        assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_seed_past_int64_runs(self, tmp_path):
+        spec, cfg = tmp_path / "spec.json", tmp_path / "cfg.json"
+        spec.write_text(json.dumps({"seed": 10**41, "n_objects": 5, "target_fr": 0.01}))
+        cfg.write_text(json.dumps({"steps": 1, "seed": 10**41}))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "scene.json")]) == 0
+        assert main(["train-sim", "--config", str(cfg), "--out", str(tmp_path / "r.jsonl")]) == 0
 
     @pytest.mark.parametrize("insert", [0, -1, 17])
     def test_vocab_insert_outside_batch_exit_1(self, tmp_path, capsys, insert):

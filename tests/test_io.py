@@ -747,10 +747,18 @@ class TestSceneIO:
 
     def test_one_parser_behind_both_readers(self, tmp_path):
         p = self._scene(tmp_path, 5, 5)
-        assert io.load_detections_or_scene(p) == io.load_scene(p)
+        _, gt, coarse, _ = io.load_scene(p)
+        assert io.load_detections_or_scene(p, "ground_truth") == {5: gt}
+        assert io.load_detections_or_scene(p, "coarse", ImageExtent(100, 80)) == {5: coarse}
         dets = tmp_path / "dets.json"
         dets.write_text(json.dumps(json.loads(p.read_text())["coarse"]))
-        assert io.load_detections_or_scene(dets) == io.load_detections(dets)
+        assert io.load_detections_or_scene(dets, "coarse") == io.load_detections(dets)
+
+    @pytest.mark.parametrize("part", ["coarse", "ground_truth"])
+    def test_scene_of_no_records_names_no_image(self, tmp_path, part):
+        p = tmp_path / "scene.json"
+        io.save_scene((100, 80), [], [], p)
+        assert io.load_detections_or_scene(p, part) == {}
 
     def test_detection_reader_refuses_scene(self, tmp_path):
         with pytest.raises(io.ParseError, match="expected an array of detection records"):

@@ -215,6 +215,8 @@ class TestGenerateScene:
         ({"n_objects": -1}, "^n_objects must be nonnegative$"),
         ({"target_fr": 1.0}, r"^target_fr must be in \[0,1\), got 1.0$"),
         ({"target_fr": -0.1}, r"^target_fr must be in \[0,1\), got -0.1$"),
+        ({"seed": -1}, "^seed must be nonnegative, got -1$"),
+        ({"n_objects": 2**50 + 1}, r"^n_objects must be at most 2\*\*50, got 1125899906842625$"),
     ])
     def test_bad_count_or_target_rejected(self, bad, message):
         with pytest.raises(ValueError, match=message):

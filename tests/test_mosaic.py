@@ -51,6 +51,10 @@ class TestEqualize:
         with pytest.raises(ValueError, match=r"^fixed_size must be positive, got "):
             equalize(_region_set([(10, 10)]), fixed_size)
 
+    def test_infinite_fixed_size_rejected(self):
+        with pytest.raises(ValueError, match=r"^fixed_size must be finite, got inf$"):
+            equalize(_region_set([(4, 4)]), math.inf)
+
     def test_qualifying_regions_grow_by_common_factor(self):
         rs = _region_set([(20, 20), (50, 50), (120, 120)])
         out = equalize(rs, 96)
@@ -212,3 +216,7 @@ class TestWasteRatio:
     def test_empty_layout_rejected(self):
         with pytest.raises(ValueError):
             waste_ratio(MosaicLayout(100, 0, []))
+
+    def test_zero_area_layout_rejected_as_empty(self):
+        with pytest.raises(ValueError, match=r"^waste_ratio is undefined for an empty layout$"):
+            waste_ratio(pack([(BBox(0, 0, 0, 5), 1.0)], 10))

@@ -239,6 +239,12 @@ class TestExpandAndMerge:
         with pytest.raises(ValueError, match=r"^detection 1 lies outside"):
             expand_and_merge(_rows([(0, 0, 5, 5), row]), 1.5, ImageExtent(100, 100))
 
+    def test_infinite_beta_refused_by_name(self):
+        # A zero-area row would expand to NaN (0 * inf) and be named as outside.
+        with pytest.raises(ValueError, match=r"^beta must be finite, got inf$"):
+            expand_and_merge(_rows([(10, 10, 20, 20), (30, 30, 30, 30)]), float("inf"),
+                             ImageExtent(100, 100))
+
     def test_edge_touching_detection_kept(self):
         # A box that starts at the right edge clamps to a zero-width row there.
         rs = expand_and_merge(_rows([(100, 10, 120, 20)]), 1.0, ImageExtent(100, 100))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +45,40 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("n_classes", 0), ("proxies_per_class", 0), ("feature_dim", 1), ("modes_per_class", 0),
         ("steps", -1), ("batch_size", 0), ("lr", 0.0), ("lr", -0.1), ("lr", float("inf")),
-        pytest.param("lr", 10**400, id="lr-past-the-float-range"),
+        pytest.param("lr", 10**400, id="lr-past-the-float-range"), ("seed", -1),
     ])
     def test_message_names_the_rejected_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             TrainConfig(**{field: value})
+
+    # Each factor is far below 2**50; their product, the size of an array, is not.
+    @pytest.mark.parametrize("counts, product", [
+        ({"n_classes": 2**20, "batch_size": 2**11},
+         "n_classes * n_classes * batch_size * proxies_per_class"),
+        ({"batch_size": 2**30, "feature_dim": 2**20}, "n_classes * batch_size * feature_dim"),
+        ({"modes_per_class": 2**30, "feature_dim": 2**20},
+         "n_classes * modes_per_class * feature_dim"),
+        ({"proxies_per_class": 2**20, "feature_dim": 2**10},
+         "n_classes * proxies_per_class * proxies_per_class * feature_dim"),
+    ], ids=["cosines", "features", "mode-centers", "proxies"])
+    def test_count_product_past_numpy_rejected(self, counts, product):
+        message = f"^{re.escape(product)} must be at most 2\\*\\*50, got "
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**counts)
+
+    def test_count_product_at_the_bound_accepted(self):
+        ones = dict(n_classes=1, batch_size=1, vocab_insert=1, proxies_per_class=1,
+                    modes_per_class=1)
+        assert TrainConfig(**ones, feature_dim=2**50).feature_dim == 2**50
+        with pytest.raises(ValueError, match=r"^n_classes \* batch_size \* feature_dim must be "
+                                             r"at most 2\*\*50, got 1125899906842625$"):
+            TrainConfig(**ones, feature_dim=2**50 + 1)
+
+    @pytest.mark.parametrize("field", ["seed", "vocab_capacity", "marginal_cadence",
+                                       "sinkhorn_max_iters"])
+    def test_unsized_int_past_int64_accepted(self, field):
+        report = train_sim(TrainConfig(steps=1, **{field: 10**41}))
+        assert len(report.records) == 2
 
     @pytest.mark.parametrize("insert", [0, -1, 9])
     def test_vocab_insert_outside_batch_rejected(self, insert):
@@ -164,6 +194,27 @@ class TestTrainSim:
         with pytest.raises(ValueError, match="^class 1: zero-norm proxy row$"):
             train_sim(TrainConfig(steps=2, seed=0, n_classes=3))
         assert len(seen) == 3
+
+    def test_zero_norm_proxy_after_update_refused(self, monkeypatch):
+        """A proxy row that an update zeroes fails in that update, named by its
+        class, before a step scores with it."""
+        seen = []
+        real = trainsim._unit_proxies
+
+        def unit_proxies(w, k):
+            seen.append(w)
+            return real(w, k)
+
+        def grad(x_hat, s, u, wn, A):
+            g = np.zeros_like(u)
+            g[4] = seen[-1][4]  # at lr 1 the update zeroes row 1 of class 1
+            return g
+
+        monkeypatch.setattr(trainsim, "_unit_proxies", unit_proxies)
+        monkeypatch.setattr(trainsim, "_cosine_grad", grad)
+        with pytest.raises(ValueError, match="^class 1: zero-norm proxy row$"):
+            train_sim(TrainConfig(steps=2, seed=0, lr=1.0))
+        assert len(seen) == 3  # init, step 0 and its update
 
     def test_unconverged_calls_reported(self):
         report = train_sim(TrainConfig(steps=3, seed=0, sinkhorn_max_iters=2))
