@@ -407,7 +407,7 @@ def scene_reference(spec) -> tuple[list[Box], list[tuple[Box, float]]]:
         ratio = math.sqrt(target / cur)
         sides = [min(max(s * ratio, ranges[k][0]), ranges[k][1]) for s, k in zip(sides, buckets)]
         areas = np.array([(s * r) * (s / r) for s, r in zip(sides, roots)])
-        if abs(np.sum(areas) - target) / target < 0.02:
+        if target > 0 and abs(np.sum(areas) - target) / target < 0.02:
             break
     gt: list[Box] = []
     for s, r in zip(sides, roots):

@@ -793,6 +793,31 @@ class TestSynthCommand:
         assert "larger than the 30x14 extent" in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("jitter", [
+        {"center_jitter": 1e308, "scale_jitter": 1e308},
+        {"center_jitter": 1e308},
+        {"scale_jitter": 1e308},
+    ])
+    def test_overflowing_jitter_exit_1_naming_it(self, tmp_path, capsys, jitter):
+        """A jittered centre or side past the float range is refused by the
+        settings' names, not as a NaN box."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 0, **jitter}))
+        out = tmp_path / "scene.json"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        cj, sj = jitter.get("center_jitter", 0.05), jitter.get("scale_jitter", 0.05)
+        assert captured.err == (f"error: the coarse detection of object 1 overflows at "
+                                f"center_jitter {cj} and scale_jitter {sj}\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_huge_finite_scale_jitter_runs(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 0, "scale_jitter": 1e300}))
+        out = tmp_path / "scene.json"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+        assert len(io.load_scene(out)[2]) == 177
+
 
 class TestTrainSimCommand:
     def test_writes_report(self, tmp_path):

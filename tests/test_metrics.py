@@ -175,6 +175,23 @@ class TestGenerateScene:
                   drop_rate=0.3),
         SceneSpec(seed=10, n_objects=3, target_fr=0.2, extent=ImageExtent(150.5, 99.25),
                   proportions=(0.0, 1.0, 0.0)),
+        # An attempt of this crowded scene overlaps 11 placed boxes, whose
+        # sum rounds by the order in which they are added.
+        pytest.param(SceneSpec(seed=2, n_objects=60, target_fr=0.4, extent=ImageExtent(400, 300)),
+                     id="eleven-overlaps"),
+        # Four boxes are kept after 50 rejections, and 22 of the 30 meet 2x2
+        # cells of the placement grid.
+        pytest.param(SceneSpec(seed=1, n_objects=30, target_fr=0.6, extent=ImageExtent(300, 200),
+                               proportions=(0.0, 1.0, 0.0)),
+                     id="kept-after-50-rejections"),
+        # 8 of the 12 boxes meet 2x2 cells of a 4x4 grid.
+        pytest.param(SceneSpec(seed=0, n_objects=12, target_fr=0.5, extent=ImageExtent(100, 100),
+                               proportions=(1.0, 0.0, 0.0)),
+                     id="two-by-two-cells"),
+        # Grid cell indices far past 2**63.
+        pytest.param(SceneSpec(seed=0, n_objects=8, target_fr=0.0,
+                               extent=ImageExtent(1e154, 1e154)),
+                     id="huge-cell-indices"),
     ])
     def test_matches_scalar_reference(self, spec):
         gt, coarse = generate_scene(spec)
