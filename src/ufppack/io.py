@@ -3,9 +3,12 @@
 Every JSON input is read by ``read_json``, and each format has one parser:
 ``detections_from_records``, ``_scene`` and ``layout_from_dict``. Detection
 records have one writer, ``_detections_json``, whose per-record template a
-scene file nests one level deeper. An ``image_id`` is a JSON integer or string
-(``_is_image_id``), in the files read and written. All writes go through a
-temp file and an atomic rename so a failed run never leaves a partial output.
+scene file nests one level deeper. Each JSON file is written in one pass
+(``_json_text``): its numbers are collected into one flat list, checked by two
+C-level ``map``s and formatted by one ``%`` over the joined record templates.
+An ``image_id`` is a JSON integer or string (``_is_image_id``), in the files
+read and written. All writes go through a temp file and an atomic rename so a
+failed run never leaves a partial output.
 """
 from __future__ import annotations
 
@@ -81,6 +84,24 @@ def _num(v: Any) -> str:
 def _json_array(items: list[str], indent: str) -> str:
     """``items``, each already laid out one level deeper, as an indented array."""
     return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _json_text(template: str, nums: list[Any]) -> str:
+    """``template`` with its ``%s`` fields filled by ``nums`` in one ``%``, each
+    number spelled as ``json.dumps`` spells it.
+
+    Two C-level passes check that every number is exactly a float or an int,
+    and finite; ``%s`` spells those as the encoder does. Only when one is not
+    do the numbers go through ``_num``, which spells a float subclass by
+    ``float.__repr__`` and raises ValueError for anything else: a bool, a NumPy
+    integer, a NaN or an infinity.
+    """
+    try:
+        if _NUMBER.issuperset(map(type, nums)) and all(map(math.isfinite, nums)):
+            return template % tuple(nums)
+    except OverflowError:  # an int past the float range, which _num spells
+        pass
+    return template % tuple(map(_num, nums))
 
 
 def read_json(path: str | Path, top: type | tuple[type, ...], what: str) -> Any:
@@ -166,25 +187,29 @@ _SCENE_DETECTION = " " + _DETECTION.replace("\n", "\n ")
 
 
 def _detections_json(dets: Sequence[Detection], image_id: int | str,
-                     template: str = _DETECTION, indent: str = "") -> str:
+                     template: str = _DETECTION, indent: str = "") -> tuple[str, list[Any]]:
     """The records {image_id, bbox, score, category_id} of ``dets`` as
     ``json.dumps(..., indent=1)`` spells them in an array at ``indent``, one
-    ``template`` per record; the C-accelerated encoder has no indented mode.
+    ``template`` per record, as a template for ``_json_text`` and the numbers
+    that fill it in file order; the C-accelerated encoder has no indented mode.
 
-    A non-finite number or an ``image_id`` that is not a JSON integer or
-    string raises ValueError.
+    An ``image_id`` that is not a JSON integer or string raises ValueError.
     """
     if not _is_image_id(image_id):
         raise ValueError(f"image_id must be a JSON integer or string, got {image_id!r}")
-    ident = json.dumps(image_id)
-    items = [template % (ident, _num(d.box.x1), _num(d.box.y1), _num(d.box.width),
-                         _num(d.box.height), _num(d.score), _num(d.category))
-             for d in dets]
-    return _json_array(items, indent)
+    # The record's first field is its image_id, a "%" of which is kept literal.
+    record = template.replace("%s", json.dumps(image_id).replace("%", "%%"), 1)
+    nums: list[Any] = []
+    for d in dets:
+        b = d.box
+        nums += (b.x1, b.y1, b.x2 - b.x1, b.y2 - b.y1, d.score, d.category)
+    return _json_array([record] * len(dets), indent), nums
 
 
 def save_detections(dets: Sequence[Detection], path: str | Path, image_id: int | str = 0) -> None:
-    atomic_write(path, _detections_json(dets, image_id))
+    """The detection records ``load_detections`` reads; a non-finite or
+    non-JSON number raises ValueError and writes no file."""
+    atomic_write(path, _json_text(*_detections_json(dets, image_id)))
 
 
 # -- synthetic scene files ---------------------------------------------------
@@ -200,10 +225,11 @@ def save_scene(
 ) -> None:
     """The scene object ``load_scene`` reads, all its records of ``image_id``
     0; a non-finite number raises ValueError."""
-    gt = [Detection(b, 1.0, 0) for b in gt_boxes]
-    atomic_write(path, _SCENE % (_num(extent_wh[0]), _num(extent_wh[1]),
-                                 _detections_json(gt, 0, _SCENE_DETECTION, " "),
-                                 _detections_json(coarse, 0, _SCENE_DETECTION, " ")))
+    gt, gt_nums = _detections_json([Detection(b, 1.0, 0) for b in gt_boxes], 0,
+                                   _SCENE_DETECTION, " ")
+    coarse, coarse_nums = _detections_json(coarse, 0, _SCENE_DETECTION, " ")
+    atomic_write(path, _json_text(_SCENE % ("%s", "%s", gt, coarse),
+                                  [extent_wh[0], extent_wh[1], *gt_nums, *coarse_nums]))
 
 
 class Scene(NamedTuple):
@@ -308,11 +334,12 @@ def _layout_json(layout: MosaicLayout) -> str:
     """The document ``layout_from_dict`` reads, as ``json.dumps(..., indent=1)``
     spells it, one template per placement; the C-accelerated encoder has no
     indented mode. A non-finite number raises ValueError."""
-    items = [_PLACEMENT % (_num(p.source.x1), _num(p.source.y1), _num(p.source.x2),
-                           _num(p.source.y2), _num(p.scale), _num(p.dest_x), _num(p.dest_y))
-             for p in layout.placements]
-    return _LAYOUT % (_num(layout.mosaic_width), _num(layout.mosaic_height),
-                      _json_array(items, " "))
+    nums = [layout.mosaic_width, layout.mosaic_height]
+    for p in layout.placements:
+        src = p.source
+        nums += (src.x1, src.y1, src.x2, src.y2, p.scale, p.dest_x, p.dest_y)
+    placements = _json_array([_PLACEMENT] * len(layout.placements), " ")
+    return _json_text(_LAYOUT % ("%s", "%s", placements), nums)
 
 
 def save_layout(layout: MosaicLayout, path: str | Path) -> None:

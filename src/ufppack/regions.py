@@ -115,7 +115,9 @@ def expand_and_merge(boxes: np.ndarray, beta: float, extent: ImageExtent) -> Reg
     with np.errstate(over="ignore", invalid="ignore"):  # clamped or refused below
         center = 0.5 * (lo + hi)
         half = 0.5 * beta * (hi - lo)
-        coords = np.hstack([np.maximum(0.0, center - half),
+        # np.maximum(0.0, -0.0) is -0.0 where max(0.0, -0.0) is 0.0; adding
+        # 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
+        coords = np.hstack([np.maximum(0.0, center - half) + 0.0,
                             np.minimum(size, center + half)])
     # Written so that a NaN fails the test too.
     inside = (coords[:, :2] <= coords[:, 2:]).all(axis=1)

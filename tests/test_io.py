@@ -326,6 +326,52 @@ class TestTemplateJsonWriters:
             assert list(tmp_path.iterdir()) == []
 
 
+_BOX = BBox(1.0, 2.0, 3.0, 4.0)
+
+
+class TestWriterRefusals:
+    """Each writer checks a file's numbers in one pass and spells a value of
+    another type by ``io._num``'s rule: a bool or a NumPy integer is no JSON
+    number, so the writer raises ValueError and leaves no file."""
+
+    @pytest.mark.parametrize("det", [
+        Detection(_BOX, 0.5, True), Detection(_BOX, True, 1), Detection(_BOX, 0.5, np.int64(1)),
+    ], ids=["bool-category", "bool-score", "int64-category"])
+    def test_detection_writers(self, tmp_path, det):
+        good = Detection(_BOX, 0.5, 1)
+        for write in (lambda path: io.save_detections([good, det], path),
+                      lambda path: io.save_scene((10.0, 10.0), [_BOX], [good, det], path)):
+            with pytest.raises(ValueError, match="^not a finite JSON number: "):
+                write(tmp_path / "out.json")
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("origin", [(True, 0.0), (0.0, False)])
+    def test_bool_placement_origin(self, tmp_path, origin):
+        layout = MosaicLayout(10.0, 10.0, [Placement(_BOX, 1.0, 0.0, 0.0),
+                                           Placement(_BOX, 1.0, *origin)])
+        with pytest.raises(ValueError, match="^not a finite JSON number: "):
+            io.save_layout(layout, tmp_path / "out.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_int_past_float_range_is_written(self, tmp_path):
+        """An int that ``math.isfinite`` cannot take is still a JSON number."""
+        big = 10**400
+        layout = MosaicLayout(big, 10.0, [Placement(_BOX, 1.0, 0.0, 0.0)])
+        io.save_layout(layout, tmp_path / "l.json")
+        assert (tmp_path / "l.json").read_text() == json.dumps(layout_to_dict(layout), indent=1)
+        dets = [Detection(_BOX, 0.5, big)]
+        io.save_detections(dets, tmp_path / "d.json")
+        assert (tmp_path / "d.json").read_text() == json.dumps(detections_to_records(dets),
+                                                               indent=1)
+
+    def test_percent_in_image_id(self, tmp_path):
+        """The image_id is spelled into the file's template; its "%" stays literal."""
+        dets = [Detection(_BOX, 0.5, 1), Detection(_BOX, 1.0, 0)]
+        io.save_detections(dets, tmp_path / "d.json", image_id="50%s %d")
+        assert (tmp_path / "d.json").read_text() == json.dumps(
+            detections_to_records(dets, "50%s %d"), indent=1)
+
+
 class TestConfigRoundtrip:
     def test_identity(self):
         cfg = PipelineConfig(beta=1.7, padding=9.0)

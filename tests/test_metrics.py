@@ -192,6 +192,16 @@ class TestGenerateScene:
         pytest.param(SceneSpec(seed=0, n_objects=8, target_fr=0.0,
                                extent=ImageExtent(1e154, 1e154)),
                      id="huge-cell-indices"),
+        # Every scalar draw is spelled through rng.random, so families that
+        # reach each of them often: the paper default, coarse boxes clamped at
+        # the border and at half their side, and most of them dropped.
+        *[pytest.param(SceneSpec(seed=seed), id=f"paper-default-{seed}") for seed in range(30)],
+        *[pytest.param(SceneSpec(seed=seed, n_objects=40, extent=ImageExtent(800, 600),
+                                 center_jitter=0.5, scale_jitter=0.8), id=f"high-jitter-{seed}")
+          for seed in range(10)],
+        *[pytest.param(SceneSpec(seed=seed, n_objects=40, extent=ImageExtent(800, 600),
+                                 drop_rate=0.6), id=f"high-drop-{seed}")
+          for seed in range(10)],
     ])
     def test_matches_scalar_reference(self, spec):
         gt, coarse = generate_scene(spec)

@@ -153,9 +153,8 @@ def _bits(corners):
 
 
 # Corners across and beyond a 200 x 150 image, so that boxes clamp at every
-# edge and some lie wholly outside. A -0.0 corner becomes 0.0: the scalar
-# max(0.0, -0.0) gives 0.0 where np.maximum gives -0.0, equal values.
-_COORD = st.floats(-60, 260).map(lambda v: v + 0.0)
+# edge and some lie wholly outside.
+_COORD = st.floats(-60, 260)
 _BOX = st.tuples(_COORD, _COORD, _COORD, _COORD).map(
     lambda t: (min(t[0], t[2]), min(t[1], t[3]), max(t[0], t[2]), max(t[1], t[3])))
 _ZERO_AREA_BOX = st.tuples(_COORD, _COORD, _COORD).map(
@@ -173,6 +172,7 @@ class TestExpandMatchesScalarReference:
     @example((190.0, 50.0, 210.0, 60.0), 1.5)  # right
     @example((50.0, 140.0, 60.0, 160.0), 1.5)  # bottom
     @example((-20.0, -20.0, 220.0, 170.0), 2.0)  # every edge
+    @example((0.0, -5e-324, 0.0, 0.0), 1.0)  # its top clamps from -0.0 to 0.0
     def test_one_row_bit_for_bit(self, box, beta):
         try:
             want = expand_ref(BBox(*box), beta, _EXTENT)
@@ -184,6 +184,7 @@ class TestExpandMatchesScalarReference:
         assert _bits(_corners([got])) == _bits(_corners([want]))
 
     @given(st.lists(st.one_of(_BOX, _ZERO_AREA_BOX), max_size=16), _BETA)
+    @example([(0.0, -5e-324, 0.0, 0.0)], 1.0)  # its top clamps from -0.0 to 0.0
     def test_array_matches_merge_of_scalar_expansion(self, raw, beta):
         kept, expanded = [], []
         for box in raw:
