@@ -32,8 +32,7 @@ def main() -> None:
     print(f"small-object share: {src.small:.3f} -> {mos.small:.3f}")
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    io.save_scene((spec.extent.width, spec.extent.height), gt, coarse,
-                  args.out_dir / "scene.json")
+    io.save_scene(spec.extent, gt, coarse, args.out_dir / "scene.json")
     io.save_layout(layout, args.out_dir / "layout.json")
     (args.out_dir / "stats.json").write_text(json.dumps({
         "source": {"fr": src.fr, "small": src.small},

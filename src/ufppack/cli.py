@@ -13,7 +13,8 @@ index. `unpack` writes the id of its inputs.
 A scene file written by `synth` may stand in for a detection file: `pack
 --detections` and `unpack --coarse` take its coarse records, and `stats
 --boxes` its ground truth. `pack` and `stats` refuse an `--image-size` other
-than the scene's `image_size` with exit 1.
+than the scene's `image_size` with exit 1, and every command a scene
+`image_size` that `--image-size` would refuse, with exit 2.
 """
 from __future__ import annotations
 
@@ -128,7 +129,7 @@ def _cmd_train_sim(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = SceneSpec.from_dict(io.read_json(args.spec, dict, "a scene spec object"))
     gt, coarse = generate_scene(spec)
-    io.save_scene((spec.extent.width, spec.extent.height), gt, coarse, args.out)
+    io.save_scene(spec.extent, gt, coarse, args.out)
     print(f"generated {len(gt)} objects, {len(coarse)} coarse detections")
     return 0
 

@@ -1,14 +1,15 @@
 """File formats: detection JSON, layout JSON, scene JSON, JSONL reports, PPM.
 
 Every JSON input is read by ``read_json``, and each format has one parser:
-``detections_from_records``, ``_scene`` and ``layout_from_dict``. Detection
-records have one writer, ``_detections_json``, whose per-record template a
-scene file nests one level deeper. Each JSON file is written in one pass
-(``_json_text``): its numbers are collected into one flat list, checked by two
-C-level ``map``s and formatted by one ``%`` over the joined record templates.
-An ``image_id`` is a JSON integer or string (``_is_image_id``), in the files
-read and written. All writes go through a temp file and an atomic rename so a
-failed run never leaves a partial output.
+``detections_from_records``, ``_scene`` (its ``image_size`` an ``ImageExtent``)
+and ``layout_from_dict``. Detection records have one writer,
+``_detections_json``, whose per-record template a scene file nests one level
+deeper. Each JSON file is written in one pass (``_json_text``): its numbers are
+collected into one flat list, checked by two C-level ``map``s and formatted by
+one ``%`` over the joined record templates. An ``image_id`` is a JSON integer
+or string (``_is_image_id``), in the files read and written. Every write goes
+through a temp file and an atomic rename, so a failed run leaves no partial
+output.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import _from_json
 from .geometry import BBox, ImageExtent
 from .mosaic import MosaicLayout, Placement
 from .remap import Detection
@@ -218,7 +220,7 @@ _SCENE = '{\n "image_size": [\n  %s,\n  %s\n ],\n "ground_truth": %s,\n "coarse"
 
 
 def save_scene(
-    extent_wh: tuple[float, float],
+    extent: ImageExtent,
     gt_boxes: Sequence[BBox],
     coarse: Sequence[Detection],
     path: str | Path,
@@ -229,14 +231,14 @@ def save_scene(
                                    _SCENE_DETECTION, " ")
     coarse, coarse_nums = _detections_json(coarse, 0, _SCENE_DETECTION, " ")
     atomic_write(path, _json_text(_SCENE % ("%s", "%s", gt, coarse),
-                                  [extent_wh[0], extent_wh[1], *gt_nums, *coarse_nums]))
+                                  [extent.width, extent.height, *gt_nums, *coarse_nums]))
 
 
 class Scene(NamedTuple):
     """A scene file's extent, its ground-truth and coarse detection records,
     and their one ``image_id``, None when it has no records."""
 
-    image_size: tuple[float, float]
+    image_size: ImageExtent
     ground_truth: list[Detection]
     coarse: list[Detection]
     image_id: int | str | None
@@ -244,19 +246,18 @@ class Scene(NamedTuple):
 
 def _scene(doc: dict[str, Any], path: str | Path) -> Scene:
     """The scene of a scene document, the only parser of one. Its records must
-    be of one ``image_id`` (``one_image``); an ``image_size`` that is not a
-    pair of finite positive numbers, or a ``ground_truth`` or ``coarse`` that
-    is not an array, raises ParseError; a ValidationError of a record names
-    the array it is in."""
+    be of one ``image_id`` (``one_image``); an ``image_size`` refused as an
+    ``ImageExtent`` (read as ``SceneSpec.extent`` is), or a non-array ``ground_truth``
+    or ``coarse``, raises ParseError; a record's ValidationError names its array."""
     size, gt, coarse = doc.get("image_size"), doc.get("ground_truth"), doc.get("coarse", [])
     if type(gt) is not list or type(coarse) is not list:
         raise ParseError(f"{path}: expected a scene object with a ground_truth array "
                          f"and an optional coarse array")
-    # Written so that a NaN, and an integer past float range, fail it too.
-    if not (type(size) is list and len(size) == 2 and all(
-            type(v) in _NUMBER and 0 < v <= sys.float_info.max for v in size)):
+    try:
+        extent = _from_json("image_size", size, ImageExtent)
+    except (TypeError, ValueError) as e:
         raise ParseError(f"{path}: image_size must be a pair of finite positive numbers, "
-                         f"got {size!r}")
+                         f"got {size!r}: {e}") from e
     named = {}
     for key, records in (("ground_truth", gt), ("coarse", coarse)):
         try:
@@ -265,7 +266,7 @@ def _scene(doc: dict[str, Any], path: str | Path) -> Scene:
             raise ValidationError(f"{path}: {key}: {e}") from e
     image_id, (gt, coarse) = one_image({f"{path}: ground truth": named["ground_truth"],
                                         "coarse": named["coarse"]})
-    return Scene((float(size[0]), float(size[1])), gt, coarse, image_id)
+    return Scene(extent, gt, coarse, image_id)
 
 
 def load_scene(path: str | Path) -> Scene:
@@ -283,9 +284,10 @@ def load_detections_or_scene(
     if isinstance(doc, list):
         return detections_from_records(doc)
     scene = _scene(doc, path)
-    if extent is not None and scene.image_size != (extent.width, extent.height):
-        raise ValueError("%s: scene image_size %gx%g differs from --image-size %gx%g"
-                         % (path, *scene.image_size, extent.width, extent.height))
+    if extent is not None and scene.image_size != extent:
+        sizes = ["x".join(str(v).removesuffix(".0") for v in (e.width, e.height))
+                 for e in (scene.image_size, extent)]
+        raise ValueError("%s: scene image_size %s differs from --image-size %s" % (path, *sizes))
     # A scene of no records names no image, as an empty detection file does.
     return {} if scene.image_id is None else {scene.image_id: getattr(scene, part)}
 

@@ -15,6 +15,7 @@ from oracles import load_jsonl
 from ufppack import io
 from ufppack.cli import main
 from ufppack.geometry import BBox
+from ufppack.metrics import SceneSpec
 from ufppack.mosaic import pack
 from ufppack.remap import Detection
 
@@ -694,6 +695,38 @@ class TestSceneFileInput:
         assert message in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_overflowing_area_exit_2(self, tmp_path, capsys, three_box_file):
+        """A scene size whose area overflows is refused as ``--image-size``
+        refuses it, also where no ``--image-size`` is given."""
+        scene = _write_detections(tmp_path / "scene.json", {
+            "image_size": [1e200, 1e200], "ground_truth": [], "coarse": [_det_record(1, 1, 8, 8)]})
+        layout = tmp_path / "layout.json"
+        io.save_layout(pack([(BBox(0, 0, 50, 50), 1.0)], 100), layout)
+        out = tmp_path / "out.json"
+        assert main(["unpack", "--fine", three_box_file, "--layout", str(layout),
+                     "--coarse", scene, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {scene}: image_size must be a pair of finite positive "
+                                f"numbers, got [1e+200, 1e+200]: extent area must be finite, "
+                                f"got 1e+200x1e+200\n")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("size, flag, spelled", [
+        ([2000.0000001, 1500], "2000x1500",
+         "2000.0000001x1500 differs from --image-size 2000x1500"),
+        ([2**53 + 1, 1], "9007199254740993x1",
+         "9007199254740993x1 differs from --image-size 9007199254740992x1"),
+    ], ids=["near-float", "int-past-float-precision"])
+    def test_different_sizes_spelled_apart(self, tmp_path, capsys, size, flag, spelled):
+        scene = _write_detections(tmp_path / "near.json", {
+            "image_size": size, "ground_truth": [], "coarse": [_det_record(1, 1, 8, 8)]})
+        out = tmp_path / "out.json"
+        assert main(["pack", "--detections", scene, "--image-size", flag,
+                     "--out-layout", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {scene}: scene image_size {spelled}\n"
+        assert captured.out == "" and not out.exists()
+
 
 class TestMalformedJsonFile:
     """A config or spec file that is not JSON, or whose top level is not an
@@ -758,6 +791,17 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
         _, gt, coarse, _ = io.load_scene(out)
         assert len(gt) == 40 and len(coarse) > 0
+
+    @pytest.mark.parametrize("edit", [{}, {"extent": [640, 480.5], "n_objects": 20}],
+                             ids=["default", "640x480.5"])
+    def test_scene_size_is_spec_extent(self, tmp_path, edit):
+        """A scene's image_size reads back as the ImageExtent of its spec."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 0, **edit}))
+        out = tmp_path / "scene.json"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+        want = SceneSpec.from_dict(json.loads(spec.read_text())).extent
+        assert io.load_scene(out).image_size == want
 
     def test_module_entry_point(self, tmp_path):
         """``python -m ufppack.cli`` exits with main's return code."""

@@ -148,5 +148,5 @@ def test_scene_bytes_pinned(tmp_path, spec, digest):
     spec = SceneSpec(**spec)
     gt, coarse = generate_scene(spec)
     out = tmp_path / "scene.json"
-    io.save_scene((spec.extent.width, spec.extent.height), gt, coarse, out)
+    io.save_scene(spec.extent, gt, coarse, out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -260,6 +260,14 @@ class TestTemplateJsonWriters:
             return np.float64(rng.uniform(lo, 1e4))
         return float(rng.uniform(lo, 1e4))
 
+    def _extent(self, rng: np.random.Generator) -> ImageExtent:
+        """The first pair of ``_value`` draws that ``ImageExtent`` admits."""
+        while True:
+            try:
+                return ImageExtent(self._value(rng), self._value(rng))
+            except ValueError:
+                pass
+
     def _box(self, rng: np.random.Generator) -> BBox:
         x, y = self._value(rng), self._value(rng)
         return BBox(x, y, x + abs(self._value(rng)), y + abs(self._value(rng)))
@@ -294,24 +302,28 @@ class TestTemplateJsonWriters:
     def test_scene_bytes_equal_json_dumps(self, tmp_path):
         rng = np.random.default_rng(53)
         for n_gt, n_coarse in [(0, 0), (1, 0), (3, 1), (40, 25)]:
-            extent = (self._value(rng), self._value(rng))
+            extent = self._extent(rng)
             gt = [self._box(rng) for _ in range(n_gt)]
             coarse = [Detection(self._box(rng), float(rng.choice([0.0, 1.0, rng.random()])),
                                 int(rng.integers(0, 5)))
                       for _ in range(n_coarse)]
             io.save_scene(extent, gt, coarse, tmp_path / "s.json")
             want = json.dumps({
-                "image_size": list(extent),
+                "image_size": [extent.width, extent.height],
                 "ground_truth": detections_to_records([Detection(b, 1.0, 0) for b in gt]),
                 "coarse": detections_to_records(coarse),
             }, indent=1)
             assert (tmp_path / "s.json").read_text() == want
-        # Integer and special extents, and no coarse records.
+        # Integer extents, each positive special value as a width and as a
+        # height, and no coarse records.
         gt_records = detections_to_records([Detection(BBox(0, 0, 10, 10), 1.0, 0)])
-        for extent in [(100, 80), *zip(self.SPECIAL, self.SPECIAL[::-1])]:
+        positive = [v for v in self.SPECIAL if v > 0]
+        for extent in [ImageExtent(100, 80), *(ImageExtent(v, 1.5) for v in positive),
+                       *(ImageExtent(1.5, v) for v in positive)]:
             io.save_scene(extent, [BBox(0, 0, 10, 10)], [], tmp_path / "s.json")
             assert (tmp_path / "s.json").read_text() == json.dumps({
-                "image_size": list(extent), "ground_truth": gt_records, "coarse": []}, indent=1)
+                "image_size": [extent.width, extent.height], "ground_truth": gt_records,
+                "coarse": []}, indent=1)
 
     def test_non_finite_and_unusual_values_are_rejected_without_a_file(self, tmp_path):
         out = tmp_path / "out.json"
@@ -338,9 +350,9 @@ class TestWriterRefusals:
         Detection(_BOX, 0.5, True), Detection(_BOX, True, 1), Detection(_BOX, 0.5, np.int64(1)),
     ], ids=["bool-category", "bool-score", "int64-category"])
     def test_detection_writers(self, tmp_path, det):
-        good = Detection(_BOX, 0.5, 1)
+        good, extent = Detection(_BOX, 0.5, 1), ImageExtent(10.0, 10.0)
         for write in (lambda path: io.save_detections([good, det], path),
-                      lambda path: io.save_scene((10.0, 10.0), [_BOX], [good, det], path)):
+                      lambda path: io.save_scene(extent, [_BOX], [good, det], path)):
             with pytest.raises(ValueError, match="^not a finite JSON number: "):
                 write(tmp_path / "out.json")
             assert list(tmp_path.iterdir()) == []
@@ -771,9 +783,9 @@ class TestSceneIO:
         gt = [BBox(0, 0, 10, 10)]
         coarse = [Detection(BBox(1, 1, 9, 9), 0.75, 0)]
         p = tmp_path / "scene.json"
-        io.save_scene((100, 80), gt, coarse, p)
-        (w, h), gt2, coarse2, image_id = io.load_scene(p)
-        assert (w, h) == (100, 80) and image_id == 0
+        io.save_scene(ImageExtent(100, 80), gt, coarse, p)
+        extent, gt2, coarse2, image_id = io.load_scene(p)
+        assert extent == ImageExtent(100, 80) and image_id == 0
         assert [d.box for d in gt2] == gt and coarse2 == coarse
 
     @staticmethod
@@ -803,7 +815,7 @@ class TestSceneIO:
     @pytest.mark.parametrize("part", ["coarse", "ground_truth"])
     def test_scene_of_no_records_names_no_image(self, tmp_path, part):
         p = tmp_path / "scene.json"
-        io.save_scene((100, 80), [], [], p)
+        io.save_scene(ImageExtent(100, 80), [], [], p)
         assert io.load_detections_or_scene(p, part) == {}
 
     def test_detection_reader_refuses_scene(self, tmp_path):
@@ -853,8 +865,16 @@ class TestSceneIO:
         with pytest.raises(io.ParseError, match="image_size must be a pair of finite positive"):
             io.load_scene(p)
 
+    def test_overflowing_area_rejected(self, tmp_path):
+        """A size ``ImageExtent`` refuses for its area is refused as a scene's."""
+        p = self._scene(tmp_path, 0, 0)
+        p.write_text(p.read_text().replace("[100, 80]", "[1e200, 1e200]"))
+        with pytest.raises(io.ParseError, match="image_size must be a pair of finite positive "
+                           "numbers, got .*: extent area must be finite"):
+            io.load_scene(p)
+
     def test_float_image_size_loads(self, tmp_path):
         p = self._scene(tmp_path, 0, 0)
         p.write_text(p.read_text().replace("[100, 80]", "[100.5, 1e-3]"))
-        (w, h), _, _, _ = io.load_scene(p)
-        assert (w, h) == (100.5, 1e-3) and type(w) is float
+        extent, _, _, _ = io.load_scene(p)
+        assert extent == ImageExtent(100.5, 1e-3) and type(extent.width) is float
