@@ -24,12 +24,6 @@ def _field_types(cls: type) -> dict[str, Any]:
     return typing.get_type_hints(cls)
 
 
-@functools.cache
-def _real_fields(cls: type) -> tuple[str, ...]:
-    """The fields of a dataclass that hold a float, alone or in a tuple."""
-    return tuple(k for k, t in _field_types(cls).items() if float in (t, *typing.get_args(t)))
-
-
 def _from_json(name: str, value: Any, hint: Any) -> Any:
     """The JSON ``value`` of field ``name`` as its type ``hint`` takes it: a
     scalar as is, a tuple or a dataclass from an array of its items. A value
@@ -47,22 +41,45 @@ def _from_json(name: str, value: Any, hint: Any) -> Any:
     return tuple(_from_json(f"{name}[{i}]", v, t) for i, (v, t) in enumerate(zip(value, items)))
 
 
+_WORDS = {">=": "at least", ">": "greater than", "<=": "at most", "<": "less than",
+          ">=0": "nonnegative", ">0": "positive"}  # a lower bound of 0 reads as a sign
+
+
+@functools.cache
+def _checks(cls: type) -> tuple[tuple[str, float, float, list], ...]:
+    """Each real or bounded field of a config: its name, the closed interval [lo, hi] that
+    it or each item of a tuple must lie in, and the rules (lo, hi, words) meeting there: finite,
+    then ``cls._BOUNDS``, where a strict bound b (below 2**53) closes at the float next to b."""
+    rules = {k: [(-_FLOAT_MAX, _FLOAT_MAX, "finite")]
+             for k, t in _field_types(cls).items() if float in (t, *typing.get_args(t))}
+    for name, op, b in cls._BOUNDS:
+        closed = b if "=" in op else math.nextafter(b, math.inf if op == ">" else -math.inf)
+        side = (closed, math.inf) if op[0] == ">" else (-math.inf, closed)
+        rules.setdefault(name, []).append((*side, _WORDS.get(f"{op}{b}", f"{_WORDS[op]} {b}")))
+    return tuple((k, max(r[0] for r in rs), min(r[1] for r in rs), rs) for k, rs in rules.items())
+
+
 class DictConfig:
-    """The dict form of a dataclass config, and the check that its real values are finite."""
+    """The dict form of a dataclass config, and the one check of its values' bounds."""
+
+    _BOUNDS = ()  # (field, ">=", ">", "<=" or "<", constant); unannotated, so not a field
 
     def __post_init__(self) -> None:
-        for name in _real_fields(type(self)):
-            value = getattr(self, name)
-            for v in value if type(value) is tuple else (value,):
-                if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
-                    raise ValueError(f"{name} must be finite, got {value}")
+        values = vars(self)
+        for name, lo, hi, rules in _checks(type(self)):
+            x = values[name]
+            if not (all(lo <= v <= hi for v in x) if type(x) is tuple else lo <= x <= hi):
+                xs = x if type(x) is tuple else (x,)
+                words = next(w for a, b, w in rules if not all(a <= v <= b for v in xs))
+                raise ValueError(f"{name} must be {words}, got {x}")
 
     def _check_counts(self, *products: tuple[str, ...]) -> None:
         """Refuse a product of int fields, given by their names, past 2**50. Each
         is an array's element count up to a small factor: 2**50 float64 are 8 PiB,
         and 1/1024 of the bytes NumPy's index type counts, so no factor overflows it."""
+        get = vars(self).__getitem__
         for names in products:
-            count = math.prod(map(self.__getattribute__, names))
+            count = math.prod(map(get, names))
             if count > 2**50:
                 raise ValueError(f"{' * '.join(names)} must be at most 2**50, got {count}")
 
@@ -92,13 +109,5 @@ class PipelineConfig(DictConfig):
     padding: float = 2.0
     nms_iou: float = 0.5
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.beta < 1.0:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
-        if self.fixed_size <= 0 or self.mosaic_width <= 0:
-            raise ValueError("fixed_size and mosaic_width must be positive")
-        if self.padding < 0:
-            raise ValueError("padding must be nonnegative")
-        if not 0.0 <= self.nms_iou <= 1.0:
-            raise ValueError(f"nms_iou must be in [0,1], got {self.nms_iou}")
+    _BOUNDS = (("beta", ">=", 1), ("fixed_size", ">", 0), ("mosaic_width", ">", 0),
+               ("padding", ">=", 0), ("nms_iou", ">=", 0), ("nms_iou", "<=", 1))

@@ -99,22 +99,15 @@ class SceneSpec(DictConfig):
     scale_jitter: float = 0.05
     drop_rate: float = 0.03
 
+    _BOUNDS = (("n_objects", ">=", 0), ("proportions", ">=", 0), ("target_fr", ">=", 0),
+               ("target_fr", "<", 1), ("seed", ">=", 0), ("center_jitter", ">=", 0),
+               ("scale_jitter", ">=", 0), ("drop_rate", ">=", 0), ("drop_rate", "<=", 1))
+
     def __post_init__(self) -> None:
         super().__post_init__()
-        if min(self.proportions) < 0:
-            raise ValueError(f"proportions must be nonnegative, got {self.proportions}")
         if abs(sum(self.proportions) - 1.0) > 1e-6:
             raise ValueError(f"proportions must sum to 1, got {self.proportions}")
-        if self.n_objects < 0:
-            raise ValueError("n_objects must be nonnegative")
         self._check_counts(("n_objects",))
-        if not 0.0 <= self.target_fr < 1.0:
-            raise ValueError(f"target_fr must be in [0,1), got {self.target_fr}")
-        if not 0.0 <= self.drop_rate <= 1.0:
-            raise ValueError(f"drop_rate must be in [0,1], got {self.drop_rate}")
-        for name in ("seed", "center_jitter", "scale_jitter"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 # Per-bucket side ranges used by the generator, one (low, high) row per size

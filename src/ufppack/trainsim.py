@@ -39,27 +39,25 @@ class TrainConfig(DictConfig):
     marginal_cadence: int = 200
     sinkhorn_epsilon: float = 0.01
     sinkhorn_max_iters: int = 150
-    sinkhorn_tol: float = 1e-6
+    sinkhorn_tol: float = 1e-6  # below 1: no marginal violation exceeds 1
+
+    _BOUNDS = (("n_classes", ">=", 1), ("proxies_per_class", ">=", 1), ("feature_dim", ">=", 2),
+               ("modes_per_class", ">=", 1), ("mode_noise", ">=", 0), ("steps", ">=", 0),
+               ("batch_size", ">=", 1), ("lr", ">", 0), ("gamma", ">", 0), ("seed", ">=", 0),
+               ("vocab_capacity", ">=", 1), ("vocab_insert", ">=", 1),
+               ("marginal_cadence", ">=", 1), ("sinkhorn_epsilon", ">", 0),
+               ("sinkhorn_max_iters", ">=", 0), ("sinkhorn_tol", ">", 0), ("sinkhorn_tol", "<", 1))
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for name, least in (("n_classes", 1), ("proxies_per_class", 1), ("feature_dim", 2),
-                            ("modes_per_class", 1), ("steps", 0), ("batch_size", 1),
-                            ("vocab_capacity", 1), ("marginal_cadence", 1),
-                            ("sinkhorn_max_iters", 0), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         # A step's cosines and features, the mode centers, and the proxies at init.
         self._check_counts(("n_classes", "n_classes", "batch_size", "proxies_per_class"),
                            ("n_classes", "batch_size", "feature_dim"),
                            ("n_classes", "modes_per_class", "feature_dim"),
                            ("n_classes", "proxies_per_class", "proxies_per_class", "feature_dim"))
-        for name in ("lr", "gamma", "sinkhorn_epsilon", "sinkhorn_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 1 <= self.vocab_insert <= self.batch_size:
-            raise ValueError(f"vocab_insert must be between 1 and batch_size "
-                             f"({self.batch_size}), got {self.vocab_insert}")
+        if self.vocab_insert > self.batch_size:
+            raise ValueError(f"vocab_insert must be at most batch_size ({self.batch_size}), "
+                             f"got {self.vocab_insert}")
 
 
 @dataclass(frozen=True)

@@ -438,8 +438,8 @@ class TestWrongJsonTypeConfig:
         ({"drop_rate": math.nan}, "drop_rate must be finite, got nan"),
         ({"target_fr": -math.inf}, "target_fr must be finite, got -inf"),
         ({"proportions": [0.5, math.nan, 0.5]}, "proportions must be finite, got (0.5, nan, 0.5)"),
-        ({"drop_rate": 2.0}, "drop_rate must be in [0,1], got 2.0"),
-        ({"drop_rate": -1}, "drop_rate must be in [0,1], got -1"),
+        ({"drop_rate": 2.0}, "drop_rate must be at most 1, got 2.0"),
+        ({"drop_rate": -1}, "drop_rate must be nonnegative, got -1"),
         ({"center_jitter": -0.1}, "center_jitter must be nonnegative, got -0.1"),
         ({"scale_jitter": -0.1}, "scale_jitter must be nonnegative, got -0.1"),
         pytest.param({"target_fr": 10**400}, f"target_fr must be finite, got {10**400}",
@@ -943,7 +943,7 @@ class TestTrainSimCommand:
          f"n_classes * batch_size * feature_dim must be at most 2**50, got {32 * 10**20}"),
         ({"modes_per_class": 10**20},
          f"n_classes * modes_per_class * feature_dim must be at most 2**50, got {32 * 10**20}"),
-        ({"seed": -1}, "seed must be at least 0, got -1"),
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
     ], ids=["batch_size", "n_classes", "proxies_per_class", "feature_dim", "modes_per_class",
             "seed"])
     def test_count_past_numpy_exit_1_without_records(self, tmp_path, capsys, bad, message):
@@ -968,6 +968,25 @@ class TestTrainSimCommand:
         out = tmp_path / "report.jsonl"
         assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 1
         assert "vocab_insert" in capsys.readouterr().err
+        assert not out.exists()
+
+    # A marginal violation is at most 1, so a tolerance of 1 or more passed
+    # every plan as converged; a negative mode_noise drew features as a
+    # positive one does. Both used to run and exit 0.
+    @pytest.mark.parametrize("bad, message", [
+        ({"sinkhorn_tol": 1}, "sinkhorn_tol must be less than 1, got 1"),
+        ({"sinkhorn_tol": 1.0}, "sinkhorn_tol must be less than 1, got 1.0"),
+        ({"sinkhorn_tol": 1e308}, "sinkhorn_tol must be less than 1, got 1e+308"),
+        ({"mode_noise": -1}, "mode_noise must be nonnegative, got -1"),
+        ({"mode_noise": -1e-300}, "mode_noise must be nonnegative, got -1e-300"),
+    ])
+    def test_tolerance_or_noise_out_of_range_exit_1_without_records(self, tmp_path, capsys,
+                                                                    bad, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 3, "seed": 0, **bad}))
+        out = tmp_path / "report.jsonl"
+        assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
 

@@ -413,9 +413,10 @@ class TestConfigRoundtrip:
         with pytest.raises(ValueError):
             PipelineConfig(nms_iou=1.5)
         for bad in ({"fixed_size": 0.0}, {"mosaic_width": -1.0}):
-            with pytest.raises(ValueError, match="^fixed_size and mosaic_width must be positive$"):
+            name, value = next(iter(bad.items()))
+            with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
                 PipelineConfig(**bad)
-        with pytest.raises(ValueError, match="^padding must be nonnegative$"):
+        with pytest.raises(ValueError, match="^padding must be nonnegative, got -0.5$"):
             PipelineConfig(padding=-0.5)
 
 

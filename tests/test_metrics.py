@@ -239,9 +239,9 @@ class TestGenerateScene:
             SceneSpec(proportions=(0.5, 0.2, 0.2))
 
     @pytest.mark.parametrize("bad, message", [
-        ({"n_objects": -1}, "^n_objects must be nonnegative$"),
-        ({"target_fr": 1.0}, r"^target_fr must be in \[0,1\), got 1.0$"),
-        ({"target_fr": -0.1}, r"^target_fr must be in \[0,1\), got -0.1$"),
+        ({"n_objects": -1}, "^n_objects must be nonnegative, got -1$"),
+        ({"target_fr": 1.0}, r"^target_fr must be less than 1, got 1.0$"),
+        ({"target_fr": -0.1}, r"^target_fr must be nonnegative, got -0.1$"),
         ({"seed": -1}, "^seed must be nonnegative, got -1$"),
         ({"n_objects": 2**50 + 1}, r"^n_objects must be at most 2\*\*50, got 1125899906842625$"),
     ])
