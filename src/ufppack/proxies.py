@@ -30,17 +30,16 @@ def _unit_rows(x: np.ndarray, error: str) -> tuple[np.ndarray, np.ndarray]:
     return x / norms[:, None], norms
 
 
-def _cosine_grad(
-    x_hat: np.ndarray, s: np.ndarray, u: np.ndarray, wn: np.ndarray, A: np.ndarray
-) -> np.ndarray:
-    """Gradient in the K x C proxies w of sum_nk A_nk cos(x_n, w_k).
+def _cosine_grad(x_hat: np.ndarray, s: np.ndarray, u: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Gradient in the K x C proxies w of sum_nk A_nk cos(x_n, w_k), at unit w.
 
-    x_hat holds the unit rows of x, u = w / wn those of w and s = x_hat @ u.T
-    the cosines: d cos(x_n, w_k) / dw_k = (x_hat_n - s_nk u_k) / |w_k|. The
-    cosine is symmetric, so with x and w exchanged (u, s.T, x_hat, |x|, A.T)
-    it is the gradient in x.
+    x_hat holds the unit rows of x, u those of w and s = x_hat @ u.T the
+    cosines: d cos(x_n, w_k) / dw_k = (x_hat_n - s_nk u_k) / |w_k|, so a
+    caller whose w is not unit divides row k by |w_k|. The cosine is
+    symmetric, so with x and w exchanged (u, s.T, x_hat, A.T) it is the
+    gradient in x.
     """
-    return (A.T @ x_hat - np.add.reduce(A * s, axis=0)[:, None] * u) / wn[:, None]
+    return A.T @ x_hat - np.add.reduce(A * s, axis=0)[:, None] * u
 
 
 def _sigmoid(z: float | np.ndarray) -> float | np.ndarray:
@@ -97,7 +96,7 @@ def _logit_terms(
     s = x_hat @ u.T  # N x K
     agg, dagg_ds = _aggregate(s)
     dz_ds = bank.gamma * dagg_ds
-    dz_dx = _cosine_grad(u, s.T, x_hat, xn, dz_ds.T)
+    dz_dx = _cosine_grad(u, s.T, x_hat, dz_ds.T) / xn[:, None]
     # d(s_k)/dw_k = (x/|x| - s_k w_k/|w_k|) / |w_k|, kept per row
     dz_dw = dz_ds[:, :, None] * ((x_hat[:, None, :] - s[:, :, None] * u) / wn[:, None])
     z = bank.gamma * agg

@@ -144,9 +144,8 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     return keep
 
 
-def fuse(
-    coarse: Sequence[Detection], fine: Sequence[Detection], iou_threshold: float = 0.5
-) -> list[Detection]:
+def fuse(coarse: Sequence[Detection], fine: Sequence[Detection],
+         iou_threshold: float) -> list[Detection]:
     """Concatenate coarse and fine detections and run per-category NMS;
     ``iou_threshold`` must be in [0, 1]."""
     return nms(list(coarse) + list(fine), iou_threshold)

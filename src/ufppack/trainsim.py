@@ -41,9 +41,12 @@ class TrainConfig(DictConfig):
     sinkhorn_max_iters: int = 150
     sinkhorn_tol: float = 1e-6  # below 1: no marginal violation exceeds 1
 
+    # The upper bounds keep every row norm below 1.3e154, so its square is finite: an updated
+    # proxy has norm at most 1 + lr * (3 gamma + 1/2), a sampled feature 1 + mode_noise * |z|.
     _BOUNDS = (("n_classes", ">=", 1), ("proxies_per_class", ">=", 1), ("feature_dim", ">=", 2),
-               ("modes_per_class", ">=", 1), ("mode_noise", ">=", 0), ("steps", ">=", 0),
-               ("batch_size", ">=", 1), ("lr", ">", 0), ("gamma", ">", 0), ("seed", ">=", 0),
+               ("modes_per_class", ">=", 1), ("mode_noise", ">=", 0), ("mode_noise", "<=", 1e100),
+               ("steps", ">=", 0), ("batch_size", ">=", 1), ("lr", ">", 0), ("lr", "<=", 1e75),
+               ("gamma", ">", 0), ("gamma", "<=", 1e75), ("seed", ">=", 0),
                ("vocab_capacity", ">=", 1), ("vocab_insert", ">=", 1),
                ("marginal_cadence", ">=", 1), ("sinkhorn_epsilon", ">", 0),
                ("sinkhorn_max_iters", ">=", 0), ("sinkhorn_tol", ">", 0), ("sinkhorn_tol", "<", 1))
@@ -116,11 +119,11 @@ class _FeatureModel:
         return x / _row_norms(x)[:, None]
 
 
-def _unit_proxies(w: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """_unit_rows of the proxies of every class, k rows per class; a zero row
-    raises ValueError named by its class."""
+def _unit_proxies(w: np.ndarray, k: int) -> np.ndarray:
+    """The unit rows of the proxies of every class, k rows per class; a zero
+    row raises ValueError named by its class."""
     try:
-        return _unit_rows(w, "zero-norm proxy row")
+        return _unit_rows(w, "zero-norm proxy row")[0]
     except ValueError as e:
         cid = int(np.argmax(_row_norms(w) == 0)) // k
         raise ValueError(f"class {cid}: {e}") from None
@@ -132,7 +135,7 @@ def _init_proxies(cfg: TrainConfig, model: _FeatureModel, rng: np.random.Generat
     k = cfg.proxies_per_class
     w = np.concatenate([kmeans(model.sample(cid, max(8 * k, 32), rng), k, rng)[1]
                         for cid in range(cfg.n_classes)])
-    return _unit_proxies(w, k)[0]
+    return _unit_proxies(w, k)
 
 
 def _proxy_separation(u: np.ndarray, pairs: np.ndarray) -> tuple[float | None, float | None]:
@@ -166,9 +169,9 @@ def _bce(s: np.ndarray, y: np.ndarray, gamma: float) -> tuple[float, np.ndarray]
 def train_sim(cfg: TrainConfig) -> TrainReport:
     """Run the seeded training loop and report per-step losses and separation.
 
-    The proxies of every class are one n_classes * K x C array, class by
-    class, so a step's dense algebra runs once for all classes; only the
-    Sinkhorn solves run per class.
+    The proxies of every class are one n_classes * K x C array of unit rows,
+    class by class, so a step's dense algebra runs once for all classes; only
+    the Sinkhorn solves run per class. Each update normalises them once.
     """
     rng = np.random.default_rng(cfg.seed)
     model = _FeatureModel(cfg, rng)
@@ -203,12 +206,10 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
             if refresh and len(vocab) >= k:
                 marginals[cid] = estimate_marginals(vocab, k, cfg.seed + step).p
 
-        x_hat, _ = _unit_rows(feats, "zero feature vector")
-        u, wn = _unit_proxies(w, k)
-        # One cosine block for every class feeds the BCE, the transport costs
-        # and the gradient of both: s[n, c, j] is the cosine of sample n and
-        # proxy j of class c.
-        s = x_hat @ u.T
+        # Features and proxies are unit rows: one cosine block for every class feeds the
+        # BCE, the transport costs and the gradient of both, s[n, c, j] the cosine of
+        # sample n and proxy j of class c.
+        s = feats @ w.T
         loss_det, A = _bce(s.reshape(-1, n_classes, k), targets, cfg.gamma)
         loss_det /= n_terms
         A /= n_terms
@@ -232,7 +233,7 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
             )
         report.transport.append(stats)
 
-        min_dist, max_sim = _proxy_separation(u.reshape(n_classes, k, -1), pairs)
+        min_dist, max_sim = _proxy_separation(w.reshape(n_classes, k, -1), pairs)
         report.records.append(
             {
                 "step": float(step),
@@ -244,7 +245,7 @@ def train_sim(cfg: TrainConfig) -> TrainReport:
         )
         if step == cfg.steps:
             break
-        w = _unit_proxies(w - cfg.lr * _cosine_grad(x_hat, s, u, wn, A.reshape(s.shape)), k)[0]
+        w = _unit_proxies(w - cfg.lr * _cosine_grad(feats, s, w, A.reshape(s.shape)), k)
 
     report.final_weights = {cid: w[cid * k:(cid + 1) * k].copy() for cid in range(n_classes)}
     return report

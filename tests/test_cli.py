@@ -989,6 +989,21 @@ class TestTrainSimCommand:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    # These overflowed a squared row norm: gamma and lr ended in a misleading
+    # "zero-norm proxy row", mode_noise in "Probabilities contain NaN".
+    @pytest.mark.parametrize("bad, message", [
+        ({"gamma": 1e308}, "gamma must be at most 1e+75, got 1e+308"),
+        ({"lr": 1e200}, "lr must be at most 1e+75, got 1e+200"),
+        ({"mode_noise": 1e308}, "mode_noise must be at most 1e+100, got 1e+308"),
+    ], ids=["gamma", "lr", "mode_noise"])
+    def test_setting_past_its_cap_exit_1_without_records(self, tmp_path, capsys, bad, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 3, **bad}))
+        out = tmp_path / "report.jsonl"
+        assert main(["train-sim", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_train_sim_byte_identical(self, tmp_path):

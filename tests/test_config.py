@@ -29,10 +29,13 @@ BOUNDS = [
     (TrainConfig, "feature_dim", ">=", 2),
     (TrainConfig, "modes_per_class", ">=", 1),
     (TrainConfig, "mode_noise", ">=", 0.0),
+    (TrainConfig, "mode_noise", "<=", 1e100),
     (TrainConfig, "steps", ">=", 0),
     (TrainConfig, "batch_size", ">=", 1),
     (TrainConfig, "lr", ">", 0.0),
+    (TrainConfig, "lr", "<=", 1e75),
     (TrainConfig, "gamma", ">", 0.0),
+    (TrainConfig, "gamma", "<=", 1e75),
     (TrainConfig, "seed", ">=", 0),
     (TrainConfig, "vocab_capacity", ">=", 1),
     (TrainConfig, "vocab_insert", ">=", 1),

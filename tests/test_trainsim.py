@@ -137,27 +137,23 @@ class TestTrainSim:
             assert t.max_violation >= 0.0
             assert 0 <= t.unconverged <= report.config.n_classes
 
-    def test_zero_feature_refused(self, monkeypatch):
-        real = _FeatureModel.sample
+    @staticmethod
+    def _zero_centroid(monkeypatch, cid, row):
+        """Make k-means return a zero center as row ``row`` of class ``cid``."""
+        seen = []
+        real = trainsim.kmeans
 
-        def sample(self, cid, n, rng):
-            x = real(self, cid, n, rng)
-            x[-1] = 0.0
-            return x
+        def kmeans(*args):
+            labels, centers = real(*args)
+            if len(seen) == cid:
+                centers[row] = 0.0
+            seen.append(centers)
+            return labels, centers
 
-        monkeypatch.setattr(_FeatureModel, "sample", sample)
-        with pytest.raises(ValueError, match="^zero feature vector$"):
-            train_sim(TrainConfig(steps=2, seed=0))
+        monkeypatch.setattr(trainsim, "kmeans", kmeans)
 
     def test_zero_norm_proxy_refused(self, monkeypatch):
-        real = trainsim._init_proxies
-
-        def init(cfg, *args):
-            w = real(cfg, *args)
-            w[cfg.proxies_per_class] = 0.0  # row 0 of class 1
-            return w
-
-        monkeypatch.setattr(trainsim, "_init_proxies", init)
+        self._zero_centroid(monkeypatch, 1, 0)
         with pytest.raises(ValueError, match="^class 1: zero-norm proxy row$"):
             train_sim(TrainConfig(steps=2, seed=0))
 
@@ -165,14 +161,7 @@ class TestTrainSim:
     @pytest.mark.parametrize("cid", [0, 2])
     @pytest.mark.parametrize("row", [0, 2])
     def test_zero_norm_proxy_names_its_class(self, monkeypatch, cid, row):
-        real = trainsim._init_proxies
-
-        def init(cfg, *args):
-            w = real(cfg, *args)
-            w[cfg.proxies_per_class * cid + row] = 0.0
-            return w
-
-        monkeypatch.setattr(trainsim, "_init_proxies", init)
+        self._zero_centroid(monkeypatch, cid, row)
         with pytest.raises(ValueError, match=f"^class {cid}: zero-norm proxy row$"):
             train_sim(TrainConfig(steps=2, seed=0, n_classes=3))
 
@@ -205,16 +194,52 @@ class TestTrainSim:
             seen.append(w)
             return real(w, k)
 
-        def grad(x_hat, s, u, wn, A):
+        def grad(x_hat, s, u, A):
             g = np.zeros_like(u)
-            g[4] = seen[-1][4]  # at lr 1 the update zeroes row 1 of class 1
+            g[4] = u[4]  # at lr 1 the update zeroes row 1 of class 1
             return g
 
         monkeypatch.setattr(trainsim, "_unit_proxies", unit_proxies)
         monkeypatch.setattr(trainsim, "_cosine_grad", grad)
         with pytest.raises(ValueError, match="^class 1: zero-norm proxy row$"):
             train_sim(TrainConfig(steps=2, seed=0, lr=1.0))
-        assert len(seen) == 3  # init, step 0 and its update
+        assert len(seen) == 2  # init and step 0's update
+
+    def test_one_normalisation_per_update(self, monkeypatch):
+        """Unit proxies are the step's state: they are normalised once at init
+        and once per update, and each step's gradient takes as u the very
+        array that init or the previous update returned."""
+        units, us = [], []
+        real_unit_rows, real_grad = trainsim._unit_rows, trainsim._cosine_grad
+
+        def unit_rows(*args):
+            out = real_unit_rows(*args)
+            units.append(out[0])
+            return out
+
+        def grad(x_hat, s, u, A):
+            us.append(u)
+            return real_grad(x_hat, s, u, A)
+
+        monkeypatch.setattr(trainsim, "_unit_rows", unit_rows)
+        monkeypatch.setattr(trainsim, "_cosine_grad", grad)
+        cfg = TrainConfig(steps=5, seed=3, n_classes=3)
+        train_sim(cfg)
+        assert len(units) == cfg.steps + 1
+        assert len(us) == cfg.steps
+        assert all(u is unit for u, unit in zip(us, units))
+
+    # lr and gamma at their caps give an update of norm about 3e150, whose
+    # square is still finite, and mode_noise at its cap a feature of norm about
+    # 1e101; each norm grows with each setting, so all three at once is the worst case.
+    @pytest.mark.parametrize("dim", [16, 4096])
+    def test_settings_at_their_caps_run(self, dim):
+        """No RuntimeWarning (an error in this suite) and unit proxies throughout."""
+        report = train_sim(TrainConfig(steps=5, seed=0, feature_dim=dim, lr=1e75, gamma=1e75,
+                                       mode_noise=1e100))
+        assert len(report.records) == 6
+        for w in report.final_weights.values():
+            assert np.allclose(_row_norms(w), 1.0, rtol=0, atol=1e-12)
 
     def test_unconverged_calls_reported(self):
         report = train_sim(TrainConfig(steps=3, seed=0, sinkhorn_max_iters=2))
@@ -297,7 +322,8 @@ class TestOtGrad:
             lambda flat: transport_cost(cost_matrix(feats, flat.reshape(k, dim)), plan),
             w.ravel(),
         ).reshape(k, dim)
-        assert np.allclose(_cosine_grad(*_cosines(feats, w), -plan / 2.0), num,
+        x_hat, s, u, wn = _cosines(feats, w)
+        assert np.allclose(_cosine_grad(x_hat, s, u, -plan / 2.0) / wn[:, None], num,
                            rtol=1e-4, atol=1e-7)
 
 
@@ -327,7 +353,8 @@ class TestFusedStepGrad:
             want_loss, want = step_grad_reference(ProxyBank({cid: w}, gamma=gamma), cid,
                                                   feats_all, y, n_terms, rows, plan, n_classes)
             assert loss == pytest.approx(want_loss, rel=0, abs=1e-12)
-            assert np.allclose(_cosine_grad(x_hat, s, u, wn, A), want, rtol=0, atol=1e-12)
+            assert np.allclose(_cosine_grad(x_hat, s, u, A) / wn[:, None], want,
+                               rtol=0, atol=1e-12)
 
     def test_every_step_gradient_matches_the_unfused_form(self, monkeypatch):
         """In train_sim itself, with three classes: one gradient call per
@@ -354,11 +381,11 @@ class TestFusedStepGrad:
         # The last step records its losses and takes no update.
         assert len(grads) == cfg.steps
         assert len(plans) == 7 * cfg.n_classes
-        for step, ((x_hat, _, u, wn, _), got) in enumerate(grads):
+        for step, ((x_hat, _, u, _), got) in enumerate(grads):
             assert got.shape == (cfg.n_classes * k, cfg.feature_dim)
             for cid in range(cfg.n_classes):
                 proxies = slice(cid * k, (cid + 1) * k)
-                bank = ProxyBank({cid: u[proxies] * wn[proxies, None]}, gamma=cfg.gamma)
+                bank = ProxyBank({cid: u[proxies]}, gamma=cfg.gamma)
                 rows = slice(cid * cfg.batch_size, (cid + 1) * cfg.batch_size)
                 _, want = step_grad_reference(bank, cid, x_hat, (labels == cid).astype(float),
                                               labels.size * cfg.n_classes, rows,
